@@ -10,6 +10,7 @@ Exit codes are a stable contract:
     check-kb        0 document valid
 
     64              usage, parse, sort or name errors (any command)
+    141             standard output closed before the answer was written
 
 Rationals print as exact fractions.  MUCAL_DEPTH overrides the default
 proof depth; --depth overrides both.
@@ -285,7 +286,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 64 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader left early: say nothing, and point stdout at devnull
+        # so the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a pipe reader's exit
     except (MucalError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 64

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import KbError, UnknownNameError
-from .logic import And, App, Atom, Const, Forall, Implies, Not, Var, is_numeral
+from .logic import And, App, Atom, Const, Forall, Implies, Not, Var, moment_closure
 
 
 class MomentOrder:
@@ -28,29 +28,10 @@ class MomentOrder:
 
     def __init__(self, moments: Iterable[str], declared: Iterable[tuple]):
         self.moments = sorted(set(moments))
-        edges = set()
-        for a, b in declared:
-            edges.add((a, b))
-        numerals = sorted((m for m in self.moments if is_numeral(m)), key=int)
-        for i, a in enumerate(numerals):
-            for b in numerals[i + 1:]:
-                edges.add((a, b))
-        self._closure = self._close(edges)
+        self._closure = moment_closure(declared, self.moments)
         for m in self.moments:
             if (m, m) in self._closure:
                 raise KbError(f"moment ordering has a cycle through {m!r}")
-
-    def _close(self, edges: set) -> frozenset:
-        closure = set(edges)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in sorted(closure):
-                for (c, d) in sorted(closure):
-                    if b == c and (a, d) not in closure:
-                        closure.add((a, d))
-                        changed = True
-        return frozenset(closure)
 
     def lt(self, a: str, b: str) -> bool:
         return (a, b) in self._closure

@@ -703,31 +703,45 @@ def collect_ground_terms(
     }
 
 
+def stated_prior_pairs(formulas: Iterable[Formula]) -> set:
+    """Moment-name pairs of the ground `prior` atoms stated positively, at
+    the top level or inside top-level conjunctions."""
+    return {
+        (a.name, b.name)
+        for a, b in stated_ground_atoms(formulas, "prior")
+        if isinstance(a, Const) and isinstance(b, Const)
+    }
+
+
+def moment_closure(pairs: Iterable[tuple], moments: Iterable[str]) -> frozenset:
+    """The strict order generated by `pairs` plus numeric order on the
+    numeral moments: (a, b) for every b reachable from a in one or more
+    steps.  A moment on a cycle is related to itself."""
+    numerals = sorted((m for m in moments if is_numeral(m)), key=int)
+    succ: dict = {}
+    for a, b in itertools.chain(pairs, zip(numerals, numerals[1:])):
+        succ.setdefault(a, set()).add(b)
+    closure = set()
+    for a, direct in succ.items():
+        seen: set = set()
+        stack = list(direct)
+        while stack:
+            b = stack.pop()
+            if b not in seen:
+                seen.add(b)
+                stack.extend(succ.get(b, ()))
+        closure.update((a, b) for b in seen)
+    return frozenset(closure)
+
+
 def order_from_premises(formulas: Iterable[Formula]):
     """Strict moment order stated by a premise set: ground prior atoms plus
     numeric order, transitively closed.  Returns (lt, moments)."""
-    pairs = set()
-    moments = set()
-    for args in stated_ground_atoms(formulas, "prior"):
-        a, b = args
-        if isinstance(a, Const) and isinstance(b, Const):
-            pairs.add((a.name, b.name))
-            moments.update((a.name, b.name))
-    for s, terms in collect_ground_terms(formulas).items():
-        if s == "Moment":
-            for t in terms:
-                if isinstance(t, Const):
-                    moments.add(t.name)
-    numerals = sorted((m for m in moments if is_numeral(m)), key=int)
-    for i, a in enumerate(numerals):
-        for b in numerals[i + 1:]:
-            pairs.add((a, b))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in sorted(pairs):
-            for (c, d) in sorted(pairs):
-                if b == c and (a, d) not in pairs:
-                    pairs.add((a, d))
-                    changed = True
-    return frozenset(pairs), frozenset(moments)
+    formulas = tuple(formulas)
+    pairs = stated_prior_pairs(formulas)
+    moments = {m for pair in pairs for m in pair}
+    moments.update(
+        t.name for t in collect_ground_terms(formulas).get("Moment", ())
+        if isinstance(t, Const)
+    )
+    return moment_closure(pairs, moments), frozenset(moments)

@@ -582,6 +582,15 @@ def projection(kb, agent: str, moment: str, exclude=frozenset(), extra=()) -> tu
     `exclude` drops axioms by label (revision removals); `extra` appends
     assumed additions, which the agent holds directly.
     """
+    return (
+        held_axioms(kb, agent, moment, exclude)
+        + tuple(expand_sugar(x) for x in extra)
+        + kb.background()
+    )
+
+
+def held_axioms(kb, agent: str, moment: str, exclude=frozenset()) -> tuple:
+    """The axiom-derived head of the projection, sugar expanded."""
     if agent not in kb.agents():
         raise UnknownNameError(f"unknown agent {agent!r}")
     if moment not in kb.order().moments:
@@ -601,8 +610,6 @@ def projection(kb, agent: str, moment: str, exclude=frozenset(), extra=()) -> tu
         elif isinstance(f, Perceives) and isinstance(f.moment, Const):
             if print_term(f.agent) == agent and order.lt(f.moment.name, moment):
                 out.append(f.body)
-    out.extend(expand_sugar(x) for x in extra)
-    out.extend(kb.background())
     return tuple(out)
 
 
@@ -619,14 +626,20 @@ def prove_for_agent(kb, agent: str, moment: str, goal: Formula,
 
 
 def _kb_universe(kb, prems: tuple, goal: Formula) -> dict:
-    base = dict(kb.herbrand())
-    extra = collect_ground_terms(prems + (goal,), parents=kb.sig.sorts)
+    return widen_universe(
+        kb.herbrand(), collect_ground_terms(prems + (goal,), parents=kb.sig.sorts)
+    )
+
+
+def widen_universe(base: dict, extra: dict) -> dict:
+    """`base` with the terms of `extra` joined in, each sort in print order."""
+    out = dict(base)
     for s, ts in extra.items():
-        have = dict.fromkeys(base.get(s, ()))
+        have = dict.fromkeys(out.get(s, ()))
         for t in ts:
             have.setdefault(t, None)
-        base[s] = tuple(sorted(have, key=print_term))
-    return base
+        out[s] = tuple(sorted(have, key=print_term))
+    return out
 
 
 def consistent(gamma, depth: int = 256, universe: Optional[dict] = None) -> str:

@@ -24,10 +24,11 @@ from itertools import combinations
 from typing import Optional
 
 from .logic import (
-    And, Believes, Const, Falsum, Formula, Not, expand_sugar, negation_of,
-    normalize, struct_key, weight,
+    And, Believes, Const, Falsum, Formula, Not, collect_ground_terms,
+    expand_sugar, is_numeral, moment_closure, negation_of, normalize,
+    stated_prior_pairs, struct_key, weight,
 )
-from .prover import Proof, _kb_universe, projection, prove, rho
+from .prover import Proof, _kb_universe, held_axioms, prove, rho, widen_universe
 from . import models
 
 
@@ -105,8 +106,27 @@ class ReasonablenessVerdict:
 # ---------------------------------------------------------------------------
 # Engine
 
+@dataclass(frozen=True)
+class _Frame:
+    """What every proof at one (agent, moment, removals) frame shares."""
+    head: tuple          # the projection's axiom-derived premises
+    background: tuple
+    universe: dict       # the Herbrand universe widened by head + background
+    pairs: frozenset     # stated ground prior pairs of head + background
+    numerals: frozenset  # numeral moments of head + background
+    order: frozenset     # moment_closure(pairs, numerals)
+
+
+def _numerals(terms: dict) -> frozenset:
+    return frozenset(
+        t.name for t in terms.get("Moment", ())
+        if isinstance(t, Const) and is_numeral(t.name)
+    )
+
+
 class ReasonEngine:
-    """Caches proofs, consistency checks and revision searches for one KB."""
+    """Caches proofs, consistency checks, revision searches and the shared
+    premise frames for one KB."""
 
     def __init__(self, kb):
         self.kb = kb
@@ -114,6 +134,7 @@ class ReasonEngine:
         self._provable: dict = {}
         self._delta: dict = {}
         self._feasible: dict = {}
+        self._frames: dict = {}
         self._budget_hits: set = set()  # delta keys with budget-skipped pairs
 
     # -- agent-relative derivability ------------------------------------
@@ -122,14 +143,50 @@ class ReasonEngine:
         content = self._strip_frame(f, agent, moment)
         key = (agent, moment, struct_key(normalize(content)))
         if key not in self._provable:
-            prems = projection(self.kb, agent, moment)
-            res = prove(
-                prems, content,
-                depth=self.kb.params.proof_depth,
-                universe=_kb_universe(self.kb, prems, content),
-            )
-            self._provable[key] = res.proof if res.outcome == "proved" else None
+            self._provable[key] = self._prove(agent, moment, content)
         return self._provable[key]
+
+    def _frame(self, agent: str, moment: str, lam_labels: frozenset) -> _Frame:
+        key = (agent, moment, tuple(sorted(lam_labels)))
+        frame = self._frames.get(key)
+        if frame is None:
+            head = held_axioms(self.kb, agent, moment, exclude=lam_labels)
+            background = self.kb.background()
+            terms = collect_ground_terms(head + background, parents=self.kb.sig.sorts)
+            pairs = frozenset(stated_prior_pairs(head + background))
+            numerals = _numerals(terms)
+            frame = _Frame(
+                head, background, widen_universe(self.kb.herbrand(), terms),
+                pairs, numerals, moment_closure(pairs, numerals),
+            )
+            self._frames[key] = frame
+        return frame
+
+    def _prove(self, agent: str, moment: str, content: Formula,
+               theta_forms: tuple = (), lam_labels: frozenset = frozenset(),
+               ) -> Optional[Proof]:
+        """Prove `content` from the frame's projection with the additions.
+
+        Premises, universe and moment order are exactly those a cold
+        `prove(projection(...))` builds; only the parts that depend on the
+        additions and the goal are computed per call.
+        """
+        frame = self._frame(agent, moment, lam_labels)
+        extra = tuple(expand_sugar(f) for f in theta_forms)
+        own = extra + (content,)
+        terms = collect_ground_terms(own, parents=self.kb.sig.sorts)
+        pairs = stated_prior_pairs(own)
+        numerals = _numerals(terms)
+        order = frame.order
+        if not (pairs <= frame.pairs and numerals <= frame.numerals):
+            order = moment_closure(frame.pairs | pairs, frame.numerals | numerals)
+        res = prove(
+            frame.head + extra + frame.background, content,
+            depth=self.kb.params.proof_depth,
+            universe=widen_universe(frame.universe, terms),
+            order=order,
+        )
+        return res.proof if res.outcome == "proved" else None
 
     def _strip_frame(self, f: Formula, agent: str, moment: str) -> Formula:
         f = expand_sugar(f)
@@ -149,8 +206,10 @@ class ReasonEngine:
         The addition space is layered: subsets of the declared candidate
         pool are searched first; the goal itself is admitted as the
         fallback addition only when no pool-based pair is feasible.
-        Removals range over non-certain axioms.  Ties break on
-        (distance, change count, labels).
+        Removals range over non-certain axioms.  Pairs are tried
+        best-first by (distance, change count, labels), all known before
+        any proof, so the first feasible pair that derives the goal is
+        the minimal witness and the search stops there.
         """
         content = self._strip_frame(goal, agent, moment)
         ckey = (agent, moment, struct_key(normalize(content)))
@@ -176,41 +235,47 @@ class ReasonEngine:
         ]
         removables = sorted(self.kb.removable_axioms(), key=lambda a: a.label)
         add_max = self.kb.params.add_max
-        remove_max = self.kb.params.remove_max
+        lams = [
+            (sum(weight(a.formula) for a in lam), lam)
+            for size in range(self.kb.params.remove_max + 1)
+            for lam in combinations(removables, size)
+        ]
 
-        def search(thetas) -> Optional[tuple]:
-            best = None
+        def search(thetas) -> Optional[RevisionWitness]:
+            ranked = []
             for theta in thetas:
-                for lam_size in range(remove_max + 1):
-                    for lam in combinations(removables, lam_size):
-                        found = self._try_pair(agent, moment, content, theta, lam)
-                        if found is None:
-                            continue
-                        key = (
-                            found.distance,
-                            len(found.theta) + len(found.lam),
-                            found.theta_labels,
-                            found.lam_labels,
-                        )
-                        if best is None or key < best[0]:
-                            best = (key, found)
-            return best
+                theta_weight = sum(weight(f) for _, f in theta)
+                for lam_weight, lam in lams:
+                    ranked.append((
+                        (
+                            theta_weight + lam_weight,
+                            len(theta) + len(lam),
+                            tuple(l for l, _ in theta),
+                            tuple(a.label for a in lam),
+                        ),
+                        theta, lam,
+                    ))
+            ranked.sort(key=lambda r: r[0])
+            for (distance, *_), theta, lam in ranked:
+                found = self._try_pair(agent, moment, content, theta, lam, distance)
+                if found is not None:
+                    return found
+            return None
 
-        pool_subsets = [
+        witness = search(
             theta
             for size in range(1, min(add_max, len(pool)) + 1)
             for theta in combinations(pool, size)
-        ]
-        best = search(pool_subsets)
-        if best is None:
+        )
+        if witness is None:
             # the goal itself as the trivial addition keeps delta total;
             # admitted only when the declared pool yields no feasible pair
-            best = search([(("+goal", content),)])
-        witness = best[1] if best is not None else None
+            witness = search([(("+goal", content),)])
         self._delta[ckey] = witness
         return witness
 
-    def _try_pair(self, agent, moment, content, theta, lam) -> Optional[RevisionWitness]:
+    def _try_pair(self, agent, moment, content, theta, lam,
+                  distance: int) -> Optional[RevisionWitness]:
         lam_labels = frozenset(a.label for a in lam)
         theta_forms = tuple(f for _, f in theta)
         fkey = (
@@ -218,10 +283,10 @@ class ReasonEngine:
             tuple(sorted(lam_labels)),
         )
 
-        check_set = tuple(
-            a.formula for a in self.kb.axioms if a.label not in lam_labels
-        ) + theta_forms + self.kb.background()
         if fkey not in self._feasible:
+            check_set = tuple(
+                a.formula for a in self.kb.axioms if a.label not in lam_labels
+            ) + theta_forms + self._frame(agent, moment, lam_labels).background
             self._feasible[fkey] = models.consistent(
                 check_set,
                 atom_budget=self.kb.params.consistency_depth,
@@ -236,22 +301,14 @@ class ReasonEngine:
                 )
             return None
 
-        prems = projection(self.kb, agent, moment, exclude=lam_labels, extra=theta_forms)
-        res = prove(
-            prems, content,
-            depth=self.kb.params.proof_depth,
-            universe=_kb_universe(self.kb, prems, content),
-        )
-        if res.outcome != "proved":
+        proof = self._prove(agent, moment, content, theta_forms, lam_labels)
+        if proof is None:
             return None
-        distance = sum(weight(f) for f in theta_forms) + sum(
-            weight(a.formula) for a in lam
-        )
         return RevisionWitness(
             theta=tuple(theta),
             lam=tuple((a.label, a.formula) for a in lam),
             distance=distance,
-            proof=res.proof,
+            proof=proof,
         )
 
     # -- the cascade -------------------------------------------------------

@@ -2,6 +2,8 @@ import io
 import contextlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -142,3 +144,23 @@ def test_compare_irreflexive_message():
     ])
     assert rc == 0
     assert "not more reasonable (irreflexive)" in out
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader closes its end before any output arrives, as `| head -1`
+    # does once it has its line
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mucal.cli", "strength",
+         "--kb", "scenarios/lottery5.kb", "--agent", "a", "--at", "now",
+         "(exists (t) (win t))"],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""

@@ -3,10 +3,12 @@ from itertools import combinations, permutations
 
 import pytest
 
+import mucal.reasonable as reasonable
 from mucal.kb import parse_kb
 from mucal.logic import (
     App, Atom, Believes, Const, Falsum, Not, Withholds, normalize, weight,
 )
+from mucal.prover import _kb_universe, projection, prove
 from mucal.reasonable import (
     ProbTable, ReasonEngine, delta, more_reasonable, pi, pr_lookup,
 )
@@ -293,3 +295,111 @@ def test_falsum_never_more_reasonable(corpus_verdicts, lottery_kb, murder_kb,
             assert not down.holds
             if up.clause != "inapplicable":
                 assert up.holds
+
+
+# ---------------------------------------------------------------------------
+# best-first revision search
+
+def test_delta_stops_at_first_minimal_witness(lottery_kb, monkeypatch):
+    engine = ReasonEngine(lottery_kb)
+    goal = parse_formula("(not (win ticket3))", lottery_kb.sig)
+    assert engine.provable("a", "now", goal) is None
+    calls = []
+    real_prove = reasonable.prove
+
+    def counting_prove(*args, **kwargs):
+        calls.append(args[1])
+        return real_prove(*args, **kwargs)
+
+    monkeypatch.setattr(reasonable, "prove", counting_prove)
+    w = engine.delta("a", "now", goal)
+    # ewin, no1, no2 and no3 all weigh 3 and rank by label; nothing after
+    # the witness is tried
+    assert (w.theta_labels, w.lam_labels, w.distance) == (("no3",), (), 3)
+    assert len(calls) <= 4
+
+
+BUDGET_KB = """
+(const a Agent)(const now Moment)
+(const o1 Object)(const o2 Object)(const o3 Object)
+(const o4 Object)(const o5 Object)(const o6 Object)
+(func p () Boolean)(func r () Boolean)(func s () Boolean)
+(func q (Object) Boolean)
+(candidate c1 (p))
+(candidate c2 (forall (x) (q x)))
+(candidate c3 (and (s) (r) (s)))
+(param consistency-depth 3)
+"""
+
+SKIPPED = "some revision pairs were skipped on a budget-exhausted check"
+
+
+def test_budget_note_only_for_pairs_ranked_before_the_witness():
+    # c2 grounds to six atoms, past the budget of three, so its check is
+    # unknown; c1 (weight 1) ranks before it and c3 (weight 4) after it
+    kb = parse_kb(BUDGET_KB)
+    engine = ReasonEngine(kb)
+    p = parse_formula("(p)", kb.sig)
+    p_or_r = parse_formula("(or (p) (r))", kb.sig)
+    v = engine.more_reasonable("a", "now", p, p_or_r)
+    assert v.clause == "III"
+    assert v.evidence["delta_left"].theta_labels == ("c1",)
+    assert v.evidence["delta_right"].theta_labels == ("c1",)
+    assert v.note == ""
+
+    r = parse_formula("(r)", kb.sig)
+    v = engine.more_reasonable("a", "now", r, p)
+    assert v.evidence["delta_left"].theta_labels == ("c3",)
+    assert v.note == SKIPPED
+
+    # with no witness at all, every pair is tried and the note stands
+    q = parse_formula("(q o1)", kb.sig)
+    w = engine.delta("a", "now", q)
+    assert w.theta_labels == ("+goal",)
+    v = engine.more_reasonable("a", "now", q, p)
+    assert v.note == SKIPPED
+
+
+# ---------------------------------------------------------------------------
+# the frame cache recomputes what the additions or the goal change
+
+def _cold_proof(kb, agent, moment, goal, extra=()):
+    prems = projection(kb, agent, moment, extra=extra)
+    res = prove(prems, goal, depth=kb.params.proof_depth,
+                universe=_kb_universe(kb, prems, goal))
+    return res.proof if res.outcome == "proved" else None
+
+
+def test_candidate_prior_atom_extends_the_frame_order():
+    kb = parse_kb(
+        "(const a Agent)(const b Agent)(const now Moment)(const t1 Moment)"
+        "(func p () Boolean)"
+        "(axiom bp :certain (believes b t1 (p)))"
+        "(candidate order (prior t1 now))"
+    )
+    goal = parse_formula("(believes b now (p))", kb.sig)
+    engine = ReasonEngine(kb)
+    assert engine.provable("a", "now", goal) is None
+    assert _cold_proof(kb, "a", "now", goal) is None
+    w = engine.delta("a", "now", goal)
+    assert w.theta_labels == ("order",)
+    assert w.distance == brute_force_delta(kb, "a", "now", goal) == 3
+    cold = _cold_proof(kb, "a", "now", goal, extra=(kb.candidates[0].formula,))
+    assert cold is not None
+    assert w.proof == cold
+
+
+def test_goal_numeral_moment_extends_the_frame_order():
+    kb = parse_kb(
+        "(const a Agent)(const b Agent)(const now Moment)"
+        "(func p () Boolean)"
+        "(axiom bp :certain (believes b 1 (p)))"
+    )
+    goal = parse_formula("(believes b 2 (p))", kb.sig)
+    engine = ReasonEngine(kb)
+    cold = _cold_proof(kb, "a", "now", goal)
+    assert cold is not None
+    assert engine.provable("a", "now", goal) == cold
+    w = engine.delta("a", "now", goal)
+    assert w.distance == brute_force_delta(kb, "a", "now", goal) == 0
+    assert w.proof == cold
