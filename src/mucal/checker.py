@@ -1,8 +1,9 @@
 """Independent step-by-step replay of proof objects.
 
 The checker recomputes every rule application and the assumption
-bookkeeping from scratch; it shares only the AST and normalization
-primitives with the search.  Any structural defect raises CheckError.
+bookkeeping from scratch; it shares only the AST and the formula identity
+(`logic.formula_key`) with the search.  Any structural defect raises
+CheckError.
 """
 
 from __future__ import annotations
@@ -12,19 +13,15 @@ from typing import Iterable, Optional
 from .errors import CheckError
 from .logic import (
     And, Believes, Const, Exists, Falsum, Forall, Formula, Iff, Implies,
-    Not, Or, Perceives, collect_ground_terms, expand_sugar, normalize,
-    order_from_premises, struct_key, substitute_unchecked,
+    Not, Or, Perceives, collect_ground_terms, expand_sugar, formula_key,
+    order_from_premises, substitute_unchecked,
 )
 from .prover import Proof, Step
 from .syntax import print_term
 
 
-def _nk(f: Formula) -> str:
-    return struct_key(normalize(f))
-
-
 def _eq(a: Formula, b: Formula) -> bool:
-    return _nk(a) == _nk(b)
+    return formula_key(a) == formula_key(b)
 
 
 def check_proof(proof: Proof, gamma: Iterable[Formula],
@@ -39,12 +36,12 @@ def check_proof(proof: Proof, gamma: Iterable[Formula],
 
 
 def _check(proof: Proof, gamma: Iterable[Formula], goal: Optional[Formula]) -> bool:
-    gamma_keys = {_nk(expand_sugar(g)) for g in gamma}
+    gamma_keys = {formula_key(g) for g in gamma}
     universe = {s: tuple(ts) for s, ts in proof.universe}
     order, _ = order_from_premises(tuple(expand_sugar(g) for g in gamma))
 
     for f in proof.premises_used:
-        if _nk(f) not in gamma_keys:
+        if formula_key(f) not in gamma_keys:
             raise CheckError(f"premise not in the premise set: {f}")
     needed = collect_ground_terms(tuple(proof.premises_used) + (proof.goal,))
     for s, ts in needed.items():
@@ -110,7 +107,7 @@ def _check_step(i: int, step: Step, steps: tuple, gamma_keys: set,
     if rule == "premise":
         if ins:
             fail("premises take no inputs")
-        if _nk(f) not in gamma_keys:
+        if formula_key(f) not in gamma_keys:
             fail("not a premise")
     elif rule == "assume":
         if ins:
@@ -297,9 +294,9 @@ def _check_step(i: int, step: Step, steps: tuple, gamma_keys: set,
             fail("missing closure subproof")
         if not _eq(sub.goal, f.body):
             fail("subproof does not conclude the believed content")
-        content_keys = {_nk(c) for c in contents}
+        content_keys = {formula_key(c) for c in contents}
         for p in sub.premises_used:
-            if _nk(p) not in content_keys:
+            if formula_key(p) not in content_keys:
                 fail("subproof uses a premise outside the believed contents")
         check_proof(sub, contents)
     else:

@@ -13,7 +13,8 @@ Exit codes are a stable contract:
     141             standard output closed before the answer was written
 
 Rationals print as exact fractions.  MUCAL_DEPTH overrides the default
-proof depth; --depth overrides both.
+proof depth; --depth overrides both.  Budgets (--depth, --u, --rounds and
+MUCAL_DEPTH) are non-negative integers; anything else exits 64.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .kb import KbDocument, load_kb
 from .logic import StrengthLevel
 from .prover import Proof, prove, rho
 from .reasonable import ReasonablenessVerdict, RevisionWitness
-from .strength import StrengthEngine, explain as explain_judgment
+from .strength import StrengthEngine, explain as explain_judgment, verdict_detail
 from .syntax import parse_formula, print_formula
 
 
@@ -92,11 +93,24 @@ def _verdict_dict(v: ReasonablenessVerdict) -> dict:
     return out
 
 
+def _natural(text: str) -> int:
+    """A budget value: a non-negative integer."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _load(args) -> KbDocument:
     kb = load_kb(args.kb)
     depth = os.environ.get("MUCAL_DEPTH")
     if depth is not None:
-        kb.params.proof_depth = int(depth)
+        try:
+            kb.params.proof_depth = _natural(depth)
+        except argparse.ArgumentTypeError as e:
+            raise MucalError(f"MUCAL_DEPTH: {e}")
     if getattr(args, "depth", None) is not None:
         kb.params.proof_depth = args.depth
     if getattr(args, "u", None) is not None:
@@ -127,6 +141,18 @@ def cmd_prove(args) -> int:
     return {"proved": 0, "unknown": 1, "refuted": 2}[result.outcome]
 
 
+def _trail_lines(report: dict) -> list:
+    """One line per trail entry of an explanation report."""
+    lines = []
+    for d in report["details"]:
+        tail = d.get("evidence") or d.get("note") or ""
+        mark = ""
+        if "satisfied" in d:
+            mark = " [satisfied]" if d["satisfied"] else " [not satisfied]"
+        lines.append(f"- {d['comparison']}{mark}" + (f" :: {tail}" if tail else ""))
+    return lines
+
+
 def cmd_strength(args) -> int:
     kb = _load(args)
     goal = parse_formula(args.formula, kb.sig)
@@ -139,12 +165,7 @@ def cmd_strength(args) -> int:
         f"satisfied levels: {sorted(j.satisfied_levels)}",
     ]
     if args.trace:
-        for d in report["details"]:
-            tail = d.get("evidence") or d.get("note") or ""
-            mark = ""
-            if "satisfied" in d:
-                mark = " [satisfied]" if d["satisfied"] else " [not satisfied]"
-            lines.append(f"- {d['comparison']}{mark}" + (f" :: {tail}" if tail else ""))
+        lines += _trail_lines(report)
     _emit(args, report, "\n".join(lines))
     return int(j.level) if j.level != StrengthLevel.NONE else 10
 
@@ -155,8 +176,6 @@ def cmd_compare(args) -> int:
     g = parse_formula(args.other, kb.sig)
     engine = StrengthEngine(kb)
     v = engine.reason.more_reasonable(args.agent, args.at, f, g)
-    from .strength import _verdict_detail
-
     if v.note == "irreflexive":
         text = "not more reasonable (irreflexive)"
     elif v.holds:
@@ -165,7 +184,7 @@ def cmd_compare(args) -> int:
         text = f"inapplicable: {v.note or 'no clause decides the pair'}"
     else:
         text = f"not more reasonable (decided by clause {v.clause})"
-    detail = _verdict_detail(v)
+    detail = verdict_detail(v)
     payload = _verdict_dict(v)
     payload["left"] = print_formula(f)
     payload["right"] = print_formula(g)
@@ -204,13 +223,7 @@ def cmd_explain(args) -> int:
     engine.saturate(args.rounds, agent=args.agent, moment=args.at)
     j = engine.classify(args.agent, args.at, goal)
     report = explain_judgment(j)
-    lines = [report["headline"]]
-    for d in report["details"]:
-        tail = d.get("evidence") or d.get("note") or ""
-        mark = ""
-        if "satisfied" in d:
-            mark = " [satisfied]" if d["satisfied"] else " [not satisfied]"
-        lines.append(f"- {d['comparison']}{mark}" + (f" :: {tail}" if tail else ""))
+    lines = [report["headline"]] + _trail_lines(report)
     _emit(args, report, "\n".join(lines))
     return 0
 
@@ -240,9 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, agent=False, formula=True):
         p.add_argument("--kb", required=True, help="knowledge-base file")
-        p.add_argument("--depth", type=int, default=None, help="proof depth budget")
-        p.add_argument("--u", type=int, default=None, help="level-spread bound")
-        p.add_argument("--rounds", type=int, default=3, help="saturation rounds")
+        p.add_argument("--depth", type=_natural, default=None, help="proof depth budget")
+        p.add_argument("--u", type=_natural, default=None, help="level-spread bound")
+        p.add_argument("--rounds", type=_natural, default=3, help="saturation rounds")
         p.add_argument("--trace", action="store_true", help="emit proof/evidence traces")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if agent:

@@ -15,7 +15,10 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import KbError, UnknownNameError
-from .logic import And, App, Atom, Const, Forall, Implies, Not, Var, moment_closure
+from .logic import (
+    And, App, Atom, Const, Forall, Implies, Not, Var, moment_closure,
+    stated_ground_atoms,
+)
 
 
 class MomentOrder:
@@ -89,12 +92,6 @@ def _moment_const(name: str) -> Const:
     return Const(name, "Moment")
 
 
-def _stated_ground_atoms(kb, fn: str) -> set:
-    from .logic import stated_ground_atoms
-
-    return stated_ground_atoms((ax.formula for ax in kb.axioms), fn)
-
-
 def background(kb) -> tuple:
     """Ground moment-order facts plus the selected flavor's theory."""
     order = kb.order()
@@ -110,9 +107,10 @@ def background(kb) -> tuple:
 
 
 def _clipping_completion(kb, order: MomentOrder) -> list:
-    happens = _stated_ground_atoms(kb, "happens")
-    terminates = _stated_ground_atoms(kb, "terminates")
-    stated_clipped = _stated_ground_atoms(kb, "clipped")
+    axioms = [ax.formula for ax in kb.axioms]
+    happens = stated_ground_atoms(axioms, "happens")
+    terminates = stated_ground_atoms(axioms, "terminates")
+    stated_clipped = stated_ground_atoms(axioms, "clipped")
     universe = kb.herbrand()
     fluents = universe.get("Fluent", ())
     out = []

@@ -24,10 +24,10 @@ from typing import Optional
 from . import eventcalc
 from .errors import KbError, ParseError, SortError, UnknownSymbolError
 from .logic import (
-    App, Atom, Const, Formula, Signature, Var, is_numeral, normalize,
-    well_sorted,
+    App, Const, Falsum, Formula, Signature, collect_ground_terms, formula_key,
+    is_numeral, well_sorted,
 )
-from .syntax import Node, formula_from_node, read_all
+from .syntax import Node, formula_from_node, print_term, read_all
 
 
 @dataclass
@@ -99,9 +99,10 @@ class KbDocument:
             names.update((a, b))
         for e in self.prob_entries:
             names.add(e.moment)
-        for t in self._all_ground_terms():
-            if t.sort == "Moment" and isinstance(t, Const):
-                names.add(t.name)
+        names.update(
+            t.name for t in self._stated_terms().get("Moment", ())
+            if isinstance(t, Const)
+        )
         return sorted(names)
 
     def order(self) -> eventcalc.MomentOrder:
@@ -111,36 +112,11 @@ class KbDocument:
 
     # -- term universe ---------------------------------------------------
 
-    def _all_ground_terms(self) -> list:
-        terms: dict = {}
-
-        def walk_term(t):
-            if isinstance(t, Const):
-                terms.setdefault(t, None)
-            elif isinstance(t, App):
-                for a in t.args:
-                    walk_term(a)
-                if not any(isinstance(a, Var) or _has_var(a) for a in t.args):
-                    terms.setdefault(t, None)
-
-        def walk(f):
-            if isinstance(f, Atom):
-                walk_term(f.term)
-                return
-            from .logic import MODAL, children
-            if isinstance(f, MODAL):
-                walk_term(f.agent)
-                walk_term(f.moment)
-            for c in children(f):
-                walk(c)
-
-        for ax in self.axioms:
-            walk(ax.formula)
-        for c in self.candidates:
-            walk(c.formula)
-        for e in self.prob_entries:
-            walk(e.formula)
-        return list(terms)
+    def _stated_terms(self) -> dict:
+        """Ground terms of the axioms, candidates and `pr` formulas, each in
+        the bucket of its own sort only."""
+        stated = [e.formula for e in self.axioms + self.candidates + self.prob_entries]
+        return collect_ground_terms(stated, parents={})
 
     def herbrand(self) -> dict:
         """Ground terms per sort, closed under declared functions.
@@ -169,8 +145,9 @@ class KbDocument:
         for m in self.moment_names():
             if is_numeral(m):
                 add(Const(m, "Moment"))
-        for t in self._all_ground_terms():
-            add(t)
+        for terms in self._stated_terms().values():
+            for t in terms:
+                add(t)
 
         self._finite = True
         for _ in range(4):
@@ -193,7 +170,6 @@ class KbDocument:
         else:
             self._finite = False
 
-        from .syntax import print_term
         self._herbrand = {
             s: tuple(sorted(bucket, key=print_term)) for s, bucket in by_sort.items()
         }
@@ -202,6 +178,12 @@ class KbDocument:
     def finitely_ground(self) -> bool:
         self.herbrand()
         return self._finite
+
+    def universe(self, formulas: tuple) -> dict:
+        """The Herbrand universe widened by the ground terms of `formulas`."""
+        return widen_universe(
+            self.herbrand(), collect_ground_terms(formulas, parents=self.sig.sorts)
+        )
 
     # -- theory views ----------------------------------------------------
 
@@ -302,8 +284,8 @@ def parse_kb(text: str) -> KbDocument:
                 raise ParseError(f"{moment!r} is not a declared moment", rest[1].line, rest[1].col)
             formula = formula_from_node(rest[2], kb.sig)
             _validate_formula(formula, kb.sig, rest[2])
-            from .logic import Falsum as _Falsum
-            if isinstance(normalize(formula), _Falsum):
+            key = formula_key(formula)
+            if key == formula_key(Falsum()):
                 raise ParseError("probability entries cannot target falsum",
                                  rest[2].line, rest[2].col)
             value = parse_rational(_sym(rest[3], "rational"), rest[3])
@@ -311,10 +293,9 @@ def parse_kb(text: str) -> KbDocument:
                 raise ParseError(
                     f"probability {value} out of range [0,1]", rest[3].line, rest[3].col
                 )
-            key = (agent, moment, normalize(formula))
-            if key in pr_keys:
+            if (agent, moment, key) in pr_keys:
                 raise ParseError("duplicate probability entry", form.line, form.col)
-            pr_keys.add(key)
+            pr_keys.add((agent, moment, key))
             kb.prob_entries.append(ProbEntry(agent, moment, formula, value))
         elif head == "prior":
             _require(len(rest) == 2, "(prior <moment> <moment>)", form)
@@ -336,7 +317,7 @@ def parse_kb(text: str) -> KbDocument:
                     raise ParseError("ec-flavor is minimal|inertial", rest[1].line, rest[1].col)
                 kb.params.ec_flavor = value
             else:
-                if not value.isdigit():
+                if not (value.isascii() and value.isdigit()):
                     raise ParseError(f"param {name!r} expects a natural", rest[1].line, rest[1].col)
                 setattr(kb.params, _PARAM_NAMES[name], int(value))
         else:
@@ -360,12 +341,15 @@ def _validate_formula(f: Formula, sig: Signature, node: Node) -> None:
         raise ParseError("formula is not well-sorted", node.line, node.col)
 
 
-def _has_var(t) -> bool:
-    if isinstance(t, Var):
-        return True
-    if isinstance(t, App):
-        return any(_has_var(a) for a in t.args)
-    return False
+def widen_universe(base: dict, extra: dict) -> dict:
+    """`base` with the terms of `extra` joined in, each sort in print order."""
+    out = dict(base)
+    for s, ts in extra.items():
+        have = dict.fromkeys(out.get(s, ()))
+        for t in ts:
+            have.setdefault(t, None)
+        out[s] = tuple(sorted(have, key=print_term))
+    return out
 
 
 def load_kb(path: str) -> KbDocument:

@@ -44,7 +44,9 @@ CORE_FUNCTIONS: dict[str, tuple[tuple[str, ...], str]] = {
 
 
 def is_numeral(name: str) -> bool:
-    return name.lstrip("-").isdigit() and name.lstrip("-") != ""
+    """An integer literal: one optional `-` followed by ASCII digits."""
+    digits = name[1:] if name.startswith("-") else name
+    return digits.isascii() and digits.isdigit()
 
 
 class Signature:
@@ -541,7 +543,13 @@ def _check_formula(f: Formula, sig: Signature, env: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Normalization (the equality used for set membership everywhere)
+# Normalization and the one formula identity
+#
+# Two formulas are the same formula exactly when their normal forms have
+# the same structural key; `formula_key` is that key and the only place
+# the package decides formula identity (probability table, cited premises,
+# revision pools, belief store, proof replay).  `struct_key` alone orders
+# formulas and names atoms that are already in normal form.
 
 def _struct_key(f: Formula, depth: dict, level: int) -> str:
     """Alpha-invariant structural key; bound variables keyed by binder depth."""
@@ -635,8 +643,25 @@ def normalize(f: Formula) -> Formula:
     return _alpha(_ac_sort(expand_sugar(f)), {}, [0])
 
 
-def equivalent(f: Formula, g: Formula) -> bool:
-    return normalize(f) == normalize(g)
+_FORMULA_KEYS: dict = {}
+
+
+def formula_key(f: Formula) -> str:
+    """The identity of a formula: the structural key of its normal form,
+    memoized by formula equality."""
+    got = _FORMULA_KEYS.get(f)
+    if got is None:
+        canonical = normalize(f)
+        got = _FORMULA_KEYS[f] = struct_key(canonical)
+    return got
+
+
+def quote_modal(f: Formula) -> Atom:
+    """The opaque Boolean atom standing for one belief or perception node:
+    `@bel`/`@per` over its agent, its moment and its body's identity."""
+    tag = "@bel" if isinstance(f, Believes) else "@per"
+    quoted = Const("q" + formula_key(f.body), "Object")
+    return Atom(App(tag, (f.agent, f.moment, quoted), "Boolean"))
 
 
 # ---------------------------------------------------------------------------

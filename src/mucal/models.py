@@ -6,10 +6,13 @@ assignment means consistent and exhaustion means inconsistent; "unknown"
 arises only when grounding would exceed the configured budget (or the
 instance is not finitely ground).
 
-Belief and perception subformulas become opaque ground atoms.  The only
-coupling back to the logic is a conservative closure: a belief atom that
-is entailed by the premise set's stated beliefs (earlier or equal
-moments, percepts lifted) is pinned true before the search.
+Belief and perception subformulas become opaque ground atoms, named by
+their quoted form (`logic.quote_modal`), the same atoms the prover's
+contextualization builds.  The only coupling back to the logic is a
+conservative closure: every ground belief the grounder met, including
+those produced by instantiating a quantifier, is pinned true before the
+search when its content is entailed by the premise set's stated beliefs
+(earlier or equal moments, percepts lifted).
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from typing import Iterable, Optional
 
 from .logic import (
     And, Atom, Believes, Exists, Falsum, Forall, Formula, Iff, Implies, Not,
-    Or, Perceives, collect_ground_terms, expand_sugar, normalize,
-    order_from_premises, struct_key, substitute_unchecked,
+    Or, Perceives, collect_ground_terms, expand_sugar, formula_key,
+    order_from_premises, quote_modal, struct_key, substitute_unchecked,
 )
 from .syntax import print_term
 
@@ -34,16 +37,12 @@ class _Overflow(Exception):
     pass
 
 
-def modal_key(f) -> str:
-    tag = "bel" if isinstance(f, Believes) else "per"
-    return f"{tag}|{print_term(f.agent)}|{print_term(f.moment)}|{struct_key(normalize(f.body))}"
-
-
 class _Grounder:
     def __init__(self, universe: dict, atom_budget: int):
         self.universe = universe
         self.atom_budget = atom_budget
         self.atoms: dict = {}
+        self.beliefs: dict = {}  # atom key -> the ground belief it stands for
         self.nodes = 0
 
     def atom(self, key: str) -> tuple:
@@ -90,12 +89,15 @@ class _Grounder:
                 self.ground(substitute_unchecked(f.body, f.var, t)) for t in terms
             ))
         if isinstance(f, (Believes, Perceives)):
-            return self.atom(modal_key(f))
+            key = struct_key(quote_modal(f))
+            if isinstance(f, Believes):
+                self.beliefs.setdefault(key, f)
+            return self.atom(key)
         raise _Overflow()  # unexpanded sugar should not reach here
 
 
 def _clausify(expr, clauses: list, fresh: list) -> int:
-    """Tseitin encoding; returns a literal equivalent to expr."""
+    """Tseitin encoding; returns a literal that holds exactly when expr does."""
     kind = expr[0]
     if kind == "atom":
         return expr[1] + 1
@@ -188,7 +190,7 @@ def _entailed_belief_keys(
     premises: tuple, grounder: _Grounder, universe: dict,
     atom_budget: int, modal_depth: int,
 ) -> list:
-    """Occurring belief atoms whose content follows from stated beliefs."""
+    """Grounded belief atoms whose content follows from stated beliefs."""
     if modal_depth <= 0:
         return []
     lt, _ = order_from_premises(premises)
@@ -196,10 +198,9 @@ def _entailed_belief_keys(
     if not stated:
         return []
     out = []
-    for key in sorted(grounder.atoms):
-        if not key.startswith("bel|"):
-            continue
-        _, agent, moment, body_key = key.split("|", 3)
+    for key, belief in grounder.beliefs.items():
+        agent, moment = print_term(belief.agent), print_term(belief.moment)
+        body_key = formula_key(belief.body)
         contents = []
         matched = False
         for p in stated:
@@ -213,18 +214,15 @@ def _entailed_belief_keys(
             if not in_scope:
                 continue
             contents.append(p.body)
-            if struct_key(normalize(p.body)) == body_key:
+            if formula_key(p.body) == body_key:
                 matched = True
         if matched:
             out.append(key)
             continue
         if not contents:
             continue
-        target = _body_from_key(grounder, key, premises)
-        if target is None:
-            continue
         sub = consistent(
-            tuple(contents) + (Not(target),),
+            tuple(contents) + (Not(belief.body),),
             atom_budget=atom_budget,
             universe=universe,
             modal_depth=modal_depth - 1,
@@ -232,34 +230,3 @@ def _entailed_belief_keys(
         if sub == INCONSISTENT:
             out.append(key)
     return out
-
-
-def _body_from_key(grounder: _Grounder, key: str, premises: tuple):
-    """Recover the body formula behind a belief-atom key by scanning the
-    premises for a structurally matching belief subformula."""
-    from .logic import children
-
-    _, agent, moment, body_key = key.split("|", 3)
-    stack = list(premises)
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Believes):
-            if (
-                print_term(f.agent) == agent
-                and print_term(f.moment) == moment
-                and struct_key(normalize(f.body)) == body_key
-            ):
-                return f.body
-        stack.extend(children(f))
-    return None
-
-
-def entails(premises: Iterable[Formula], goal: Formula, **kw) -> Optional[bool]:
-    """Ground entailment: premises force the goal in every model.
-
-    Returns None when the check could not be completed within budget.
-    """
-    res = consistent(tuple(premises) + (Not(goal),), **kw)
-    if res == UNKNOWN:
-        return None
-    return res == INCONSISTENT

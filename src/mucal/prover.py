@@ -24,10 +24,10 @@ from typing import Optional
 
 from .errors import UnknownNameError
 from .logic import (
-    And, App, Atom, Believes, Const, Exists, Falsum, Forall, Formula, Iff,
-    Implies, Not, Or, Perceives, Term, collect_ground_terms, expand_sugar,
-    normalize, negation_of, order_from_premises, struct_key,
-    substitute_unchecked, symbols,
+    And, Atom, Believes, Const, Exists, Falsum, Forall, Formula, Iff,
+    Implies, Not, Or, Perceives, Term, children, collect_ground_terms,
+    expand_sugar, formula_key, negation_of, order_from_premises,
+    quote_modal, rebuild, struct_key, substitute_unchecked, symbols,
 )
 from .syntax import print_term
 
@@ -49,13 +49,10 @@ class ContextualizedFormula:
 
 
 def quote_inner_modals(f: Formula) -> Formula:
-    """Replace modal subformulas by opaque Boolean atoms so the result is
-    pure first-order.  The quoted atom key is the normalized body."""
+    """Replace modal subformulas by their quoted atoms (`quote_modal`) so
+    the result is pure first-order."""
     if isinstance(f, (Believes, Perceives)):
-        tag = "@bel" if isinstance(f, Believes) else "@per"
-        quoted = Const("q" + struct_key(normalize(f.body)), "Object")
-        return Atom(App(tag, (f.agent, f.moment, quoted), "Boolean"))
-    from .logic import children, rebuild
+        return quote_modal(f)
     return rebuild(f, tuple(quote_inner_modals(c) for c in children(f)))
 
 
@@ -138,21 +135,10 @@ class _Node:
             for n in self.inputs:
                 assumptions |= n.assumptions
         self.assumptions = assumptions
-        self.key = key if key is not None else _nk(formula)
+        self.key = key if key is not None else formula_key(formula)
 
 
-_NK_CACHE: dict = {}
-
-
-def _nk(f: Formula) -> str:
-    got = _NK_CACHE.get(f)
-    if got is None:
-        got = struct_key(normalize(f))
-        _NK_CACHE[f] = got
-    return got
-
-
-_FALSE_KEY = struct_key(Falsum())
+_FALSE_KEY = formula_key(Falsum())
 
 
 class _Env:
@@ -242,7 +228,7 @@ class _Search:
                 self._lift_percept(n, add)
             # contradiction detection
             neg = negation_of(f)
-            partner = nodes.get(_nk(neg))
+            partner = nodes.get(formula_key(neg))
             if partner is not None and _FALSE_KEY not in nodes:
                 pos, negn = (partner, n) if isinstance(f, Not) else (n, partner)
                 add(_Node("neg_elim", (pos, negn), Falsum()))
@@ -253,7 +239,7 @@ class _Search:
                 for imp in list(imps):
                     if imp.key not in nodes:
                         continue
-                    out_key = _nk(imp.formula.right)
+                    out_key = formula_key(imp.formula.right)
                     if out_key in nodes:
                         continue
                     ante = self._antecedent_node(imp.formula.left, nodes)
@@ -264,11 +250,11 @@ class _Search:
                 return
 
     def _antecedent_node(self, ante: Formula, nodes: dict) -> Optional[_Node]:
-        got = nodes.get(_nk(ante))
+        got = nodes.get(formula_key(ante))
         if got is not None:
             return got
         if isinstance(ante, And):
-            parts = [nodes.get(_nk(a)) for a in ante.args]
+            parts = [nodes.get(formula_key(a)) for a in ante.args]
             if all(p is not None for p in parts):
                 n = _Node("and_intro", tuple(parts), ante)
                 nodes[n.key] = n
@@ -314,7 +300,7 @@ class _Search:
 
     def prove(self, env: _Env, goal: Formula, budget: int, seen: frozenset,
               splits: frozenset):
-        key = _nk(goal)
+        key = formula_key(goal)
         local = (key, budget)
         if local in env.memo:
             return env.memo[local]
@@ -490,8 +476,8 @@ class _Search:
                     universe=self.universe, order=self.lt)
         if sub.outcome != "proved":
             return None
-        used = {_nk(f) for f in sub.proof.premises_used}
-        kept = [n for n in belief_nodes if _nk(n.formula.body) in used]
+        used = {formula_key(f) for f in sub.proof.premises_used}
+        kept = [n for n in belief_nodes if formula_key(n.formula.body) in used]
         return _Node("r_b", tuple(kept or belief_nodes), goal,
                      extra=(sub.proof,))
 
@@ -621,25 +607,8 @@ def prove_for_agent(kb, agent: str, moment: str, goal: Formula,
         prems,
         goal,
         depth=depth if depth is not None else kb.params.proof_depth,
-        universe=_kb_universe(kb, prems, goal),
+        universe=kb.universe(prems + (goal,)),
     )
-
-
-def _kb_universe(kb, prems: tuple, goal: Formula) -> dict:
-    return widen_universe(
-        kb.herbrand(), collect_ground_terms(prems + (goal,), parents=kb.sig.sorts)
-    )
-
-
-def widen_universe(base: dict, extra: dict) -> dict:
-    """`base` with the terms of `extra` joined in, each sort in print order."""
-    out = dict(base)
-    for s, ts in extra.items():
-        have = dict.fromkeys(out.get(s, ()))
-        for t in ts:
-            have.setdefault(t, None)
-        out[s] = tuple(sorted(have, key=print_term))
-    return out
 
 
 def consistent(gamma, depth: int = 256, universe: Optional[dict] = None) -> str:

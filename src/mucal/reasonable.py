@@ -23,12 +23,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
+from .kb import widen_universe
 from .logic import (
     And, Believes, Const, Falsum, Formula, Not, collect_ground_terms,
-    expand_sugar, is_numeral, moment_closure, negation_of, normalize,
-    stated_prior_pairs, struct_key, weight,
+    expand_sugar, formula_key, is_numeral, moment_closure, negation_of,
+    stated_prior_pairs, weight,
 )
-from .prover import Proof, _kb_universe, held_axioms, prove, rho, widen_universe
+from .prover import Proof, held_axioms, prove, rho
 from . import models
 
 
@@ -43,17 +44,17 @@ class ProbTable:
     def from_kb(cls, kb) -> "ProbTable":
         table = cls()
         for e in kb.prob_entries:
-            table.entries[(e.agent, e.moment, struct_key(normalize(e.formula)))] = e.value
+            table.entries[(e.agent, e.moment, formula_key(e.formula))] = e.value
         return table
 
 
 def pr_lookup(table: ProbTable, agent: str, moment: str, f: Formula) -> Optional[Fraction]:
     """Declared value, else the complement of the declared negation, else
     undefined.  Never invents values."""
-    key = (agent, moment, struct_key(normalize(f)))
+    key = (agent, moment, formula_key(f))
     if key in table.entries:
         return table.entries[key]
-    neg_key = (agent, moment, struct_key(normalize(negation_of(f))))
+    neg_key = (agent, moment, formula_key(negation_of(f)))
     if neg_key in table.entries:
         return 1 - table.entries[neg_key]
     return None
@@ -64,8 +65,8 @@ def pr_lookup(table: ProbTable, agent: str, moment: str, f: Formula) -> Optional
 
 def pi(g1, g2) -> int:
     """Weighted symmetric difference of two formula sets."""
-    left = {struct_key(normalize(f)): f for f in g1}
-    right = {struct_key(normalize(f)): f for f in g2}
+    left = {formula_key(f): f for f in g1}
+    right = {formula_key(f): f for f in g2}
     total = 0
     for k, f in left.items():
         if k not in right:
@@ -141,7 +142,7 @@ class ReasonEngine:
 
     def provable(self, agent: str, moment: str, f: Formula) -> Optional[Proof]:
         content = self._strip_frame(f, agent, moment)
-        key = (agent, moment, struct_key(normalize(content)))
+        key = (agent, moment, formula_key(content))
         if key not in self._provable:
             self._provable[key] = self._prove(agent, moment, content)
         return self._provable[key]
@@ -212,14 +213,14 @@ class ReasonEngine:
         the minimal witness and the search stops there.
         """
         content = self._strip_frame(goal, agent, moment)
-        ckey = (agent, moment, struct_key(normalize(content)))
+        ckey = (agent, moment, formula_key(content))
         if ckey in self._delta:
             return self._delta[ckey]
 
         # falsum gets no zero-distance shortcut even from an inconsistent
         # base; only the consistency-constrained search below may speak
         direct = (
-            None if isinstance(normalize(content), Falsum)
+            None if formula_key(content) == formula_key(Falsum())
             else self.provable(agent, moment, content)
         )
         if direct is not None:
@@ -227,11 +228,11 @@ class ReasonEngine:
             self._delta[ckey] = witness
             return witness
 
-        axiom_keys = {struct_key(normalize(a.formula)) for a in self.kb.axioms}
+        axiom_keys = {formula_key(a.formula) for a in self.kb.axioms}
         pool = [
             (c.label, c.formula)
             for c in sorted(self.kb.candidates, key=lambda c: c.label)
-            if struct_key(normalize(c.formula)) not in axiom_keys
+            if formula_key(c.formula) not in axiom_keys
         ]
         removables = sorted(self.kb.removable_axioms(), key=lambda a: a.label)
         add_max = self.kb.params.add_max
@@ -279,7 +280,7 @@ class ReasonEngine:
         lam_labels = frozenset(a.label for a in lam)
         theta_forms = tuple(f for _, f in theta)
         fkey = (
-            tuple((l, struct_key(normalize(f))) for l, f in theta),
+            tuple((l, formula_key(f)) for l, f in theta),
             tuple(sorted(lam_labels)),
         )
 
@@ -290,15 +291,13 @@ class ReasonEngine:
             self._feasible[fkey] = models.consistent(
                 check_set,
                 atom_budget=self.kb.params.consistency_depth,
-                universe=_kb_universe(self.kb, check_set, Falsum()),
+                universe=self.kb.universe(check_set),
             )
         if self._feasible[fkey] != models.CONSISTENT:
             if self._feasible[fkey] == models.UNKNOWN:
                 # conservative: a budget-exhausted check makes the pair
                 # infeasible, and the verdict will say so
-                self._budget_hits.add(
-                    (agent, moment, struct_key(normalize(content)))
-                )
+                self._budget_hits.add((agent, moment, formula_key(content)))
             return None
 
         proof = self._prove(agent, moment, content, theta_forms, lam_labels)
@@ -317,7 +316,7 @@ class ReasonEngine:
                         g: Formula) -> ReasonablenessVerdict:
         fx = expand_sugar(f)
         gx = expand_sugar(g)
-        if normalize(fx) == normalize(gx):
+        if formula_key(fx) == formula_key(gx):
             return ReasonablenessVerdict(False, "inapplicable", note="irreflexive")
         fa = self._attitude(fx, agent, moment)
         ga = self._attitude(gx, agent, moment)
@@ -347,8 +346,8 @@ class ReasonEngine:
             ):
                 ca, cb = a.body.body, b.body.body
                 complementary = (
-                    normalize(negation_of(ca)) == normalize(cb)
-                    or normalize(ca) == normalize(negation_of(cb))
+                    formula_key(negation_of(ca)) == formula_key(cb)
+                    or formula_key(ca) == formula_key(negation_of(cb))
                 )
                 if complementary:
                     if isinstance(ca, Not) and not isinstance(cb, Not):
@@ -360,17 +359,17 @@ class ReasonEngine:
 
     def _with_withholding(self, agent, moment, fa, ga) -> ReasonablenessVerdict:
         def family(c: Formula) -> tuple:
-            return (struct_key(normalize(c)), struct_key(normalize(negation_of(c))))
+            return (formula_key(c), formula_key(negation_of(c)))
 
         if fa[0] == "W" and ga[0] == "W":
-            if struct_key(normalize(fa[1])) in family(ga[1]):
+            if formula_key(fa[1]) in family(ga[1]):
                 return ReasonablenessVerdict(False, "inapplicable", note="irreflexive")
             return ReasonablenessVerdict(
                 False, "inapplicable", note="withholding comparisons need a shared content"
             )
         if fa[0] == "W":
             phi = ga[1]
-            if struct_key(normalize(fa[1])) not in family(phi):
+            if formula_key(fa[1]) not in family(phi):
                 return ReasonablenessVerdict(
                     False, "inapplicable",
                     note="withholding comparisons need a shared content",
@@ -378,7 +377,7 @@ class ReasonEngine:
             # withholding beats believing exactly when the opposite belief does
             return self._compare_contents(agent, moment, negation_of(phi), phi)
         phi = fa[1]
-        if struct_key(normalize(ga[1])) not in family(phi):
+        if formula_key(ga[1]) not in family(phi):
             return ReasonablenessVerdict(
                 False, "inapplicable",
                 note="withholding comparisons need a shared content",
@@ -412,13 +411,13 @@ class ReasonEngine:
         )
 
     def _compare_contents(self, agent, moment, x: Formula, y: Formula) -> ReasonablenessVerdict:
-        if normalize(x) == normalize(y):
+        if formula_key(x) == formula_key(y):
             return ReasonablenessVerdict(False, "inapplicable", note="irreflexive")
         # falsum never enters the probability or proof-cost clauses: it has
         # no probability and no derivation worth costing even from an
         # inconsistent base, so nothing can be less reasonable than it
-        x_false = isinstance(normalize(x), Falsum)
-        y_false = isinstance(normalize(y), Falsum)
+        x_false = formula_key(x) == formula_key(Falsum())
+        y_false = formula_key(y) == formula_key(Falsum())
         px = None if x_false else pr_lookup(self.prob, agent, moment, x)
         py = None if y_false else pr_lookup(self.prob, agent, moment, y)
         if px is not None and py is not None:
@@ -438,7 +437,7 @@ class ReasonEngine:
         wy = self.delta(agent, moment, y)
         note = ""
         for side in (x, y):
-            key = (agent, moment, struct_key(normalize(self._strip_frame(side, agent, moment))))
+            key = (agent, moment, formula_key(self._strip_frame(side, agent, moment)))
             if key in self._budget_hits:
                 note = "some revision pairs were skipped on a budget-exhausted check"
         if wx is None and wy is None:

@@ -22,10 +22,9 @@ from typing import Optional
 from .errors import OrderingError, ProofError, UnknownNameError
 from .logic import (
     And, Believes, Const, Falsum, Formula, Perceives, StrengthLevel,
-    Withholds, constant_symbols, expand_sugar, negation_of, normalize,
-    struct_key,
+    Withholds, constant_symbols, expand_sugar, formula_key, negation_of,
 )
-from .prover import Proof, prove, _kb_universe
+from .prover import Proof, prove
 from .reasonable import ReasonEngine, ReasonablenessVerdict
 from .syntax import print_formula
 from . import models
@@ -50,7 +49,7 @@ class StrengthJudgment:
 
     @property
     def content_key(self) -> str:
-        return struct_key(normalize(self.formula))
+        return formula_key(self.formula)
 
 
 def check_subsumption(j: StrengthJudgment) -> bool:
@@ -86,15 +85,14 @@ class BeliefStore:
     def add(self, j: StrengthJudgment) -> bool:
         if j.level == StrengthLevel.NONE:
             return False
-        norm = normalize(j.formula)
-        if isinstance(norm, Falsum):
+        if j.content_key == formula_key(Falsum()):
             self.diagnostics.append(
                 f"rejected: believing falsum at level {int(j.level)} for "
                 f"({j.agent},{j.moment}) violates the belief consistency condition"
             )
             return False
-        key = (j.agent, j.moment, struct_key(norm))
-        neg_key = (j.agent, j.moment, struct_key(normalize(negation_of(j.formula))))
+        key = (j.agent, j.moment, j.content_key)
+        neg_key = (j.agent, j.moment, formula_key(negation_of(j.formula)))
         rival = self.judged.get(neg_key)
         if rival is not None and rival.level == j.level:
             self.diagnostics.append(
@@ -260,15 +258,15 @@ class StrengthEngine:
 
     def _entail(self, contents: list, conclusion: Formula) -> Optional[Proof]:
         key = (
-            frozenset(struct_key(normalize(c)) for c in contents),
-            struct_key(normalize(conclusion)),
+            frozenset(formula_key(c) for c in contents),
+            formula_key(conclusion),
         )
         if key not in self._entail_cache:
             # closure entailments are shallow; a reduced depth keeps the
             # forward pass tractable
             res = prove(tuple(contents), conclusion,
                         depth=min(self.kb.params.proof_depth, 3),
-                        universe=_kb_universe(self.kb, tuple(contents), conclusion))
+                        universe=self.kb.universe(tuple(contents) + (conclusion,)))
             self._entail_cache[key] = res.proof if res.outcome == "proved" else None
         return self._entail_cache[key]
 
@@ -341,7 +339,7 @@ class StrengthEngine:
             union_ok = models.consistent(
                 contents,
                 atom_budget=self.kb.params.consistency_depth,
-                universe=_kb_universe(self.kb, contents, Falsum()),
+                universe=self.kb.universe(contents),
             ) == models.CONSISTENT
             for conc in conclusions:
                 if isinstance(conc, Falsum):
@@ -349,14 +347,14 @@ class StrengthEngine:
                         continue
                 elif not union_ok or not constant_symbols(conc) <= have:
                     continue
-                ckey = (agent, moment, struct_key(normalize(conc)))
+                ckey = (agent, moment, formula_key(conc))
                 existing = self.store.judged.get(ckey)
                 if existing is not None and int(existing.level) >= max_level:
                     continue
                 proof = self._entail(list(contents), conc)
                 if proof is None:
                     continue
-                used_keys = {struct_key(normalize(p)) for p in proof.premises_used}
+                used_keys = {formula_key(p) for p in proof.premises_used}
                 used = [j for j in members if j.content_key in used_keys]
                 if not used:
                     used = [members[0]]
@@ -399,8 +397,8 @@ class StrengthEngine:
             if a == agent and order.le(m, moment):
                 seen.setdefault(k, j.formula)
         for c in sorted(self.kb.candidates, key=lambda c: c.label):
-            seen.setdefault(struct_key(normalize(c.formula)), c.formula)
-        skip = struct_key(normalize(exclude))
+            seen.setdefault(formula_key(c.formula), c.formula)
+        skip = formula_key(exclude)
         return [seen[k] for k in sorted(seen) if k != skip]
 
     def classify(self, agent: str, moment: str, f: Formula,
@@ -412,7 +410,7 @@ class StrengthEngine:
         if pool is None:
             pool = self.default_pool(agent, moment, f)
         j = self._classify_cascade(agent, moment, f, pool)
-        stored = self.store.get(agent, moment, struct_key(normalize(f)))
+        stored = self.store.get(agent, moment, formula_key(f))
         satisfied = set(j.satisfied_levels)
         trail = list(j.trail)
         listing = ", ".join(print_formula(p) for p in pool) or "(empty)"
@@ -533,7 +531,7 @@ class StrengthEngine:
                                            Withholds(a_t, m_t, psi)).holds:
             return False
         for other in pool:
-            if normalize(other) == normalize(psi):
+            if formula_key(other) == formula_key(psi):
                 continue
             if self.reason.more_reasonable(
                 agent, moment, Believes(a_t, m_t, other), bel
@@ -584,22 +582,16 @@ _LEVEL_COMPARISON = {
 }
 
 
-def _fraction_str(x) -> str:
-    return str(x)
-
-
-def _verdict_detail(v: ReasonablenessVerdict) -> str:
+def verdict_detail(v: ReasonablenessVerdict) -> str:
     if v.clause == "I":
         return (
             f"clause I compared declared probabilities "
-            f"{_fraction_str(v.evidence.get('pr_left'))} vs "
-            f"{_fraction_str(v.evidence.get('pr_right'))}"
+            f"{v.evidence.get('pr_left')} vs {v.evidence.get('pr_right')}"
         )
     if v.clause == "II":
         return (
             f"clause II compared proof costs "
-            f"{_fraction_str(v.evidence.get('rho_left'))} vs "
-            f"{_fraction_str(v.evidence.get('rho_right'))}"
+            f"{v.evidence.get('rho_left')} vs {v.evidence.get('rho_right')}"
         )
     if v.clause == "III":
         left = v.evidence.get("delta_left")
@@ -638,7 +630,7 @@ def explain(j: StrengthJudgment) -> dict:
                 "satisfied": t.level is not None,
                 "comparison_holds": t.verdict.holds,
                 "clause": t.verdict.clause,
-                "evidence": _verdict_detail(t.verdict),
+                "evidence": verdict_detail(t.verdict),
             })
         else:
             entry = {"comparison": t.detail}

@@ -12,17 +12,16 @@ from itertools import combinations, product
 
 from mucal.logic import (
     And, Atom, Believes, Exists, Falsum, Forall, Iff, Implies, Not, Or,
-    Perceives, expand_sugar, normalize, struct_key, substitute_unchecked,
-    weight,
+    Perceives, expand_sugar, normalize, quote_modal, struct_key,
+    substitute_unchecked, weight,
 )
-from mucal.models import modal_key
-from mucal.prover import projection, prove, _kb_universe
+from mucal.prover import projection, prove
 from mucal import models
 
 
 def atom_key(f) -> str:
     if isinstance(f, (Believes, Perceives)):
-        return modal_key(f)
+        return struct_key(quote_modal(f))
     return struct_key(f)
 
 
@@ -111,7 +110,7 @@ def brute_force_delta(kb, agent: str, moment: str, goal):
     direct = prove(
         projection(kb, agent, moment), goal,
         depth=kb.params.proof_depth,
-        universe=_kb_universe(kb, projection(kb, agent, moment), goal),
+        universe=kb.universe(projection(kb, agent, moment) + (goal,)),
     )
     if direct.outcome == "proved":
         return 0
@@ -131,14 +130,14 @@ def brute_force_delta(kb, agent: str, moment: str, goal):
         ) + tuple(theta_forms) + kb.background()
         ok = models.consistent(
             check, atom_budget=kb.params.consistency_depth,
-            universe=_kb_universe(kb, check, Falsum()),
+            universe=kb.universe(check + (Falsum(),)),
         )
         if ok != models.CONSISTENT:
             return None
         prems = projection(kb, agent, moment, exclude=lam_labels,
                            extra=tuple(theta_forms))
         res = prove(prems, goal, depth=kb.params.proof_depth,
-                    universe=_kb_universe(kb, prems, goal))
+                    universe=kb.universe(prems + (goal,)))
         if res.outcome != "proved":
             return None
         return sum(weight(f) for f in theta_forms) + sum(

@@ -164,3 +164,27 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "--kb", "scenarios/lottery5.kb", "--depth", "-1", "(exists (t) (win t))"],
+    ["strength", "--kb", "scenarios/lottery5.kb", "--agent", "a", "--at", "now",
+     "--rounds", "-2", "(exists (t) (win t))"],
+    ["strength", "--kb", "scenarios/murder.kb", "--agent", "s", "--at", "now",
+     "--u", "-1", "(murderer alice)"],
+    ["prove", "--kb", "scenarios/lottery5.kb", "--depth", "two", "(exists (t) (win t))"],
+], ids=["depth", "rounds", "u", "depth-not-a-number"])
+def test_bad_budget_option_is_usage_error(argv, capsys):
+    rc, out = run_cli(argv)
+    assert rc == 64
+    assert out == ""
+    assert "expected a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "deep"])
+def test_bad_depth_env_is_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("MUCAL_DEPTH", value)
+    rc, out = run_cli(["prove", "--kb", "scenarios/lottery5.kb", "(exists (t) (win t))"])
+    assert rc == 64
+    assert out == ""
+    assert "error: MUCAL_DEPTH: expected a non-negative integer" in capsys.readouterr().err

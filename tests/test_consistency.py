@@ -3,6 +3,7 @@ import pytest
 from mucal.kb import parse_kb
 from mucal.logic import App, Atom, Falsum, Not
 from mucal import models
+from mucal.prover import prove
 from mucal.syntax import parse_formula
 from oracles import truth_table_consistent
 
@@ -119,3 +120,19 @@ def test_random_ground_sets_match_oracle():
         got = models.consistent(gamma)
         want = truth_table_consistent(gamma, {})
         assert (got == models.CONSISTENT) == want
+
+
+def test_belief_closure_reaches_quantifier_instances():
+    kb = parse_kb(
+        "(const a Agent)(const now Moment)(const c Object)"
+        "(func p (Object) Boolean)(func q (Object) Boolean)"
+        "(axiom b (believes a now (p c)))"
+        "(axiom nb (forall (x Object) (not (believes a now (or (p x) (q x))))))"
+    )
+    gamma = tuple(a.formula for a in kb.axioms)
+    hand = gamma[:1] + (parse_formula("(not (believes a now (or (p c) (q c))))", kb.sig),)
+    # the belief in (or (p c) (q c)) exists only as an instance of the
+    # quantifier; closure must still pin it, as it does when stated by hand
+    assert models.consistent(hand, universe=kb.herbrand()) == models.INCONSISTENT
+    assert prove(gamma, Falsum()).outcome == "proved"
+    assert models.consistent(gamma, universe=kb.herbrand()) == models.INCONSISTENT

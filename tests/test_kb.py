@@ -120,3 +120,15 @@ def test_herbrand_closure_includes_fluent_terms(murder_kb):
 def test_candidate_formulas_validated():
     with pytest.raises(ParseError):
         parse_kb("(candidate c1 (win ticket9))")
+
+
+@pytest.mark.parametrize("text", [
+    "(prior --3 4)",
+    "(const t Moment)(prior t ²)",
+    "(param u ²)",
+], ids=["double-minus", "superscript-moment", "superscript-param"])
+def test_malformed_numeral_is_parse_error(text):
+    # a numeral is one optional '-' followed by ASCII digits
+    with pytest.raises(ParseError) as e:
+        parse_kb(text)
+    assert e.value.line == 1 and e.value.col >= 1

@@ -8,7 +8,7 @@ from mucal.kb import parse_kb
 from mucal.logic import (
     App, Atom, Believes, Const, Falsum, Not, Withholds, normalize, weight,
 )
-from mucal.prover import _kb_universe, projection, prove
+from mucal.prover import projection, prove
 from mucal.reasonable import (
     ProbTable, ReasonEngine, delta, more_reasonable, pi, pr_lookup,
 )
@@ -366,7 +366,7 @@ def test_budget_note_only_for_pairs_ranked_before_the_witness():
 def _cold_proof(kb, agent, moment, goal, extra=()):
     prems = projection(kb, agent, moment, extra=extra)
     res = prove(prems, goal, depth=kb.params.proof_depth,
-                universe=_kb_universe(kb, prems, goal))
+                universe=kb.universe(prems + (goal,)))
     return res.proof if res.outcome == "proved" else None
 
 
