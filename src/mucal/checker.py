@@ -36,6 +36,7 @@ def check_proof(proof: Proof, gamma: Iterable[Formula],
 
 
 def _check(proof: Proof, gamma: Iterable[Formula], goal: Optional[Formula]) -> bool:
+    gamma = tuple(gamma)  # read twice below: premise keys, then moment order
     gamma_keys = {formula_key(g) for g in gamma}
     universe = {s: tuple(ts) for s, ts in proof.universe}
     order, _ = order_from_premises(tuple(expand_sugar(g) for g in gamma))

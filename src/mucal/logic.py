@@ -4,12 +4,17 @@ The language is a multi-sorted first-order language over event-calculus
 function symbols, extended with three agent/moment-indexed operators:
 belief, perception and withholding.  Withholding and exclusive
 disjunction are definable sugar; :func:`expand_sugar` removes them.
+
+Term and formula nodes are interned: building a node equal to an existing
+one returns that node, so `==` is object identity.  `formula_key`, the one
+formula identity, stores its result on the node; the intern table is the
+one cache that lives as long as the process.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from typing import Iterable, Optional, Union
 
@@ -44,9 +49,11 @@ CORE_FUNCTIONS: dict[str, tuple[tuple[str, ...], str]] = {
 
 
 def is_numeral(name: str) -> bool:
-    """An integer literal: one optional `-` followed by ASCII digits."""
+    """An integer literal in its one canonical spelling: one optional `-`
+    followed by ASCII digits, no leading zero and no `-0`, so that one
+    value is one moment."""
     digits = name[1:] if name.startswith("-") else name
-    return digits.isascii() and digits.isdigit()
+    return digits.isascii() and digits.isdigit() and str(int(name)) == name
 
 
 class Signature:
@@ -115,22 +122,76 @@ class Signature:
 
 
 # ---------------------------------------------------------------------------
+# Interned nodes
+#
+# A node's hash is computed once, when it is created, as the hash of its
+# field tuple: the value a frozen dataclass gives, so set and dict
+# iteration orders are those of uninterned nodes.  Each node also stores,
+# the first time they are asked for, its structural key, its formula
+# identity and its sugar-free form.  The intern table is one dict per node
+# class.
+
+_set = object.__setattr__
+
+
+class _Node:
+    """Base of the interned term and formula classes."""
+
+    __slots__ = ("_hash", "_skey", "_fkey", "_plain")
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs:  # fields by name, as the dataclass constructor takes them
+            args += tuple(kwargs.pop(n) for n in cls._names[len(args):] if n in kwargs)
+            if kwargs:
+                raise TypeError(f"{cls.__name__}() got unexpected arguments {sorted(kwargs)}")
+        node = cls._interned.get(args)
+        if node is None:
+            if len(args) != len(cls._names):
+                raise TypeError(f"{cls.__name__}() takes {len(cls._names)} fields, got {len(args)}")
+            node = object.__new__(cls)
+            for name, value in zip(cls._names, args):
+                _set(node, name, value)
+            _set(node, "_hash", hash(args))
+            _set(node, "_skey", None)
+            _set(node, "_fkey", None)
+            _set(node, "_plain", None)
+            # publish the finished node; a thread that built an equal node
+            # first wins, so equal fields still give one object
+            node = cls._interned.setdefault(args, node)
+        return node
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._names)
+
+
+def _node(cls):
+    """Make `cls` a frozen, slotted, interned node dataclass."""
+    cls = dataclass(frozen=True, eq=False, init=False, slots=True)(cls)
+    cls._names = tuple(f.name for f in fields(cls))
+    cls._interned = {}
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True)
-class Var:
+@_node
+class Var(_Node):
     name: str
     sort: str
 
 
-@dataclass(frozen=True)
-class Const:
+@_node
+class Const(_Node):
     name: str
     sort: str
 
 
-@dataclass(frozen=True)
-class App:
+@_node
+class App(_Node):
     fn: str
     args: tuple
     sort: str
@@ -173,76 +234,76 @@ def subst_term(t: Term, var: Var, repl: Term) -> Term:
 # ---------------------------------------------------------------------------
 # Formulas
 
-@dataclass(frozen=True)
-class Atom:
+@_node
+class Atom(_Node):
     term: Term  # Boolean-sorted term
 
 
-@dataclass(frozen=True)
-class Falsum:
+@_node
+class Falsum(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Not:
+@_node
+class Not(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@_node
+class And(_Node):
     args: tuple
 
 
-@dataclass(frozen=True)
-class Or:
+@_node
+class Or(_Node):
     args: tuple
 
 
-@dataclass(frozen=True)
-class Implies:
+@_node
+class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Iff:
+@_node
+class Iff(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Xor:
+@_node
+class Xor(_Node):
     args: tuple  # sugar: pairwise-exclusive disjunction
 
 
-@dataclass(frozen=True)
-class Forall:
+@_node
+class Forall(_Node):
     var: Var
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+@_node
+class Exists(_Node):
     var: Var
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Believes:
+@_node
+class Believes(_Node):
     agent: Term
     moment: Term
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Perceives:
+@_node
+class Perceives(_Node):
     agent: Term
     moment: Term
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Withholds:
+@_node
+class Withholds(_Node):
     agent: Term
     moment: Term
     body: "Formula"  # sugar: neither believes body nor its negation
@@ -446,20 +507,25 @@ def expand_sugar(f: Formula) -> Formula:
 
     Withholding unfolds to the conjunction of the two negated beliefs;
     exclusive disjunction to the inclusive disjunction plus pairwise
-    exclusion.  Idempotent.
+    exclusion.  Idempotent.  The result is stored on the node.
     """
+    got = f._plain
+    if got is not None:
+        return got
     if isinstance(f, Withholds):
         body = expand_sugar(f.body)
-        return And((
+        got = And((
             Not(Believes(f.agent, f.moment, body)),
             Not(Believes(f.agent, f.moment, Not(body))),
         ))
-    if isinstance(f, Xor):
+    elif isinstance(f, Xor):
         args = tuple(expand_sugar(a) for a in f.args)
         pairs = tuple(Not(And((a, b))) for a, b in itertools.combinations(args, 2))
-        return And((Or(args),) + pairs)
-    kids = tuple(expand_sugar(c) for c in children(f))
-    return rebuild(f, kids)
+        got = And((Or(args),) + pairs)
+    else:
+        got = rebuild(f, tuple(expand_sugar(c) for c in children(f)))
+    _set(f, "_plain", got)
+    return got
 
 
 def negation_of(f: Formula) -> Formula:
@@ -552,36 +618,50 @@ def _check_formula(f: Formula, sig: Signature, env: dict) -> None:
 # formulas and names atoms that are already in normal form.
 
 def _struct_key(f: Formula, depth: dict, level: int) -> str:
-    """Alpha-invariant structural key; bound variables keyed by binder depth."""
+    """Alpha-invariant structural key; bound variables keyed by binder depth.
+
+    Outside every binder (`depth` empty) the key depends on the node alone,
+    so it is computed once and stored on the node."""
+    if not depth and f._skey is not None:
+        return f._skey
     if isinstance(f, Atom):
-        return "a(" + _term_key(f.term, depth) + ")"
-    if isinstance(f, Falsum):
-        return "false"
-    if isinstance(f, Not):
-        return "n(" + _struct_key(f.body, depth, level) + ")"
-    if isinstance(f, NARY):
+        key = "a(" + _term_key(f.term, depth) + ")"
+    elif isinstance(f, Falsum):
+        key = "false"
+    elif isinstance(f, Not):
+        key = "n(" + _struct_key(f.body, depth, level) + ")"
+    elif isinstance(f, NARY):
         tag = {And: "and", Or: "or", Xor: "xor"}[type(f)]
-        return tag + "(" + ",".join(_struct_key(a, depth, level) for a in f.args) + ")"
-    if isinstance(f, BINARY):
+        key = tag + "(" + ",".join(_struct_key(a, depth, level) for a in f.args) + ")"
+    elif isinstance(f, BINARY):
         tag = "imp" if isinstance(f, Implies) else "iff"
-        return tag + "(" + _struct_key(f.left, depth, level) + "," + _struct_key(f.right, depth, level) + ")"
-    if isinstance(f, QUANT):
+        key = tag + "(" + _struct_key(f.left, depth, level) + "," + _struct_key(f.right, depth, level) + ")"
+    elif isinstance(f, QUANT):
         tag = "all" if isinstance(f, Forall) else "ex"
         inner = dict(depth)
         inner[f.var.name] = level
-        return f"{tag}[{f.var.sort}](" + _struct_key(f.body, inner, level + 1) + ")"
-    tag = {Believes: "bel", Perceives: "per", Withholds: "wit"}[type(f)]
-    return tag + "(" + _term_key(f.agent, depth) + "," + _term_key(f.moment, depth) + "," + _struct_key(f.body, depth, level) + ")"
+        key = f"{tag}[{f.var.sort}](" + _struct_key(f.body, inner, level + 1) + ")"
+    else:
+        tag = {Believes: "bel", Perceives: "per", Withholds: "wit"}[type(f)]
+        key = tag + "(" + _term_key(f.agent, depth) + "," + _term_key(f.moment, depth) + "," + _struct_key(f.body, depth, level) + ")"
+    if not depth:
+        _set(f, "_skey", key)
+    return key
 
 
 def _term_key(t: Term, depth: dict) -> str:
+    """The key of a term; stored on the term when `depth` is empty."""
+    if not depth and t._skey is not None:
+        return t._skey
     if isinstance(t, Var):
-        if t.name in depth:
-            return f"b{depth[t.name]}"
-        return f"v:{t.name}:{t.sort}"
-    if isinstance(t, Const):
-        return f"c:{t.name}"
-    return t.fn + "(" + ",".join(_term_key(a, depth) for a in t.args) + ")"
+        key = f"b{depth[t.name]}" if t.name in depth else f"v:{t.name}:{t.sort}"
+    elif isinstance(t, Const):
+        key = f"c:{t.name}"
+    else:
+        key = t.fn + "(" + ",".join(_term_key(a, depth) for a in t.args) + ")"
+    if not depth:
+        _set(t, "_skey", key)
+    return key
 
 
 def struct_key(f: Formula) -> str:
@@ -589,21 +669,32 @@ def struct_key(f: Formula) -> str:
 
 
 def _ac_sort(f: Formula) -> Formula:
-    """Flatten and order associative-commutative connectives."""
+    """Flatten and order associative-commutative connectives.
+
+    A run of nested nodes of one connective is flattened first and sorted
+    once, so each operand is keyed once however deep the run is."""
     if isinstance(f, (And, Or)):
         flat: list = []
-        for a in f.args:
-            a = _ac_sort(a)
-            if type(a) is type(f):
-                flat.extend(a.args)
-            else:
-                flat.append(a)
+        _ac_flatten(f, type(f), flat)
         flat.sort(key=struct_key)
         if len(flat) == 1:
             return flat[0]
         return type(f)(tuple(flat))
     kids = tuple(_ac_sort(c) for c in children(f))
     return rebuild(f, kids)
+
+
+def _ac_flatten(f: Formula, kind: type, out: list) -> None:
+    """Append the normalized operands of the `kind` run rooted at f."""
+    for a in f.args:
+        if type(a) is kind:
+            _ac_flatten(a, kind, out)
+            continue
+        a = _ac_sort(a)
+        if type(a) is kind:  # a one-operand node of the other connective
+            out.extend(a.args)
+        else:
+            out.append(a)
 
 
 def _alpha(f: Formula, env: dict, counter: list) -> Formula:
@@ -643,16 +734,13 @@ def normalize(f: Formula) -> Formula:
     return _alpha(_ac_sort(expand_sugar(f)), {}, [0])
 
 
-_FORMULA_KEYS: dict = {}
-
-
 def formula_key(f: Formula) -> str:
     """The identity of a formula: the structural key of its normal form,
-    memoized by formula equality."""
-    got = _FORMULA_KEYS.get(f)
+    computed once per node and stored on it."""
+    got = f._fkey
     if got is None:
-        canonical = normalize(f)
-        got = _FORMULA_KEYS[f] = struct_key(canonical)
+        got = struct_key(normalize(f))
+        _set(f, "_fkey", got)
     return got
 
 

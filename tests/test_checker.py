@@ -119,3 +119,19 @@ def test_fuzzed_corruptions_rejected(lottery_kb, murder_kb, rain_kb):
             raise AssertionError(f"corruption accepted: {desc}")
     assert attempts >= 100
     assert rejected == attempts
+
+
+def test_checker_accepts_a_generator_premise_set():
+    # the premise set is read twice (premise keys, then the moment order)
+    from mucal.kb import parse_kb
+
+    kb = parse_kb(
+        "(const a Agent)(const t1 Moment)(const t2 Moment)(func p () Boolean)"
+        "(prior t1 t2)(axiom x :certain (perceives a t1 (p)))"
+    )
+    gamma = tuple(ax.formula for ax in kb.axioms) + kb.background()
+    goal = parse_formula("(believes a t2 (p))", kb.sig)
+    result = prove(gamma, goal, depth=2)
+    assert result.outcome == "proved"
+    assert check_proof(result.proof, gamma, goal)
+    assert check_proof(result.proof, (g for g in gamma), goal)

@@ -126,9 +126,13 @@ def test_candidate_formulas_validated():
     "(prior --3 4)",
     "(const t Moment)(prior t ²)",
     "(param u ²)",
-], ids=["double-minus", "superscript-moment", "superscript-param"])
+    "(func p (Moment) Boolean)(axiom a (p 01))(axiom b (p 1))",
+    "(prior -0 0)",
+], ids=["double-minus", "superscript-moment", "superscript-param",
+        "leading-zero", "minus-zero"])
 def test_malformed_numeral_is_parse_error(text):
-    # a numeral is one optional '-' followed by ASCII digits
+    # a numeral is one optional '-' followed by ASCII digits, spelled as
+    # `str(int(...))` spells it, so one value is one moment
     with pytest.raises(ParseError) as e:
         parse_kb(text)
     assert e.value.line == 1 and e.value.col >= 1

@@ -1,12 +1,18 @@
+import itertools
+import sys
+import threading
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
+from mucal import logic
 from mucal.errors import SortError, UnknownSymbolError
 from mucal.logic import (
-    And, App, Atom, Believes, Const, Exists, Falsum, Forall, Not, Or,
-    Perceives, Signature, StrengthLevel, Var, Withholds, Xor, expand_sugar,
-    free_vars, normalize, substitute, weight, well_sorted,
+    And, App, Atom, Believes, Const, Exists, Falsum, Forall, Iff, Implies,
+    Not, Or, Perceives, Signature, StrengthLevel, Var, Withholds, Xor,
+    expand_sugar, formula_key, free_vars, normalize, substitute,
+    substitute_unchecked, weight, well_sorted,
 )
 from mucal.syntax import parse_formula, print_formula
 from conftest import DESK_SCENARIOS, scenario_path
@@ -187,6 +193,87 @@ def test_normalize_ac(sig):
     f = parse_formula("(and (win t1) (win t2))", sig)
     g = parse_formula("(and (win t2) (win t1))", sig)
     assert normalize(f) == normalize(g)
+
+
+def test_equal_nodes_are_one_object(sig):
+    # a term, an atom, a modal node and a quantifier built by substitution
+    # are the very objects the parser builds for the same text
+    def instance(text):
+        q = parse_formula(text, sig)
+        return substitute_unchecked(q.body, q.var, T1)
+
+    atom = instance("(exists (x Object) (win x))")
+    assert atom is parse_formula("(win t1)", sig)
+    assert atom.term is App("win", (Const("t1", "Object"),), "Boolean")
+    modal = instance("(exists (x Object) (believes a now (win x)))")
+    assert modal is parse_formula("(believes a now (win t1))", sig)
+    quant = instance("(exists (x Object) (forall (y Object) (and (win x) (win y))))")
+    assert quant is parse_formula("(forall (y Object) (and (win t1) (win y)))", sig)
+    assert quant != parse_formula("(forall (z Object) (and (win t1) (win z)))", sig)
+
+
+def test_node_hash_is_the_hash_of_its_fields():
+    # the frozen-dataclass hash, so set and dict iteration orders are kept
+    p = win(T1)
+    nodes = [
+        X, T1, p.term, p, Falsum(), Not(p), And((p, win(T2))), Or((p,)),
+        Implies(p, p), Iff(p, Falsum()), Xor((p, win(T2))), Forall(X, win(X)),
+        Exists(X, win(X)), Believes(Const("a", "Agent"), Const("now", "Moment"), p),
+        Perceives(Const("a", "Agent"), Const("1", "Moment"), p),
+        Withholds(Const("a", "Agent"), Const("now", "Moment"), p),
+    ]
+    assert len({type(n) for n in nodes}) == 16
+    for n in nodes:
+        assert hash(n) == hash(tuple(getattr(n, f.name) for f in fields(n)))
+
+
+_FRESH = itertools.count()
+
+
+def test_formula_key_of_an_and_chain_is_linear(monkeypatch):
+    calls = [0]
+    inner = logic._struct_key
+
+    def counting(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(logic, "_struct_key", counting)
+
+    def key_calls(n):
+        tag = f"chain{next(_FRESH)}_"  # fresh names: no stored keys to reuse
+        atoms = [Atom(App(f"{tag}{i}", (), "Boolean")) for i in range(n)]
+        chain = atoms[-1]
+        for a in reversed(atoms[:-1]):
+            chain = And((a, chain))
+        calls[0] = 0
+        formula_key(chain)
+        return calls[0]
+
+    assert key_calls(80) <= 2.5 * key_calls(40)
+
+
+def test_concurrent_construction_gives_one_object():
+    tag = f"race{next(_FRESH)}_"
+    results = [[] for _ in range(4)]
+
+    def build(out):
+        for i in range(2000):
+            out.append(Not(Atom(App(f"{tag}{i}", (), "Boolean"))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(r,)) for r in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for built in zip(*results):
+        assert all(b is built[0] for b in built)
 
 
 def test_weight_examples(sig):
