@@ -30,7 +30,7 @@ from .errors import MucalError
 from .kb import KbDocument, load_kb
 from .logic import StrengthLevel
 from .prover import Proof, prove, rho
-from .reasonable import ReasonablenessVerdict, RevisionWitness
+from .reasonable import ReasonEngine, ReasonablenessVerdict, RevisionWitness
 from .strength import StrengthEngine, explain as explain_judgment, verdict_detail
 from .syntax import parse_formula, print_formula
 
@@ -153,15 +153,20 @@ def _trail_lines(report: dict) -> list:
     return lines
 
 
-def cmd_strength(args) -> int:
+def _judge(args) -> tuple:
+    """The formula's strength judgment at the frame, and its explanation."""
     kb = _load(args)
     goal = parse_formula(args.formula, kb.sig)
     engine = StrengthEngine(kb)
     engine.saturate(args.rounds, agent=args.agent, moment=args.at)
     j = engine.classify(args.agent, args.at, goal)
-    report = explain_judgment(j)
+    return j, explain_judgment(j)
+
+
+def cmd_strength(args) -> int:
+    j, report = _judge(args)
     lines = [
-        f"level {int(j.level)} ({j.level.label}) for {print_formula(goal)}",
+        f"level {int(j.level)} ({j.level.label}) for {print_formula(j.formula)}",
         f"satisfied levels: {sorted(j.satisfied_levels)}",
     ]
     if args.trace:
@@ -174,8 +179,7 @@ def cmd_compare(args) -> int:
     kb = _load(args)
     f = parse_formula(args.formula, kb.sig)
     g = parse_formula(args.other, kb.sig)
-    engine = StrengthEngine(kb)
-    v = engine.reason.more_reasonable(args.agent, args.at, f, g)
+    v = ReasonEngine(kb).more_reasonable(args.agent, args.at, f, g)
     if v.note == "irreflexive":
         text = "not more reasonable (irreflexive)"
     elif v.holds:
@@ -195,8 +199,7 @@ def cmd_compare(args) -> int:
 def cmd_counterfactual(args) -> int:
     kb = _load(args)
     goal = parse_formula(args.formula, kb.sig)
-    engine = StrengthEngine(kb)
-    w = engine.reason.delta(args.agent, args.at, goal)
+    w = ReasonEngine(kb).delta(args.agent, args.at, goal)
     if w is None:
         _emit(args, {"witness": None}, "no consistent revision found")
         return 3
@@ -217,12 +220,7 @@ def cmd_counterfactual(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    kb = _load(args)
-    goal = parse_formula(args.formula, kb.sig)
-    engine = StrengthEngine(kb)
-    engine.saturate(args.rounds, agent=args.agent, moment=args.at)
-    j = engine.classify(args.agent, args.at, goal)
-    report = explain_judgment(j)
+    _, report = _judge(args)
     lines = [report["headline"]] + _trail_lines(report)
     _emit(args, report, "\n".join(lines))
     return 0

@@ -535,6 +535,15 @@ def negation_of(f: Formula) -> Formula:
     return Not(f)
 
 
+def is_belief_at(f: Formula, agent: str, moment: str) -> bool:
+    """Whether `f` is a belief of the constant `agent` at `moment`."""
+    return (
+        isinstance(f, Believes)
+        and isinstance(f.agent, Const) and f.agent.name == agent
+        and isinstance(f.moment, Const) and f.moment.name == moment
+    )
+
+
 # ---------------------------------------------------------------------------
 # Well-sortedness
 
@@ -697,22 +706,25 @@ def _ac_flatten(f: Formula, kind: type, out: list) -> None:
             out.append(a)
 
 
-def _alpha(f: Formula, env: dict, counter: list) -> Formula:
+def _alpha(f: Formula, env: dict, counter: list, taken: frozenset) -> Formula:
+    """Rename binders to `_v0`, `_v1`, ..., skipping the free names in `taken`."""
     if isinstance(f, Atom):
         return Atom(_alpha_term(f.term, env))
     if isinstance(f, QUANT):
+        while f"_v{counter[0]}" in taken:
+            counter[0] += 1
         fresh = Var(f"_v{counter[0]}", f.var.sort)
         counter[0] += 1
         inner = dict(env)
         inner[f.var] = fresh
-        return type(f)(fresh, _alpha(f.body, inner, counter))
+        return type(f)(fresh, _alpha(f.body, inner, counter, taken))
     if isinstance(f, MODAL):
         return type(f)(
             _alpha_term(f.agent, env),
             _alpha_term(f.moment, env),
-            _alpha(f.body, env, counter),
+            _alpha(f.body, env, counter, taken),
         )
-    kids = tuple(_alpha(c, env, counter) for c in children(f))
+    kids = tuple(_alpha(c, env, counter, taken) for c in children(f))
     return rebuild(f, kids)
 
 
@@ -731,7 +743,10 @@ def normalize(f: Formula) -> Formula:
     Two formulas are treated as equal throughout the package exactly when
     their normal forms coincide.
     """
-    return _alpha(_ac_sort(expand_sugar(f)), {}, [0])
+    f = expand_sugar(f)
+    # binders are keyed by name, so a free name is never reused for one
+    taken = frozenset(v.name for v in free_vars(f))
+    return _alpha(_ac_sort(f), {}, [0], taken)
 
 
 def formula_key(f: Formula) -> str:

@@ -597,22 +597,3 @@ def held_axioms(kb, agent: str, moment: str, exclude=frozenset()) -> tuple:
             if print_term(f.agent) == agent and order.lt(f.moment.name, moment):
                 out.append(f.body)
     return tuple(out)
-
-
-def prove_for_agent(kb, agent: str, moment: str, goal: Formula,
-                    depth: Optional[int] = None) -> ProofResult:
-    """Provability relative to what the agent holds at the moment."""
-    prems = projection(kb, agent, moment)
-    return prove(
-        prems,
-        goal,
-        depth=depth if depth is not None else kb.params.proof_depth,
-        universe=kb.universe(prems + (goal,)),
-    )
-
-
-def consistent(gamma, depth: int = 256, universe: Optional[dict] = None) -> str:
-    """Consistency of a formula set; see models.consistent."""
-    from . import models
-
-    return models.consistent(gamma, atom_budget=depth, universe=universe)

@@ -25,8 +25,8 @@ from typing import Optional
 
 from .kb import widen_universe
 from .logic import (
-    And, Believes, Const, Falsum, Formula, Not, collect_ground_terms,
-    expand_sugar, formula_key, is_numeral, moment_closure, negation_of,
+    And, Const, Falsum, Formula, Not, collect_ground_terms, expand_sugar,
+    formula_key, is_belief_at, is_numeral, moment_closure, negation_of,
     stated_prior_pairs, weight,
 )
 from .prover import Proof, held_axioms, prove, rho
@@ -191,11 +191,7 @@ class ReasonEngine:
 
     def _strip_frame(self, f: Formula, agent: str, moment: str) -> Formula:
         f = expand_sugar(f)
-        while (
-            isinstance(f, Believes)
-            and isinstance(f.agent, Const) and f.agent.name == agent
-            and isinstance(f.moment, Const) and f.moment.name == moment
-        ):
+        while is_belief_at(f, agent, moment):
             f = f.body
         return f
 
@@ -326,23 +322,16 @@ class ReasonEngine:
         return self._compare_contents(agent, moment, fa[1], ga[1])
 
     def _attitude(self, f: Formula, agent: str, moment: str):
-        def frame_match(m) -> bool:
-            return (
-                isinstance(m, Believes)
-                and isinstance(m.agent, Const) and m.agent.name == agent
-                and isinstance(m.moment, Const) and m.moment.name == moment
-            )
-
-        if frame_match(f):
+        if is_belief_at(f, agent, moment):
             return ("B", f.body)
-        if isinstance(f, Not) and frame_match(f.body):
+        if isinstance(f, Not) and is_belief_at(f.body, agent, moment):
             # not believing compares like believing the opposite
             return ("B", negation_of(f.body.body))
         if isinstance(f, And) and len(f.args) == 2:
             a, b = f.args
             if (
-                isinstance(a, Not) and frame_match(a.body)
-                and isinstance(b, Not) and frame_match(b.body)
+                isinstance(a, Not) and is_belief_at(a.body, agent, moment)
+                and isinstance(b, Not) and is_belief_at(b.body, agent, moment)
             ):
                 ca, cb = a.body.body, b.body.body
                 complementary = (
@@ -450,11 +439,3 @@ class ReasonEngine:
             holds, "III", evidence={"delta_left": wx, "delta_right": wy},
             note=note,
         )
-
-
-def delta(kb, agent: str, moment: str, goal: Formula) -> Optional[RevisionWitness]:
-    return ReasonEngine(kb).delta(agent, moment, goal)
-
-
-def more_reasonable(kb, agent: str, moment: str, f: Formula, g: Formula) -> ReasonablenessVerdict:
-    return ReasonEngine(kb).more_reasonable(agent, moment, f, g)

@@ -22,7 +22,8 @@ from typing import Optional
 from .errors import OrderingError, ProofError, UnknownNameError
 from .logic import (
     And, Believes, Const, Falsum, Formula, Perceives, StrengthLevel,
-    Withholds, constant_symbols, expand_sugar, formula_key, negation_of,
+    Withholds, constant_symbols, expand_sugar, formula_key, is_belief_at,
+    negation_of,
 )
 from .prover import Proof, prove
 from .reasonable import ReasonEngine, ReasonablenessVerdict
@@ -78,9 +79,6 @@ class BeliefStore:
 
     def get(self, agent: str, moment: str, content_key: str) -> Optional[StrengthJudgment]:
         return self.judged.get((agent, moment, content_key))
-
-    def entries(self) -> list:
-        return [self.judged[k] for k in sorted(self.judged)]
 
     def add(self, j: StrengthJudgment) -> bool:
         if j.level == StrengthLevel.NONE:
@@ -154,7 +152,6 @@ class StrengthEngine:
                 continue
             if not (isinstance(f.agent, Const) and isinstance(f.moment, Const)):
                 continue
-            agent = f.agent.name
             t1 = f.moment.name
             for t2 in order.moments:
                 if order.lt(t1, t2):
@@ -176,12 +173,7 @@ class StrengthEngine:
         todo = [c.formula for c in sorted(self.kb.candidates, key=lambda c: c.label)]
         for ax in self.kb.axioms:
             f = expand_sugar(ax.formula)
-            if (
-                not ax.certain
-                and isinstance(f, Believes)
-                and isinstance(f.agent, Const) and f.agent.name == agent
-                and isinstance(f.moment, Const) and f.moment.name == moment
-            ):
+            if not ax.certain and is_belief_at(f, agent, moment):
                 todo.append(f.body)
         for content in todo:
             if self.reason.provable(agent, moment, content) is not None:
@@ -538,36 +530,6 @@ class StrengthEngine:
             ).holds:
                 return False
         return True
-
-
-# ---------------------------------------------------------------------------
-# Module-level operations (engine-per-call convenience wrappers)
-
-def classify(kb, agent: str, moment: str, f: Formula,
-             pool: Optional[list] = None, rounds: int = 3) -> StrengthJudgment:
-    engine = StrengthEngine(kb)
-    engine.saturate(rounds, agent=agent, moment=moment)
-    return engine.classify(agent, moment, f, pool)
-
-
-def saturate(kb, store: BeliefStore, rounds: int,
-             agent: Optional[str] = None, moment: Optional[str] = None) -> BeliefStore:
-    engine = StrengthEngine(kb, store=store)
-    if rounds == 0:
-        return store
-    return engine.saturate(rounds, agent=agent, moment=moment)
-
-
-def infer_rsp(kb, percept: Perceives, t2: str,
-              store: Optional[BeliefStore] = None) -> StrengthJudgment:
-    engine = StrengthEngine(kb, store=store)
-    return engine.infer_rsp(percept, t2)
-
-
-def infer_rsb(kb, premises: list, conclusion: Formula, t: str,
-              u: Optional[int] = None) -> Optional[StrengthJudgment]:
-    engine = StrengthEngine(kb)
-    return engine.infer_rsb(premises, conclusion, t, u=u)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Property audits for the connective conditions on the comparison."""
 
+from mucal import models
 from mucal.kb import parse_kb
 from mucal.logic import And
-from mucal.prover import Proof, Step, rho, consistent
+from mucal.prover import Proof, Step, rho
 from mucal.reasonable import ReasonEngine, pi
 from mucal.syntax import parse_formula
 
@@ -42,8 +43,7 @@ def test_conjunction_condition_on_cost_clause(murder_certain_kb):
 
 def test_rho_one_extra_step_costs_one(murder_kb):
     goal = parse_formula("(holds (owns alice) t0)", murder_kb.sig)
-    from mucal.prover import prove_for_agent
-    base = prove_for_agent(murder_kb, "s", "now", goal, depth=0).proof
+    base = ReasonEngine(murder_kb).provable("s", "now", goal)
     padded = Proof(
         goal=base.goal,
         premises_used=base.premises_used,
@@ -70,7 +70,7 @@ def test_witness_distance_equals_pi(murder_kb):
     assert w.distance == pi(gamma, revised)
 
 
-def test_prover_consistent_wrapper():
+def test_consistent_on_axiom_sets():
     kb = parse_kb("(func p () Boolean)(axiom one (p))(axiom two (not (p)))")
-    assert consistent([a.formula for a in kb.axioms]) == "inconsistent"
-    assert consistent([kb.axioms[0].formula]) == "consistent"
+    assert models.consistent([a.formula for a in kb.axioms]) == "inconsistent"
+    assert models.consistent([kb.axioms[0].formula]) == "consistent"

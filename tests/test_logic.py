@@ -195,6 +195,15 @@ def test_normalize_ac(sig):
     assert normalize(f) == normalize(g)
 
 
+def test_normalize_does_not_capture_a_free_variable(sig):
+    # a free `_v0` must not be bound by the name the first binder gets
+    sig.declare_func("p", ("Object", "Object"), "Boolean")
+    f = parse_formula("(exists (_v0 Object) (forall (y Object) (p _v0 y)))", sig).body
+    g = parse_formula("(forall (y Object) (p y y))", sig)
+    assert formula_key(f) != formula_key(g)
+    assert free_vars(normalize(f)) == free_vars(f)
+
+
 def test_equal_nodes_are_one_object(sig):
     # a term, an atom, a modal node and a quantifier built by substitution
     # are the very objects the parser builds for the same text

@@ -8,9 +8,8 @@ from mucal.logic import (
     And, App, Atom, Believes, Const, Not, Or, Perceives, expand_sugar,
     normalize,
 )
-from mucal.prover import (
-    ContextualizedFormula, contextualize, prove, prove_for_agent, rho,
-)
+from mucal.prover import ContextualizedFormula, contextualize, prove, rho
+from mucal.reasonable import ReasonEngine
 from mucal.syntax import parse_formula, print_formula
 from oracles import truth_table_consistent, truth_table_entails
 
@@ -122,24 +121,25 @@ def test_prove_for_agent_murder_with_theta1(murder_kb):
 
 def test_prove_for_agent_murder_without_theta(murder_kb):
     goal = parse_formula("(murderer alice)", murder_kb.sig)
-    res = prove_for_agent(murder_kb, "s", "now", goal)
-    assert res.outcome == "unknown"
+    assert ReasonEngine(murder_kb).provable("s", "now", goal) is None
 
 
 def test_prove_axiom_at_depth_zero(murder_kb):
     goal = parse_formula("(holds (owns alice) t0)", murder_kb.sig)
-    res = prove_for_agent(murder_kb, "s", "now", goal, depth=0)
-    assert res.outcome == "proved"
-    assert len(res.proof.steps) == 1
-    assert res.proof.steps[0].rule == "premise"
+    # iterative deepening starts at budget 0, where an axiom is a premise
+    proof = ReasonEngine(murder_kb).provable("s", "now", goal)
+    assert proof is not None
+    assert len(proof.steps) == 1
+    assert proof.steps[0].rule == "premise"
 
 
 def test_prove_for_agent_unknown_names(murder_kb):
     goal = parse_formula("(murderer alice)", murder_kb.sig)
+    engine = ReasonEngine(murder_kb)
     with pytest.raises(UnknownNameError):
-        prove_for_agent(murder_kb, "nobody", "now", goal)
+        engine.provable("nobody", "now", goal)
     with pytest.raises(UnknownNameError):
-        prove_for_agent(murder_kb, "s", "never", goal)
+        engine.provable("s", "never", goal)
 
 
 def test_prove_refutation_direction():
@@ -204,9 +204,9 @@ def test_determinism_byte_identical(lottery_kb):
 
 def test_rho_single_premise_proof(murder_kb):
     goal = parse_formula("(holds (owns alice) t0)", murder_kb.sig)
-    res = prove_for_agent(murder_kb, "s", "now", goal, depth=0)
+    proof = ReasonEngine(murder_kb).provable("s", "now", goal)
     # one step, four distinct symbols
-    assert rho(res.proof) == 1 + Fraction(4, 1000)
+    assert rho(proof) == 1 + Fraction(4, 1000)
 
 
 def test_rho_monotone_in_steps(lottery_kb):

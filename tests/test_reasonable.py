@@ -9,9 +9,7 @@ from mucal.logic import (
     App, Atom, Believes, Const, Falsum, Not, Withholds, normalize, weight,
 )
 from mucal.prover import projection, prove
-from mucal.reasonable import (
-    ProbTable, ReasonEngine, delta, more_reasonable, pi, pr_lookup,
-)
+from mucal.reasonable import ProbTable, ReasonEngine, pi, pr_lookup
 from mucal.syntax import parse_formula
 from oracles import brute_force_delta
 
@@ -87,7 +85,7 @@ def test_pi_murder_theta_ordering(murder_kb):
 
 def test_delta_provable_goal_is_zero(murder_kb):
     goal = parse_formula("(holds (owns alice) t0)", murder_kb.sig)
-    w = delta(murder_kb, "s", "now", goal)
+    w = ReasonEngine(murder_kb).delta("s", "now", goal)
     assert w is not None
     assert (w.theta, w.lam, w.distance) == ((), (), 0)
 
@@ -116,7 +114,7 @@ def test_delta_requires_removal():
         "(axiom also (r))"
     )
     goal = parse_formula("(not (p))", kb.sig)
-    w = delta(kb, "a", "now", goal)
+    w = ReasonEngine(kb).delta("a", "now", goal)
     assert w is not None
     assert ("drop",) == w.lam_labels
     assert w.theta_labels == ("+goal",)
@@ -125,7 +123,7 @@ def test_delta_requires_removal():
 
 
 def test_delta_falsum_has_no_witness(murder_kb):
-    w = delta(murder_kb, "s", "now", Falsum())
+    w = ReasonEngine(murder_kb).delta("s", "now", Falsum())
     assert w is None
 
 
@@ -135,7 +133,7 @@ def test_delta_certain_axioms_protected():
         "(axiom keep :certain (p))"
     )
     goal = parse_formula("(not (p))", kb.sig)
-    assert delta(kb, "a", "now", goal) is None
+    assert ReasonEngine(kb).delta("a", "now", goal) is None
 
 
 def test_delta_matches_bruteforce_on_corpus(murder_kb, counterfactual_kb):
@@ -148,7 +146,7 @@ def test_delta_matches_bruteforce_on_corpus(murder_kb, counterfactual_kb):
     ]
     for kb, agent, moment, text in cases:
         goal = parse_formula(text, kb.sig)
-        w = delta(kb, agent, moment, goal)
+        w = ReasonEngine(kb).delta(agent, moment, goal)
         expect = brute_force_delta(kb, agent, moment, goal)
         got = None if w is None else w.distance
         assert got == expect, text
@@ -165,7 +163,7 @@ def test_clause1_basic():
     )
     f = parse_formula("(p)", kb.sig)
     g = parse_formula("(q)", kb.sig)
-    v = more_reasonable(kb, "a", "now", f, g)
+    v = ReasonEngine(kb).more_reasonable("a", "now", f, g)
     assert v.holds and v.clause == "I"
     assert v.evidence["pr_left"] == Fraction(7, 10)
     assert v.evidence["pr_right"] == Fraction(2, 10)
@@ -188,15 +186,16 @@ def test_clause1_equal_probabilities_fail_both_ways():
     )
     f = parse_formula("(p)", kb.sig)
     g = parse_formula("(q)", kb.sig)
-    assert not more_reasonable(kb, "a", "now", f, g).holds
-    assert not more_reasonable(kb, "a", "now", g, f).holds
+    engine = ReasonEngine(kb)
+    assert not engine.more_reasonable("a", "now", f, g).holds
+    assert not engine.more_reasonable("a", "now", g, f).holds
 
 
 def test_clause3_counterfactual_direction(counterfactual_kb, counterfactual_flip_kb):
     for kb, expect in ((counterfactual_kb, True), (counterfactual_flip_kb, False)):
         f = parse_formula("(believes a t2 (holds f t1))", kb.sig)
         g = parse_formula("(believes a t2 (holds g t1))", kb.sig)
-        v = more_reasonable(kb, "a", "t2", f, g)
+        v = ReasonEngine(kb).more_reasonable("a", "t2", f, g)
         assert v.clause == "III"
         assert v.holds is expect
 

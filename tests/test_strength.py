@@ -2,10 +2,10 @@ import pytest
 
 from mucal.errors import OrderingError, ProofError, UnknownNameError
 from mucal.kb import parse_kb
-from mucal.logic import Falsum, StrengthLevel, normalize, struct_key
+from mucal.logic import Falsum, StrengthLevel, formula_key, normalize, struct_key
 from mucal.strength import (
     BeliefStore, StrengthEngine, StrengthJudgment, TrailEntry,
-    check_subsumption, explain, infer_rsb, saturate,
+    check_subsumption, explain,
 )
 from mucal.syntax import parse_formula
 
@@ -193,14 +193,19 @@ def test_rsb_guard_arithmetic_exhaustive(lottery_kb):
 # ---------------------------------------------------------------------------
 # saturation
 
-def test_saturate_zero_rounds_is_identity(lottery_kb):
-    store = BeliefStore()
-    out = saturate(lottery_kb, store, 0)
-    assert out is store and not out.judged
+def test_saturate_zero_rounds_seeds_percepts(rain_kb):
+    # `--rounds 0` runs no propagation pass, but still seeds the certain
+    # axioms and lifts the percepts
+    store = StrengthEngine(rain_kb).saturate(0, agent="mary", moment="now")
+    key = formula_key(parse_formula("(holds raining t1)", rain_kb.sig))
+    assert list(store.judged) == [("mary", "now", key)]
+    j = store.get("mary", "now", key)
+    assert int(j.level) == 5
+    assert [t.kind for t in j.trail] == ["rsp"]
 
 
 def test_saturate_lottery_two_rounds(lottery_kb):
-    store = saturate(lottery_kb, BeliefStore(), 2, agent="a", moment="now")
+    store = StrengthEngine(lottery_kb).saturate(2, agent="a", moment="now")
     key5 = struct_key(normalize(parse_formula("(exists (t) (win t))", lottery_kb.sig)))
     key2 = struct_key(normalize(parse_formula("(not (exists (t) (win t)))", lottery_kb.sig)))
     assert int(store.get("a", "now", key5).level) == 5
@@ -228,7 +233,7 @@ def test_saturate_fixpoint_on_corpus(lottery_kb, murder_kb, rain_kb):
 
 
 def test_belief_consistency_after_saturation(lottery_kb):
-    store = saturate(lottery_kb, BeliefStore(), 3, agent="a", moment="now")
+    store = StrengthEngine(lottery_kb).saturate(3, agent="a", moment="now")
     from mucal.logic import negation_of
     for (agent, moment, key), j in store.judged.items():
         neg_key = struct_key(normalize(negation_of(j.formula)))
