@@ -39,7 +39,7 @@ def _check(proof: Proof, gamma: Iterable[Formula], goal: Optional[Formula]) -> b
     gamma = tuple(gamma)  # read twice below: premise keys, then moment order
     gamma_keys = {formula_key(g) for g in gamma}
     universe = {s: tuple(ts) for s, ts in proof.universe}
-    order, _ = order_from_premises(tuple(expand_sugar(g) for g in gamma))
+    order = order_from_premises(tuple(expand_sugar(g) for g in gamma))
 
     for f in proof.premises_used:
         if formula_key(f) not in gamma_keys:
@@ -272,7 +272,7 @@ def _check_step(i: int, step: Step, steps: tuple, gamma_keys: set,
             fail("agent mismatch")
         if not (isinstance(sf.moment, Const) and isinstance(f.moment, Const)):
             fail("moments must be ground")
-        if (sf.moment.name, f.moment.name) not in order:
+        if not order.lt(sf.moment.name, f.moment.name):
             fail("perception moment is not strictly earlier")
         if not _eq(sf.body, f.body):
             fail("content mismatch")
@@ -286,8 +286,7 @@ def _check_step(i: int, step: Step, steps: tuple, gamma_keys: set,
                 fail("inputs must be ground beliefs")
             if print_term(sf.agent) != print_term(f.agent):
                 fail("agent mismatch")
-            m = sf.moment.name
-            if m != f.moment.name and (m, f.moment.name) not in order:
+            if not order.le(sf.moment.name, f.moment.name):
                 fail("belief moment is after the conclusion moment")
             contents.append(sf.body)
         (sub,) = step.extra

@@ -12,9 +12,12 @@ Exit codes are a stable contract:
     64              usage, parse, sort or name errors (any command)
     141             standard output closed before the answer was written
 
-Rationals print as exact fractions.  MUCAL_DEPTH overrides the default
-proof depth; --depth overrides both.  Budgets (--depth, --u, --rounds and
-MUCAL_DEPTH) are non-negative integers; anything else exits 64.
+Each command accepts only the options it reads: --depth on every command
+but check-kb, --u and --rounds on strength and explain, --trace on prove,
+strength and counterfactual.  Rationals print as exact fractions.
+MUCAL_DEPTH overrides the default proof depth; --depth overrides both.
+Budgets (--depth, --u, --rounds and MUCAL_DEPTH) are non-negative
+integers; anything else exits 64.
 """
 
 from __future__ import annotations
@@ -128,7 +131,9 @@ def _emit(args, payload: dict, text: str) -> None:
 def cmd_prove(args) -> int:
     kb = _load(args)
     goal = parse_formula(args.formula, kb.sig)
-    result = prove(kb.all_premises(), goal, depth=kb.params.proof_depth, refute=True)
+    premises = kb.all_premises()
+    result = prove(premises, goal, depth=kb.params.proof_depth,
+                   universe=kb.universe(premises + (goal,)), refute=True)
     lines = [f"{result.outcome}: {print_formula(goal)}"]
     payload = {"outcome": result.outcome, "goal": print_formula(goal)}
     if result.proof is not None:
@@ -249,44 +254,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, agent=False, formula=True):
+    def command(name, fn, help, frame=True, depth=True, rounds=False,
+                trace=False, formula=True):
+        """A subcommand with exactly the options it reads."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--kb", required=True, help="knowledge-base file")
-        p.add_argument("--depth", type=_natural, default=None, help="proof depth budget")
-        p.add_argument("--u", type=_natural, default=None, help="level-spread bound")
-        p.add_argument("--rounds", type=_natural, default=3, help="saturation rounds")
-        p.add_argument("--trace", action="store_true", help="emit proof/evidence traces")
+        if depth:
+            p.add_argument("--depth", type=_natural, default=None, help="proof depth budget")
+        if rounds:
+            p.add_argument("--u", type=_natural, default=None, help="level-spread bound")
+            p.add_argument("--rounds", type=_natural, default=3, help="saturation rounds")
+        if trace:
+            p.add_argument("--trace", action="store_true", help="emit proof/evidence traces")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        if agent:
+        if frame:
             p.add_argument("--agent", required=True)
             p.add_argument("--at", required=True, help="moment of evaluation")
         if formula:
             p.add_argument("formula", help="formula in surface syntax")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("prove", help="prove a formula from the KB")
-    common(p)
-    p.set_defaults(fn=cmd_prove)
-
-    p = sub.add_parser("strength", help="grade a belief's strength level")
-    common(p, agent=True)
-    p.set_defaults(fn=cmd_strength)
-
-    p = sub.add_parser("compare", help="which of two formulas is more reasonable")
-    common(p, agent=True)
-    p.add_argument("other", help="the formula compared against")
-    p.set_defaults(fn=cmd_compare)
-
-    p = sub.add_parser("counterfactual", help="closest consistent revision deriving the formula")
-    common(p, agent=True)
-    p.set_defaults(fn=cmd_counterfactual)
-
-    p = sub.add_parser("explain", help="explain the strength judgment")
-    common(p, agent=True)
-    p.set_defaults(fn=cmd_explain)
-
-    p = sub.add_parser("check-kb", help="validate a KB file")
-    common(p, formula=False)
-    p.set_defaults(fn=cmd_check_kb)
-
+    command("prove", cmd_prove, "prove a formula from the KB", frame=False, trace=True)
+    command("strength", cmd_strength, "grade a belief's strength level",
+            rounds=True, trace=True)
+    command("compare", cmd_compare, "which of two formulas is more reasonable",
+            ).add_argument("other", help="the formula compared against")
+    command("counterfactual", cmd_counterfactual,
+            "closest consistent revision deriving the formula", trace=True)
+    command("explain", cmd_explain, "explain the strength judgment", rounds=True)
+    command("check-kb", cmd_check_kb, "validate a KB file", frame=False,
+            depth=False, formula=False)
     return parser
 
 

@@ -1,4 +1,5 @@
-"""Moment ordering and the selectable event-calculus background theory.
+"""The selectable event-calculus background theory over the KB's moment
+order (`logic.MomentOrder`, built by `KbDocument.order`).
 
 Two flavors: ``minimal`` contributes no frame axioms at all, so fluent
 persistence must be assumed explicitly where a scenario needs it;
@@ -12,45 +13,11 @@ event inside the window (or asserts the clipping itself).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from .errors import KbError, UnknownNameError
 from .logic import (
-    And, App, Atom, Const, Forall, Implies, Not, Var, moment_closure,
+    And, App, Atom, Const, Forall, Implies, MomentOrder, Not, Var,
     stated_ground_atoms,
 )
-
-
-class MomentOrder:
-    """Strict partial order over moment names.
-
-    The relation is the transitive closure of declared prior facts plus
-    numeric order on integer literals.  Construction fails on cycles,
-    which also covers declared facts contradicting numeric order.
-    """
-
-    def __init__(self, moments: Iterable[str], declared: Iterable[tuple]):
-        self.moments = sorted(set(moments))
-        self._closure = moment_closure(declared, self.moments)
-        for m in self.moments:
-            if (m, m) in self._closure:
-                raise KbError(f"moment ordering has a cycle through {m!r}")
-
-    def lt(self, a: str, b: str) -> bool:
-        return (a, b) in self._closure
-
-    def le(self, a: str, b: str) -> bool:
-        return a == b or self.lt(a, b)
-
-    def pairs(self) -> list:
-        return sorted(self._closure)
-
-    def minimum(self) -> Optional[str]:
-        """The unique minimal moment, when one exists."""
-        minima = [m for m in self.moments if not any(self.lt(x, m) for x in self.moments)]
-        if len(minima) == 1:
-            return minima[0]
-        return None
 
 
 def before(kb, t1: str, t2: str) -> bool:

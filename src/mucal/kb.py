@@ -22,10 +22,12 @@ from fractions import Fraction
 from typing import Optional
 
 from . import eventcalc
-from .errors import KbError, ParseError, SortError, UnknownSymbolError
+from .errors import (
+    KbError, ParseError, SortError, UnknownNameError, UnknownSymbolError,
+)
 from .logic import (
-    App, Const, Falsum, Formula, Signature, collect_ground_terms, formula_key,
-    is_numeral, well_sorted,
+    App, Const, Falsum, Formula, MomentOrder, Signature, collect_ground_terms,
+    formula_key, is_numeral, well_sorted,
 )
 from .syntax import Node, formula_from_node, print_term, read_all
 
@@ -82,7 +84,7 @@ class KbDocument:
         self.candidates: list = []
         self.prior_pairs: list = []
         self.params = Params()
-        self._order: Optional[eventcalc.MomentOrder] = None
+        self._order: Optional[MomentOrder] = None
         self._herbrand: Optional[dict] = None
         self._finite: bool = True
 
@@ -105,10 +107,24 @@ class KbDocument:
         )
         return sorted(names)
 
-    def order(self) -> eventcalc.MomentOrder:
+    def order(self) -> MomentOrder:
+        """The declared moment order; a cycle is a KbError."""
         if self._order is None:
-            self._order = eventcalc.MomentOrder(self.moment_names(), self.prior_pairs)
+            order = MomentOrder(self.prior_pairs, self.moment_names())
+            for m in order.moments:
+                if order.lt(m, m):
+                    raise KbError(f"moment ordering has a cycle through {m!r}")
+            self._order = order
         return self._order
+
+    def frame_terms(self, agent: str, moment: str) -> tuple:
+        """The constants naming a frame's agent and moment; an undeclared
+        agent or moment is an UnknownNameError."""
+        if agent not in self.agents():
+            raise UnknownNameError(f"unknown agent {agent!r}")
+        if moment not in self.order().moments:
+            raise UnknownNameError(f"unknown moment {moment!r}")
+        return Const(agent, self.sig.constants[agent]), Const(moment, "Moment")
 
     # -- term universe ---------------------------------------------------
 

@@ -113,13 +113,6 @@ class Signature:
             cur = self.sorts.get(cur)
         return False
 
-    def const(self, name: str) -> "Const":
-        if is_numeral(name):
-            return Const(name, "Moment")
-        if name not in self.constants:
-            raise UnknownSymbolError(name)
-        return Const(name, self.constants[name])
-
 
 # ---------------------------------------------------------------------------
 # Interned nodes
@@ -841,35 +834,80 @@ def stated_prior_pairs(formulas: Iterable[Formula]) -> set:
     }
 
 
-def moment_closure(pairs: Iterable[tuple], moments: Iterable[str]) -> frozenset:
-    """The strict order generated by `pairs` plus numeric order on the
-    numeral moments: (a, b) for every b reachable from a in one or more
-    steps.  A moment on a cycle is related to itself."""
-    numerals = sorted((m for m in moments if is_numeral(m)), key=int)
-    succ: dict = {}
-    for a, b in itertools.chain(pairs, zip(numerals, numerals[1:])):
-        succ.setdefault(a, set()).add(b)
-    closure = set()
-    for a, direct in succ.items():
-        seen: set = set()
-        stack = list(direct)
-        while stack:
-            b = stack.pop()
-            if b not in seen:
-                seen.add(b)
-                stack.extend(succ.get(b, ()))
-        closure.update((a, b) for b in seen)
-    return frozenset(closure)
+class MomentOrder:
+    """A strict order over moment names: the transitive closure of the
+    stated `prior` pairs plus numeric order on the numeral moments.
+
+    A moment on a cycle is related to itself.  `KbDocument.order` rejects
+    such an order; the order of a premise set keeps it.
+    """
+
+    def __init__(self, pairs: Iterable[tuple] = (), moments: Iterable[str] = ()):
+        self._stated = frozenset(pairs)
+        self.moments = sorted(set(moments).union(*self._stated))
+        numerals = sorted((m for m in self.moments if is_numeral(m)), key=int)
+        succ: dict = {}
+        for a, b in itertools.chain(self._stated, zip(numerals, numerals[1:])):
+            succ.setdefault(a, set()).add(b)
+        closure = set()
+        for a, direct in succ.items():
+            seen: set = set()
+            stack = list(direct)
+            while stack:
+                b = stack.pop()
+                if b not in seen:
+                    seen.add(b)
+                    stack.extend(succ.get(b, ()))
+            closure.update((a, b) for b in seen)
+        self._closure = frozenset(closure)
+
+    def lt(self, a: str, b: str) -> bool:
+        return (a, b) in self._closure
+
+    def le(self, a: str, b: str) -> bool:
+        return a == b or (a, b) in self._closure
+
+    def pairs(self) -> list:
+        return sorted(self._closure)
+
+    def minimum(self) -> Optional[str]:
+        """The unique minimal moment, when one exists."""
+        minima = [m for m in self.moments if not any(self.lt(x, m) for x in self.moments)]
+        if len(minima) == 1:
+            return minima[0]
+        return None
+
+    def widened(self, pairs: Iterable[tuple], moments: Iterable[str]) -> "MomentOrder":
+        """This order with more stated pairs and moments; the order itself
+        when none of them is new."""
+        pairs = frozenset(pairs)
+        moments = set(moments)
+        if pairs <= self._stated and moments.issubset(self.moments):
+            return self
+        return MomentOrder(self._stated | pairs, moments.union(self.moments))
 
 
-def order_from_premises(formulas: Iterable[Formula]):
-    """Strict moment order stated by a premise set: ground prior atoms plus
-    numeric order, transitively closed.  Returns (lt, moments)."""
+def moment_names(terms: dict) -> set:
+    """The names of the constant moments among ground terms grouped by sort."""
+    return {t.name for t in terms.get("Moment", ()) if isinstance(t, Const)}
+
+
+def order_from_premises(formulas: Iterable[Formula]) -> MomentOrder:
+    """The moment order a premise set states: its ground `prior` atoms plus
+    numeric order on its numeral moments."""
     formulas = tuple(formulas)
-    pairs = stated_prior_pairs(formulas)
-    moments = {m for pair in pairs for m in pair}
-    moments.update(
-        t.name for t in collect_ground_terms(formulas).get("Moment", ())
-        if isinstance(t, Const)
+    return MomentOrder(
+        stated_prior_pairs(formulas), moment_names(collect_ground_terms(formulas))
     )
-    return moment_closure(pairs, moments), frozenset(moments)
+
+
+def held_content(f: Formula, agent: Term, moment: Term, order) -> Optional[Formula]:
+    """The body of `f` when `agent` holds it at `moment`: a belief by
+    `agent` at `moment` or earlier, or a perception strictly earlier.
+    Otherwise None."""
+    if not isinstance(f, (Believes, Perceives)) or f.agent != agent:
+        return None
+    if isinstance(f, Believes) and f.moment == moment:
+        return f.body
+    ground = isinstance(f.moment, Const) and isinstance(moment, Const)
+    return f.body if ground and order.lt(f.moment.name, moment.name) else None

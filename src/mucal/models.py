@@ -22,9 +22,9 @@ from typing import Iterable, Optional
 from .logic import (
     And, Atom, Believes, Exists, Falsum, Forall, Formula, Iff, Implies, Not,
     Or, Perceives, collect_ground_terms, expand_sugar, formula_key,
-    order_from_premises, quote_modal, struct_key, substitute_unchecked,
+    held_content, order_from_premises, quote_modal, struct_key,
+    substitute_unchecked,
 )
-from .syntax import print_term
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
@@ -193,33 +193,19 @@ def _entailed_belief_keys(
     """Grounded belief atoms whose content follows from stated beliefs."""
     if modal_depth <= 0:
         return []
-    lt, _ = order_from_premises(premises)
     stated = [p for p in premises if isinstance(p, (Believes, Perceives))]
     if not stated:
         return []
+    order = order_from_premises(premises)
     out = []
     for key, belief in grounder.beliefs.items():
-        agent, moment = print_term(belief.agent), print_term(belief.moment)
-        body_key = formula_key(belief.body)
-        contents = []
-        matched = False
-        for p in stated:
-            if print_term(p.agent) != agent:
-                continue
-            m = print_term(p.moment)
-            in_scope = (
-                (isinstance(p, Believes) and (m == moment or (m, moment) in lt))
-                or (isinstance(p, Perceives) and (m, moment) in lt)
-            )
-            if not in_scope:
-                continue
-            contents.append(p.body)
-            if formula_key(p.body) == body_key:
-                matched = True
-        if matched:
-            out.append(key)
-            continue
+        held = [held_content(p, belief.agent, belief.moment, order) for p in stated]
+        contents = [c for c in held if c is not None]
         if not contents:
+            continue
+        body_key = formula_key(belief.body)
+        if any(formula_key(c) == body_key for c in contents):
+            out.append(key)
             continue
         sub = consistent(
             tuple(contents) + (Not(belief.body),),

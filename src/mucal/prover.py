@@ -22,14 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import UnknownNameError
 from .logic import (
     And, Atom, Believes, Const, Exists, Falsum, Forall, Formula, Iff,
     Implies, Not, Or, Perceives, Term, children, collect_ground_terms,
-    expand_sugar, formula_key, negation_of, order_from_premises,
+    expand_sugar, formula_key, held_content, negation_of, order_from_premises,
     quote_modal, rebuild, struct_key, substitute_unchecked, symbols,
 )
-from .syntax import print_term
 
 # ---------------------------------------------------------------------------
 # Contextualization
@@ -156,11 +154,10 @@ class _Env:
 
 
 class _Search:
-    def __init__(self, gamma: tuple, goal: Formula, universe: dict, order):
+    def __init__(self, gamma: tuple, universe: dict, order):
         self.gamma = gamma
-        self.goal = goal
         self.universe = universe
-        self.lt = order
+        self.order = order
         self.moments = sorted({t.name for t in universe.get("Moment", ()) if isinstance(t, Const)})
         self.overflow = False
         self.fails: dict = {}
@@ -292,7 +289,7 @@ class _Search:
             return
         t1 = f.moment.name
         for m in self.moments:
-            if (t1, m) in self.lt:
+            if self.order.lt(t1, m):
                 add(_Node("r_p", (n,), Believes(f.agent, Const(m, "Moment"), f.body),
                           extra=((t1, m),)))
 
@@ -454,26 +451,23 @@ class _Search:
 
     def _prove_belief(self, env: _Env, goal: Believes, budget: int,
                       seen: frozenset, splits: frozenset):
+        # the r_b replay needs a ground moment, and percepts enter only
+        # through their r_p lifts, which are beliefs
         if not isinstance(goal.moment, Const):
             return None
-        target_agent = print_term(goal.agent)
-        target_moment = goal.moment.name
         belief_nodes = []
         contents = []
         for k in sorted(env.nodes):
             n = env.nodes[k]
-            f = n.formula
-            if isinstance(f, Believes) and isinstance(f.moment, Const):
-                if print_term(f.agent) != target_agent:
-                    continue
-                m = f.moment.name
-                if m == target_moment or (m, target_moment) in self.lt:
+            if isinstance(n.formula, Believes):
+                body = held_content(n.formula, goal.agent, goal.moment, self.order)
+                if body is not None:
                     belief_nodes.append(n)
-                    contents.append(f.body)
+                    contents.append(body)
         if not contents:
             return None
         sub = prove(tuple(contents), goal.body, depth=budget,
-                    universe=self.universe, order=self.lt)
+                    universe=self.universe, order=self.order)
         if sub.outcome != "proved":
             return None
         used = {formula_key(f) for f in sub.proof.premises_used}
@@ -485,8 +479,7 @@ class _Search:
 # ---------------------------------------------------------------------------
 # Assembly
 
-def _assemble(root: _Node, goal: Formula, gamma: tuple, universe: dict,
-              ) -> Proof:
+def _assemble(root: _Node, goal: Formula, universe: dict) -> Proof:
     order: list = []
     seen: set = set()
 
@@ -541,15 +534,15 @@ def prove(
     if universe is None:
         universe = collect_ground_terms(gamma + (goal_x,))
     if order is None:
-        order, _ = order_from_premises(gamma + (goal_x,))
-    search = _Search(gamma, goal_x, universe, order)
+        order = order_from_premises(gamma + (goal_x,))
+    search = _Search(gamma, universe, order)
     env = search.base_env()
     if search.overflow:
         return ProofResult("unknown")
     for budget in range(depth + 1):
         node = search.prove(env, goal_x, budget, frozenset(), frozenset())
         if node is not None and not node.assumptions:
-            return ProofResult("proved", _assemble(node, goal_x, gamma, universe))
+            return ProofResult("proved", _assemble(node, goal_x, universe))
         if search.overflow:
             return ProofResult("unknown")
     if refute:
@@ -576,11 +569,9 @@ def projection(kb, agent: str, moment: str, exclude=frozenset(), extra=()) -> tu
 
 
 def held_axioms(kb, agent: str, moment: str, exclude=frozenset()) -> tuple:
-    """The axiom-derived head of the projection, sugar expanded."""
-    if agent not in kb.agents():
-        raise UnknownNameError(f"unknown agent {agent!r}")
-    if moment not in kb.order().moments:
-        raise UnknownNameError(f"unknown moment {moment!r}")
+    """The axiom-derived head of the projection, sugar expanded: the
+    certain axioms and the contents the agent holds at the moment."""
+    agent_t, moment_t = kb.frame_terms(agent, moment)
     order = kb.order()
     out = []
     for ax in kb.axioms:
@@ -590,10 +581,7 @@ def held_axioms(kb, agent: str, moment: str, exclude=frozenset()) -> tuple:
         if ax.certain:
             out.append(f)
             continue
-        if isinstance(f, Believes) and isinstance(f.moment, Const):
-            if print_term(f.agent) == agent and order.le(f.moment.name, moment):
-                out.append(f.body)
-        elif isinstance(f, Perceives) and isinstance(f.moment, Const):
-            if print_term(f.agent) == agent and order.lt(f.moment.name, moment):
-                out.append(f.body)
+        body = held_content(f, agent_t, moment_t, order)
+        if body is not None:
+            out.append(body)
     return tuple(out)

@@ -25,8 +25,8 @@ from typing import Optional
 
 from .kb import widen_universe
 from .logic import (
-    And, Const, Falsum, Formula, Not, collect_ground_terms, expand_sugar,
-    formula_key, is_belief_at, is_numeral, moment_closure, negation_of,
+    And, Falsum, Formula, MomentOrder, Not, collect_ground_terms,
+    expand_sugar, formula_key, is_belief_at, moment_names, negation_of,
     stated_prior_pairs, weight,
 )
 from .prover import Proof, held_axioms, prove, rho
@@ -113,16 +113,7 @@ class _Frame:
     head: tuple          # the projection's axiom-derived premises
     background: tuple
     universe: dict       # the Herbrand universe widened by head + background
-    pairs: frozenset     # stated ground prior pairs of head + background
-    numerals: frozenset  # numeral moments of head + background
-    order: frozenset     # moment_closure(pairs, numerals)
-
-
-def _numerals(terms: dict) -> frozenset:
-    return frozenset(
-        t.name for t in terms.get("Moment", ())
-        if isinstance(t, Const) and is_numeral(t.name)
-    )
+    order: MomentOrder   # the moment order head + background state
 
 
 class ReasonEngine:
@@ -154,11 +145,9 @@ class ReasonEngine:
             head = held_axioms(self.kb, agent, moment, exclude=lam_labels)
             background = self.kb.background()
             terms = collect_ground_terms(head + background, parents=self.kb.sig.sorts)
-            pairs = frozenset(stated_prior_pairs(head + background))
-            numerals = _numerals(terms)
             frame = _Frame(
                 head, background, widen_universe(self.kb.herbrand(), terms),
-                pairs, numerals, moment_closure(pairs, numerals),
+                MomentOrder(stated_prior_pairs(head + background), moment_names(terms)),
             )
             self._frames[key] = frame
         return frame
@@ -176,16 +165,11 @@ class ReasonEngine:
         extra = tuple(expand_sugar(f) for f in theta_forms)
         own = extra + (content,)
         terms = collect_ground_terms(own, parents=self.kb.sig.sorts)
-        pairs = stated_prior_pairs(own)
-        numerals = _numerals(terms)
-        order = frame.order
-        if not (pairs <= frame.pairs and numerals <= frame.numerals):
-            order = moment_closure(frame.pairs | pairs, frame.numerals | numerals)
         res = prove(
             frame.head + extra + frame.background, content,
             depth=self.kb.params.proof_depth,
             universe=widen_universe(frame.universe, terms),
-            order=order,
+            order=frame.order.widened(stated_prior_pairs(own), moment_names(terms)),
         )
         return res.proof if res.outcome == "proved" else None
 

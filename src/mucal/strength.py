@@ -118,44 +118,37 @@ class StrengthEngine:
         self._entail_cache: dict = {}
         self._seeded: set = set()
 
-    # -- term helpers ----------------------------------------------------
-
-    def _agent_term(self, agent: str) -> Const:
-        if agent not in self.kb.agents():
-            raise UnknownNameError(f"unknown agent {agent!r}")
-        return Const(agent, self.kb.sig.constants[agent])
-
-    def _moment_term(self, moment: str) -> Const:
-        if moment not in self.kb.order().moments:
-            raise UnknownNameError(f"unknown moment {moment!r}")
-        return Const(moment, "Moment")
-
     # -- seeding ----------------------------------------------------------
+    #
+    # A frame (agent, moment) reads only the agent's judgments at the
+    # moment or earlier (`_held`), so seeding stores only those.
 
-    def seed_certain(self) -> None:
-        """Certain axioms are level-5 beliefs of every agent at every moment."""
-        for agent in self.kb.agents():
-            for moment in self.kb.order().moments:
+    def seed_certain(self, agent: str, moment: str) -> None:
+        """Certain axioms are level-5 beliefs of the agent at the moment and
+        at every earlier one."""
+        order = self.kb.order()
+        for m in order.moments:
+            if order.le(m, moment):
                 for ax in self.kb.certain_axioms():
-                    j = StrengthJudgment(
-                        agent, moment, ax.formula, StrengthLevel.CERTAIN,
+                    self.store.add(StrengthJudgment(
+                        agent, m, ax.formula, StrengthLevel.CERTAIN,
                         frozenset(range(1, 6)),
                         (TrailEntry("store", f"certain axiom {ax.label}", 5),),
-                    )
-                    self.store.add(j)
+                    ))
 
-    def seed_percepts(self) -> None:
+    def seed_percepts(self, agent: str, moment: str) -> None:
+        """The agent's percepts, lifted to each later moment up to the
+        frame's."""
         order = self.kb.order()
         for ax in self.kb.axioms:
             f = expand_sugar(ax.formula)
-            if not isinstance(f, Perceives):
-                continue
-            if not (isinstance(f.agent, Const) and isinstance(f.moment, Const)):
-                continue
-            t1 = f.moment.name
-            for t2 in order.moments:
-                if order.lt(t1, t2):
-                    self.infer_rsp(f, t2)
+            if (
+                isinstance(f, Perceives) and isinstance(f.agent, Const)
+                and f.agent.name == agent and isinstance(f.moment, Const)
+            ):
+                for t2 in order.moments:
+                    if order.lt(f.moment.name, t2) and order.le(t2, moment):
+                        self.infer_rsp(f, t2)
 
     def seed_candidates(self, agent: str, moment: str) -> None:
         """Classify declared candidates and stated beliefs at the frame and
@@ -264,30 +257,29 @@ class StrengthEngine:
 
     # -- saturation --------------------------------------------------------
 
-    def saturate(self, rounds: int, agent: Optional[str] = None,
-                 moment: Optional[str] = None) -> BeliefStore:
-        """Bounded forward closure: percept lifting once, then `rounds`
-        passes of the propagation rule over premise subsets of size <= 3."""
-        self.seed_certain()
-        self.seed_percepts()
-        frames = self._frames(agent, moment)
-        for a, m in frames:
-            self.seed_candidates(a, m)
+    def saturate(self, rounds: int, agent: str, moment: str) -> BeliefStore:
+        """Bounded forward closure at one frame: the certain axioms and
+        percept lifting once, then `rounds` passes of the propagation rule
+        over premise subsets of size <= 3.  Both names must be declared."""
+        self.kb.frame_terms(agent, moment)
+        self.seed_certain(agent, moment)
+        self.seed_percepts(agent, moment)
+        self.seed_candidates(agent, moment)
         conclusions = [Falsum()] + [
             c.formula for c in sorted(self.kb.candidates, key=lambda c: c.label)
         ]
         for _ in range(rounds):
-            added = False
-            for a, m in frames:
-                added |= self._rsb_pass(a, m, conclusions)
-            if not added:
+            if not self._rsb_pass(agent, moment, conclusions):
                 break
         return self.store
 
-    def _frames(self, agent: Optional[str], moment: Optional[str]) -> list:
-        agents = [agent] if agent else self.kb.agents()
-        moments = [moment] if moment else self.kb.order().moments
-        return [(a, m) for a in agents for m in moments]
+    def _held(self, agent: str, moment: str) -> list:
+        """The agent's stored judgments at the moment or earlier, in key order."""
+        order = self.kb.order()
+        return [
+            j for (a, m, _), j in sorted(self.store.judged.items())
+            if a == agent and order.le(m, moment)
+        ]
 
     def _rsb_pass(self, agent: str, moment: str, conclusions: list) -> bool:
         """One forward pass of the propagation rule at a frame.
@@ -300,14 +292,11 @@ class StrengthEngine:
         whose contents are jointly inconsistent only ever fire falsum,
         which the store rejects with a diagnostic.
         """
-        order = self.kb.order()
         pool: dict = {}
-        for (a, m, k), j in sorted(self.store.judged.items()):
-            if a != agent or not order.le(m, moment):
-                continue
-            cur = pool.get(k)
+        for j in self._held(agent, moment):
+            cur = pool.get(j.content_key)
             if cur is None or j.level > cur.level:
-                pool[k] = j
+                pool[j.content_key] = j
         if not pool:
             return False
         u = self.kb.params.u
@@ -383,11 +372,9 @@ class StrengthEngine:
     def default_pool(self, agent: str, moment: str, exclude: Formula) -> list:
         """Stored belief contents at the frame-or-earlier plus declared
         candidates, minus the formula under classification."""
-        order = self.kb.order()
         seen: dict = {}
-        for (a, m, k), j in sorted(self.store.judged.items()):
-            if a == agent and order.le(m, moment):
-                seen.setdefault(k, j.formula)
+        for j in self._held(agent, moment):
+            seen.setdefault(j.content_key, j.formula)
         for c in sorted(self.kb.candidates, key=lambda c: c.label):
             seen.setdefault(formula_key(c.formula), c.formula)
         skip = formula_key(exclude)
@@ -397,8 +384,7 @@ class StrengthEngine:
                  pool: Optional[list] = None) -> StrengthJudgment:
         """Grade a formula through the definition cascade merged with the
         propagation store, with the full evidence trail."""
-        a_t = self._agent_term(agent)
-        m_t = self._moment_term(moment)
+        self.kb.frame_terms(agent, moment)
         if pool is None:
             pool = self.default_pool(agent, moment, f)
         j = self._classify_cascade(agent, moment, f, pool)
@@ -430,8 +416,7 @@ class StrengthEngine:
 
     def _classify_cascade(self, agent: str, moment: str, f: Formula,
                           pool: Optional[list] = None) -> StrengthJudgment:
-        a_t = self._agent_term(agent)
-        m_t = self._moment_term(moment)
+        a_t, m_t = self.kb.frame_terms(agent, moment)
         bel = Believes(a_t, m_t, f)
         bel_neg = Believes(a_t, m_t, negation_of(f))
         withhold = Withholds(a_t, m_t, f)
@@ -516,8 +501,7 @@ class StrengthEngine:
         return StrengthJudgment(agent, moment, f, level, frozenset(satisfied), tuple(trail))
 
     def _b5_holds(self, agent: str, moment: str, psi: Formula, pool: list) -> bool:
-        a_t = self._agent_term(agent)
-        m_t = self._moment_term(moment)
+        a_t, m_t = self.kb.frame_terms(agent, moment)
         bel = Believes(a_t, m_t, psi)
         if not self.reason.more_reasonable(agent, moment, bel,
                                            Withholds(a_t, m_t, psi)).holds:

@@ -175,7 +175,7 @@ def formula_from_node(node: Node, sig: Signature, env: Optional[dict] = None) ->
         body = formula_from_node(node.items[3], sig, env)
         cls = {"believes": Believes, "perceives": Perceives, "withholds": Withholds}[op]
         return cls(agent, moment, body)
-    if op == "false" or op == "not" :
+    if op == "false":
         raise ParseError(f"malformed {op!r} form", node.line, node.col)
 
     # declared Boolean function application

@@ -188,3 +188,36 @@ def test_bad_depth_env_is_usage_error(monkeypatch, capsys, value):
     assert rc == 64
     assert out == ""
     assert "error: MUCAL_DEPTH: expected a non-negative integer" in capsys.readouterr().err
+
+
+def test_prove_universe_follows_declared_subsorts(tmp_path):
+    # a constant of a user subsort witnesses an existential over its parent
+    kb = tmp_path / "ticket.kb"
+    kb.write_text("(sort Ticket Object)(const a Agent)(const now Moment)"
+                  "(const t1 Ticket)(func win (Object) Boolean)"
+                  "(axiom w :certain (win t1))")
+    rc, out = run_cli(["prove", "--kb", str(kb), "(exists (x Object) (win x))"])
+    assert rc == 0
+    assert out.startswith("proved: (exists (x Object) (win x))")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--kb", "scenarios/murder.kb", "--agent", "s", "--at", "now",
+     "--rounds", "7", "(murderer alice)", "(murderer bob)"],
+    ["compare", "--kb", "scenarios/murder.kb", "--agent", "s", "--at", "now",
+     "--u", "4", "(murderer alice)", "(murderer bob)"],
+    ["compare", "--kb", "scenarios/murder.kb", "--agent", "s", "--at", "now",
+     "--trace", "(murderer alice)", "(murderer bob)"],
+    ["prove", "--kb", "scenarios/lottery5.kb", "--rounds", "2", "(exists (t) (win t))"],
+    ["counterfactual", "--kb", "scenarios/murder.kb", "--agent", "s", "--at", "now",
+     "--u", "1", "(murderer alice)"],
+    ["explain", "--kb", "scenarios/murder.kb", "--agent", "s", "--at", "now",
+     "--trace", "(murderer alice)"],
+    ["check-kb", "--kb", "scenarios/murder.kb", "--depth", "9"],
+    ["check-kb", "--kb", "scenarios/murder.kb", "--rounds", "2"],
+], ids=["compare-rounds", "compare-u", "compare-trace", "prove-rounds",
+        "counterfactual-u", "explain-trace", "check-kb-depth", "check-kb-rounds"])
+def test_option_a_command_does_not_read_is_usage_error(argv):
+    rc, out = run_cli(argv)
+    assert rc == 64
+    assert out == ""

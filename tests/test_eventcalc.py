@@ -1,7 +1,7 @@
 import pytest
 
 from mucal.errors import KbError, UnknownNameError
-from mucal.eventcalc import MomentOrder, background, before, ec_axioms
+from mucal.eventcalc import background, before, ec_axioms
 from mucal.kb import parse_kb
 from mucal.logic import Atom, Not, expand_sugar
 from mucal.prover import prove

@@ -296,3 +296,50 @@ def test_strength_level_order():
     assert StrengthLevel.NONE < StrengthLevel.ACCEPTABLE
     assert list(StrengthLevel) == sorted(StrengthLevel)
     assert StrengthLevel.CERTAIN.label == "certain"
+
+
+# ---------------------------------------------------------------------------
+# The moment order and what an agent holds at a moment
+
+def _prior(a, b):
+    return Atom(App("prior", (Const(a, "Moment"), Const(b, "Moment")), "Boolean"))
+
+
+def test_widened_is_the_same_order_when_nothing_is_new():
+    order = logic.MomentOrder([("t1", "t2")], ["now", "3"])
+    assert order.widened([("t1", "t2")], ["3", "t1"]) is order
+    assert order.widened([], []) is order
+    wider = order.widened([("t2", "now")], [])
+    assert wider is not order
+    assert wider.lt("t1", "now") and not order.lt("t1", "now")
+    numeral = order.widened([], ["5"])
+    assert numeral.lt("3", "5") and numeral.moments == ["3", "5", "now", "t1", "t2"]
+
+
+def test_premise_set_cycle_is_kept_but_a_kb_cycle_is_rejected():
+    order = logic.order_from_premises([_prior("t1", "t2"), _prior("t2", "t1")])
+    assert order.lt("t1", "t1") and order.lt("t2", "t2")
+    assert order.moments == ["t1", "t2"]
+    from mucal.errors import KbError
+    from mucal.kb import parse_kb
+    with pytest.raises(KbError, match="cycle"):
+        parse_kb("(const t1 Moment)(const t2 Moment)(prior t1 t2)(prior t2 t1)")
+
+
+def test_held_content():
+    order = logic.MomentOrder([("t0", "t1"), ("t1", "t2")])
+    mary, john = Const("mary", "Agent"), Const("john", "Agent")
+    t0, t1, t2 = (Const(m, "Moment") for m in ("t0", "t1", "t2"))
+    p = Atom(App("p", (), "Boolean"))
+    held = logic.held_content
+    # a belief is held at its moment and later, not earlier
+    assert held(Believes(mary, t1, p), mary, t1, order) is p
+    assert held(Believes(mary, t0, p), mary, t1, order) is p
+    assert held(Believes(mary, t2, p), mary, t1, order) is None
+    # a percept only strictly later
+    assert held(Perceives(mary, t1, p), mary, t1, order) is None
+    assert held(Perceives(mary, t0, p), mary, t1, order) is p
+    # another agent holds nothing of mary's, and a plain formula is no attitude
+    assert held(Believes(mary, t0, p), john, t1, order) is None
+    assert held(Perceives(mary, t0, p), john, t1, order) is None
+    assert held(p, mary, t1, order) is None

@@ -326,3 +326,23 @@ def test_cb1_audit_on_corpus(murder_kb, lottery_kb):
         not_bel = Not(bel)
         cb1 = engine.reason.more_reasonable(agent, moment, bel, not_bel)
         assert cb1.holds
+
+
+def test_saturate_stores_only_the_frame():
+    # two agents perceive at t1; the frame (mary, t2) reads only mary's
+    # judgments at t2 or earlier, so nothing else is stored
+    kb = parse_kb(
+        "(const mary Agent)(const john Agent)"
+        "(const t1 Moment)(const t2 Moment)(const now Moment)"
+        "(prior t1 t2)(prior t2 now)"
+        "(const raining Fluent)(const cold Fluent)"
+        "(axiom sky :certain (holds cold t1))"
+        "(axiom mary-saw (perceives mary t1 (holds raining t1)))"
+        "(axiom john-saw (perceives john t1 (holds raining t1)))"
+    )
+    store = StrengthEngine(kb).saturate(0, agent="mary", moment="t2")
+    assert sorted((a, m) for a, m, _ in store.judged) == [
+        ("mary", "t1"), ("mary", "t2"), ("mary", "t2"),
+    ]
+    rain = formula_key(parse_formula("(holds raining t1)", kb.sig))
+    assert [t.kind for t in store.get("mary", "t2", rain).trail] == ["rsp"]
