@@ -121,8 +121,8 @@ class Signature:
 # field tuple: the value a frozen dataclass gives, so set and dict
 # iteration orders are those of uninterned nodes.  Each node also stores,
 # the first time they are asked for, its structural key, its formula
-# identity and its sugar-free form.  The intern table is one dict per node
-# class.
+# identity, its sugar-free form, its AC-sorted form and its normal form.
+# The intern table is one dict per node class.
 
 _set = object.__setattr__
 
@@ -130,7 +130,7 @@ _set = object.__setattr__
 class _Node:
     """Base of the interned term and formula classes."""
 
-    __slots__ = ("_hash", "_skey", "_fkey", "_plain")
+    __slots__ = ("_hash", "_skey", "_fkey", "_plain", "_ac", "_norm")
 
     def __new__(cls, *args, **kwargs):
         if kwargs:  # fields by name, as the dataclass constructor takes them
@@ -148,6 +148,8 @@ class _Node:
             _set(node, "_skey", None)
             _set(node, "_fkey", None)
             _set(node, "_plain", None)
+            _set(node, "_ac", None)
+            _set(node, "_norm", None)
             # publish the finished node; a thread that built an equal node
             # first wins, so equal fields still give one object
             node = cls._interned.setdefault(args, node)
@@ -674,16 +676,20 @@ def _ac_sort(f: Formula) -> Formula:
     """Flatten and order associative-commutative connectives.
 
     A run of nested nodes of one connective is flattened first and sorted
-    once, so each operand is keyed once however deep the run is."""
+    once, so each operand is keyed once however deep the run is.  The
+    result is stored on the node."""
+    got = f._ac
+    if got is not None:
+        return got
     if isinstance(f, (And, Or)):
         flat: list = []
         _ac_flatten(f, type(f), flat)
         flat.sort(key=struct_key)
-        if len(flat) == 1:
-            return flat[0]
-        return type(f)(tuple(flat))
-    kids = tuple(_ac_sort(c) for c in children(f))
-    return rebuild(f, kids)
+        got = flat[0] if len(flat) == 1 else type(f)(tuple(flat))
+    else:
+        got = rebuild(f, tuple(_ac_sort(c) for c in children(f)))
+    _set(f, "_ac", got)
+    return got
 
 
 def _ac_flatten(f: Formula, kind: type, out: list) -> None:
@@ -734,12 +740,22 @@ def normalize(f: Formula) -> Formula:
     ordered, bound variables renamed deterministically.
 
     Two formulas are treated as equal throughout the package exactly when
-    their normal forms coincide.
+    their normal forms coincide.  The result is stored on the node.
     """
-    f = expand_sugar(f)
-    # binders are keyed by name, so a free name is never reused for one
-    taken = frozenset(v.name for v in free_vars(f))
-    return _alpha(_ac_sort(f), {}, [0], taken)
+    got = f._norm
+    if got is not None:
+        return got
+    if isinstance(f, Not):
+        # every stage maps a negation to the negation of its body's result,
+        # so a negated formula whose body is normalized costs one node
+        got = Not(normalize(f.body))
+    else:
+        plain = expand_sugar(f)
+        # binders are keyed by name, so a free name is never reused for one
+        taken = frozenset(v.name for v in free_vars(plain))
+        got = _alpha(_ac_sort(plain), {}, [0], taken)
+    _set(f, "_norm", got)
+    return got
 
 
 def formula_key(f: Formula) -> str:

@@ -18,6 +18,7 @@ fresh sub-search.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -143,14 +144,43 @@ class _Env:
     """An immutable saturated fact set.  `key` identifies the content, so
     failure memoization transfers between branches that reach the same
     premise set; successful nodes are cached per instance because their
-    assumption bookkeeping is tied to this environment's assume nodes."""
+    assumption bookkeeping is tied to this environment's assume nodes.
 
-    __slots__ = ("nodes", "key", "memo")
+    `imps` lists the implication nodes in insertion order.  The falsum
+    watch index (`watch`, `unblocked`) is built on the first falsum
+    query, from the parent's index when the environment extends one."""
 
-    def __init__(self, nodes: dict):
+    __slots__ = ("nodes", "key", "memo", "imps", "parent", "watch", "unblocked")
+
+    def __init__(self, nodes: dict, imps: list, parent: Optional[_Env] = None):
         self.nodes = nodes
         self.key = frozenset(nodes)
         self.memo: dict = {}
+        self.imps = imps
+        self.parent = parent  # dropped once the watch index is built
+        self.watch: Optional[dict] = None
+        self.unblocked: Optional[set] = None
+
+
+def _absent_need(body: Formula, nodes: dict) -> Optional[str]:
+    """An absent key that a negated body needs before it can be proved at
+    budget 0 in an environment without falsum, or None.
+
+    Only an atom or a conjunction of atoms has one: such a body is proved
+    at budget 0 only by being present itself or by having every atom
+    present."""
+    if isinstance(body, Atom):
+        key = formula_key(body)
+        return None if key in nodes else key
+    if not isinstance(body, And) or formula_key(body) in nodes:
+        return None
+    if not all(isinstance(a, Atom) for a in body.args):
+        return None
+    for a in body.args:
+        key = formula_key(a)
+        if key not in nodes:
+            return key
+    return None
 
 
 class _Search:
@@ -161,6 +191,9 @@ class _Search:
         self.moments = sorted({t.name for t in universe.get("Moment", ()) if isinstance(t, Const)})
         self.overflow = False
         self.fails: dict = {}
+        # body key of a negated conjunction -> the negation keys; a
+        # negation's body key is fixed by its own key
+        self.conj_negs: dict = {}
 
     # -- forward saturation ------------------------------------------------
 
@@ -172,8 +205,8 @@ class _Search:
             if n.key not in nodes:
                 nodes[n.key] = n
                 new.append(n)
-        self._saturate(nodes, new)
-        return _Env(nodes)
+        imps = self._saturate(nodes, new, [])
+        return _Env(nodes, imps)
 
     def extend(self, env: _Env, formulas: tuple):
         nodes = dict(env.nodes)
@@ -188,11 +221,18 @@ class _Search:
                 nodes[n.key] = n
                 new.append(n)
             assumes.append(n)
-        self._saturate(nodes, new)
-        return _Env(nodes), assumes
+        imps = self._saturate(nodes, new, env.imps)
+        return _Env(nodes, imps, env), assumes
 
-    def _saturate(self, nodes: dict, new: list) -> None:
-        imps: list = [n for n in nodes.values() if isinstance(n.formula, Implies)]
+    def _saturate(self, nodes: dict, new: list, imps: list) -> list:
+        """Saturate `nodes` from the `new` ones; `imps` lists the
+        implication nodes already in `nodes` before `new`.  Returns the
+        implication list of the result."""
+        kept = list(imps)
+        # a new implication is on the firing list from the start and again
+        # once processed; the firing order decides which nodes, and so
+        # which proofs, come first
+        imps = imps + [n for n in new if isinstance(n.formula, Implies)]
         work = list(new)
         idx = 0
 
@@ -211,6 +251,8 @@ class _Search:
             f = n.formula
             if isinstance(f, And):
                 for k, arg in enumerate(f.args):
+                    if self.overflow:
+                        break
                     add(_Node("and_elim", (n,), arg, extra=(k,)))
             elif isinstance(f, Iff):
                 add(_Node("iff_elim", (n,), Implies(f.left, f.right), extra=("lr",)))
@@ -221,6 +263,7 @@ class _Search:
                 self._instantiate_forall(n, add)
             elif isinstance(f, Implies):
                 imps.append(n)
+                kept.append(n)
             elif isinstance(f, Perceives):
                 self._lift_percept(n, add)
             # contradiction detection
@@ -244,7 +287,57 @@ class _Search:
                         add(_Node("imp_elim", (imp, ante), imp.formula.right))
                         fired = True
             if self.overflow:
-                return
+                break
+        return kept
+
+    # -- the falsum watch index -----------------------------------------------
+    #
+    # A negation whose body has an absent need (`_absent_need`) cannot close
+    # a falsum goal, so the falsum step walks only the unblocked negations.
+    # Each blocked negation watches one absent atom; adding that atom wakes
+    # it, and it watches another absent atom or becomes unblocked.  A
+    # negated conjunction is also unblocked when its body itself is added.
+
+    def _unblocked(self, env: _Env) -> set:
+        if env.unblocked is not None:
+            return env.unblocked
+        parent = env.parent
+        if parent is None:
+            watch: dict = {}
+            unblocked: set = set()
+            new = env.nodes.values()
+        else:
+            self._unblocked(parent)
+            watch = dict(parent.watch)
+            unblocked = set(parent.unblocked)
+            new = itertools.islice(env.nodes.values(), len(parent.nodes), None)
+        nodes = env.nodes
+        owned: set = set()  # watch lists made here, not shared with the parent
+
+        def place(neg: _Node) -> None:
+            need = _absent_need(neg.formula.body, nodes)
+            if need is None:
+                unblocked.add(neg.key)
+            elif need in owned:
+                watch[need].append(neg)
+            else:
+                watch[need] = watch.get(need, []) + [neg]
+                owned.add(need)
+
+        for n in new:
+            if isinstance(n.formula, Not):
+                body = n.formula.body
+                if isinstance(body, And):
+                    self.conj_negs.setdefault(formula_key(body), set()).add(n.key)
+                place(n)
+            for neg in watch.pop(n.key, ()):
+                if neg.key not in unblocked:
+                    place(neg)
+            for k in self.conj_negs.get(n.key, ()):
+                if k in nodes:
+                    unblocked.add(k)
+        env.watch, env.unblocked, env.parent = watch, unblocked, None
+        return unblocked
 
     def _antecedent_node(self, ante: Formula, nodes: dict) -> Optional[_Node]:
         got = nodes.get(formula_key(ante))
@@ -326,12 +419,11 @@ class _Search:
             # complementary literal pairs are caught during saturation; here
             # only try to close negated premises structurally (budget 0),
             # deeper contradictions come from the split fallback below
-            for k in sorted(env.nodes):
+            for k in sorted(self._unblocked(env)):
                 n = env.nodes[k]
-                if isinstance(n.formula, Not):
-                    sub = self.prove(env, n.formula.body, 0, seen, splits)
-                    if sub is not None:
-                        return _Node("neg_elim", (sub, n), Falsum())
+                sub = self.prove(env, n.formula.body, 0, seen, splits)
+                if sub is not None:
+                    return _Node("neg_elim", (sub, n), Falsum())
         elif isinstance(goal, And):
             parts = []
             for arg in goal.args:

@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 import threading
 from dataclasses import fields
@@ -260,6 +261,47 @@ def test_formula_key_of_an_and_chain_is_linear(monkeypatch):
         return calls[0]
 
     assert key_calls(80) <= 2.5 * key_calls(40)
+
+
+def test_normal_form_of_a_negation_is_the_staged_one(sig):
+    # normalize takes a negation's normal form from its body's; the three
+    # stages, run on the whole negation, are the reference
+    from test_syntax import random_formula
+
+    def staged(f):
+        plain = expand_sugar(f)
+        taken = frozenset(v.name for v in free_vars(plain))
+        return logic._alpha(logic._ac_sort(plain), {}, [0], taken)
+
+    sig.declare_func("p", (), "Boolean")
+    sig.declare_func("q", (), "Boolean")
+    sig.declare_const("b", "Agent")
+    rng = random.Random(7)
+    for _ in range(500):
+        f = random_formula(rng, sig, depth=5, env={})
+        cases = [Not(f), Not(Not(f))]
+        if isinstance(f, (Forall, Exists)):  # an open body: its free variable is kept
+            cases.append(Not(f.body))
+        for g in cases:
+            assert normalize(g) is staged(g)
+
+
+def test_second_normalize_builds_no_node(monkeypatch):
+    # sugar, AC order and a binder: every stage of the normal form
+    tag = f"norm{next(_FRESH)}_"
+    atoms = [Atom(App(f"{tag}{i}", (X,), "Boolean")) for i in range(4)]
+    f = Exists(X, Xor((atoms[2], And((atoms[3], atoms[0])), atoms[1])))
+    first = normalize(f)
+    built = [0]
+    inner = logic._Node.__new__
+
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return inner(cls, *args, **kwargs)
+
+    monkeypatch.setattr(logic._Node, "__new__", counting)
+    assert normalize(f) is first
+    assert built[0] == 0
 
 
 def test_concurrent_construction_gives_one_object():

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from mucal import prover
 from mucal.errors import UnknownNameError
 from mucal.kb import parse_kb
 from mucal.logic import (
-    And, App, Atom, Believes, Const, Not, Or, Perceives, expand_sugar,
-    normalize,
+    And, App, Atom, Believes, Const, Falsum, Implies, Not, Or, Perceives,
+    expand_sugar, formula_key, normalize,
 )
 from mucal.prover import ContextualizedFormula, contextualize, prove, rho
 from mucal.reasonable import ReasonEngine
@@ -104,7 +105,6 @@ def test_prove_negations_inconsistent_with_lottery(lottery_kb):
     sig = lottery_kb.sig
     negs = [parse_formula(f"(not (win ticket{i}))", sig) for i in range(1, 6)]
     gamma = _lottery_axiom(lottery_kb) + negs
-    from mucal.logic import Falsum
     res = prove(gamma, Falsum(), depth=3)
     assert res.outcome == "proved"
     assert truth_table_consistent(gamma, lottery_kb.herbrand()) is False
@@ -150,7 +150,6 @@ def test_prove_refutation_direction():
 
 
 def test_prove_explosion():
-    from mucal.logic import Falsum
     res = prove((P, Not(P)), Q, depth=2)
     assert res.outcome == "proved"
 
@@ -238,3 +237,129 @@ def test_rho_existential_cheaper_than_negation_route(lottery_kb):
         lottery_kb.herbrand(),
     )
     assert rho(pos.proof) < rho(neg.proof)
+
+
+# ---------------------------------------------------------------------------
+# the falsum watch index and the saturation cap
+
+def _lottery_n(n):
+    tickets = " ".join(f"(win ticket{i})" for i in range(1, n + 1))
+    consts = "".join(f"(const ticket{i} Object)" for i in range(1, n + 1))
+    return parse_kb(
+        "(const a Agent)(const now Moment)" + consts
+        + "(func win (Object) Boolean)"
+        + f"(axiom someone-wins :certain (xor {tickets}))"
+    )
+
+
+def _prove_goal(kb, text):
+    goal = parse_formula(text, kb.sig)
+    premises = kb.all_premises()
+    return prove(premises, goal, depth=kb.params.proof_depth,
+                 universe=kb.universe(premises + (goal,)), refute=True)
+
+
+def _unblocked_by_scan(env):
+    out = set()
+    for k, n in env.nodes.items():
+        if not isinstance(n.formula, Not):
+            continue
+        body = n.formula.body
+        if isinstance(body, Atom):
+            atoms = (body,)
+        elif isinstance(body, And) and all(isinstance(a, Atom) for a in body.args):
+            atoms = body.args
+        else:
+            out.add(k)
+            continue
+        if formula_key(body) in env.nodes or all(
+                formula_key(a) in env.nodes for a in atoms):
+            out.add(k)
+    return out
+
+
+@pytest.mark.parametrize("scenario, goal", [
+    ("lottery5.kb", "(exists (t) (win t))"),
+    ("lottery5.kb", "(not (win ticket1))"),
+    ("murder.kb", "(murderer alice)"),
+    ("rain.kb", "(believes john now (holds raining t1))"),
+    ("rain.kb", "(not (holds raining t1))"),
+    (None, "(exists (t) (win t))"),
+])
+def test_falsum_index_matches_a_scan(monkeypatch, scenario, goal):
+    from conftest import scenario_path
+    from mucal.kb import load_kb
+    kb = load_kb(scenario_path(scenario)) if scenario else _lottery_n(30)
+    made = []  # (search, env), in creation order
+    base_env, extend = prover._Search.base_env, prover._Search.extend
+
+    def record_base(self):
+        env = base_env(self)
+        made.append((self, env))
+        return env
+
+    def record_extend(self, env, formulas):
+        env2, assumes = extend(self, env, formulas)
+        made.append((self, env2))
+        return env2, assumes
+
+    monkeypatch.setattr(prover._Search, "base_env", record_base)
+    monkeypatch.setattr(prover._Search, "extend", record_extend)
+    _prove_goal(kb, goal)
+    monkeypatch.undo()
+    assert len(made) > 1
+    # children first, so most indexes are built from their parents' on demand
+    for search, env in reversed(made):
+        unblocked = search._unblocked(env)
+        assert unblocked == _unblocked_by_scan(env)
+        if prover._FALSE_KEY in env.nodes:
+            continue
+        # a blocked negation's body fails at budget 0
+        fresh = prover._Search(search.gamma, search.universe, search.order)
+        for k, n in env.nodes.items():
+            if isinstance(n.formula, Not) and k not in unblocked:
+                assert fresh.prove(env, n.formula.body, 0, frozenset(),
+                                   frozenset()) is None
+
+
+def test_thirty_ticket_lottery_skips_the_blocked_exclusions(monkeypatch):
+    calls = [0]
+    inner = prover._Search.prove
+
+    def counting(self, *args):
+        calls[0] += 1
+        return inner(self, *args)
+
+    monkeypatch.setattr(prover._Search, "prove", counting)
+    res = _prove_goal(_lottery_n(30), "(exists (t) (win t))")
+    assert res.outcome == "proved"
+    assert rho(res.proof) == Fraction(7879, 125)
+    assert len(res.proof.steps) == 63
+    assert calls[0] <= 1000
+
+
+def test_saturation_stops_building_at_the_cap(monkeypatch):
+    built = [0]
+    inner = prover._Node.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        inner(self, *args, **kwargs)
+
+    kb = _lottery_n(100)  # 4950 pairwise exclusions
+    monkeypatch.setattr(prover._Node, "__init__", counting)
+    res = _prove_goal(kb, "(exists (t) (win t))")
+    assert res.outcome == "unknown"
+    assert built[0] <= prover._SATURATION_CAP + 2
+
+
+def test_falsum_step_uses_a_negated_conjunction_present_as_a_whole():
+    # `(or (and b c))` has the key of `(and b c)` but is not and-eliminated,
+    # so the conjunction below is derived whole, by the implication's
+    # and_intro, while b and c stay absent
+    a, b, c, r = (Atom(App(n, (), "Boolean")) for n in "abcr")
+    bc = Or((And((b, c)),))
+    gamma = (Not(And((a, b, c))), Implies(And((a, bc)), r))
+    res = prove(gamma, Implies(a, Implies(bc, Falsum())), depth=3)
+    assert res.outcome == "proved"
+    assert "neg_elim" in [s.rule for s in res.proof.steps]
