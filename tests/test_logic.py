@@ -18,6 +18,7 @@ from mucal.logic import (
 from mucal.syntax import parse_formula, print_formula
 from conftest import DESK_SCENARIOS, scenario_path
 from mucal.kb import load_kb
+from test_syntax import random_formula
 
 
 @pytest.fixture
@@ -266,8 +267,6 @@ def test_formula_key_of_an_and_chain_is_linear(monkeypatch):
 def test_normal_form_of_a_negation_is_the_staged_one(sig):
     # normalize takes a negation's normal form from its body's; the three
     # stages, run on the whole negation, are the reference
-    from test_syntax import random_formula
-
     def staged(f):
         plain = expand_sugar(f)
         taken = frozenset(v.name for v in free_vars(plain))

@@ -4,7 +4,7 @@ import pytest
 
 from mucal import prover
 from mucal.errors import UnknownNameError
-from mucal.kb import parse_kb
+from mucal.kb import load_kb, parse_kb
 from mucal.logic import (
     And, App, Atom, Believes, Const, Falsum, Implies, Not, Or, Perceives,
     expand_sugar, formula_key, normalize,
@@ -12,6 +12,7 @@ from mucal.logic import (
 from mucal.prover import ContextualizedFormula, contextualize, prove, rho
 from mucal.reasonable import ReasonEngine
 from mucal.syntax import parse_formula, print_formula
+from conftest import scenario_path
 from oracles import truth_table_consistent, truth_table_entails
 
 P = Atom(App("p", (), "Boolean"))
@@ -287,8 +288,6 @@ def _unblocked_by_scan(env):
     (None, "(exists (t) (win t))"),
 ])
 def test_falsum_index_matches_a_scan(monkeypatch, scenario, goal):
-    from conftest import scenario_path
-    from mucal.kb import load_kb
     kb = load_kb(scenario_path(scenario)) if scenario else _lottery_n(30)
     made = []  # (search, env), in creation order
     base_env, extend = prover._Search.base_env, prover._Search.extend
