@@ -137,9 +137,11 @@ def cmd_prove(args) -> int:
     lines = [f"{result.outcome}: {print_formula(goal)}"]
     payload = {"outcome": result.outcome, "goal": print_formula(goal)}
     if result.proof is not None:
-        payload["cost"] = str(rho(result.proof))
-        payload["proof"] = _proof_dict(result.proof)
-        lines.append(f"cost: {rho(result.proof)}")
+        cost = rho(result.proof)
+        payload["cost"] = str(cost)
+        if args.json:
+            payload["proof"] = _proof_dict(result.proof)
+        lines.append(f"cost: {cost}")
         if args.trace:
             lines.append(_proof_trace(result.proof))
     _emit(args, payload, "\n".join(lines))
@@ -218,7 +220,7 @@ def cmd_counterfactual(args) -> int:
     if args.trace and w.proof is not None:
         lines.append(_proof_trace(w.proof))
     payload = {"witness": _witness_dict(w)}
-    if w.proof is not None:
+    if args.json and w.proof is not None:
         payload["proof"] = _proof_dict(w.proof)
     _emit(args, payload, "\n".join(lines))
     return 0

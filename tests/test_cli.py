@@ -221,3 +221,18 @@ def test_option_a_command_does_not_read_is_usage_error(argv):
     rc, out = run_cli(argv)
     assert rc == 64
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "--kb", "scenarios/lottery5.kb", "(exists (t) (win t))"],
+    ["prove", "--kb", "scenarios/lottery5.kb", "--trace", "(exists (t) (win t))"],
+    ["counterfactual", "--kb", "scenarios/murder.kb", "--agent", "s", "--at", "now",
+     "--trace", "(murderer alice)"],
+], ids=["prove", "prove-trace", "counterfactual-trace"])
+def test_proof_payload_is_built_only_for_json(monkeypatch, argv):
+    def refuse(proof):
+        raise AssertionError("the --json proof payload was built without --json")
+
+    monkeypatch.setattr("mucal.cli._proof_dict", refuse)
+    rc, _ = run_cli(argv)
+    assert rc == 0

@@ -1,7 +1,12 @@
+import itertools
+import random
+
 import pytest
 
 from mucal.kb import parse_kb
-from mucal.logic import App, Atom, Falsum, Not
+from mucal.logic import (
+    And, App, Atom, Exists, Falsum, Forall, Iff, Implies, Not, Or, Xor,
+)
 from mucal import models
 from mucal.prover import prove
 from mucal.syntax import parse_formula
@@ -136,3 +141,117 @@ def test_belief_closure_reaches_quantifier_instances():
     assert models.consistent(hand, universe=kb.herbrand()) == models.INCONSISTENT
     assert prove(gamma, Falsum()).outcome == "proved"
     assert models.consistent(gamma, universe=kb.herbrand()) == models.INCONSISTENT
+
+
+def brute_force_satisfiable(clauses) -> bool:
+    variables = sorted({abs(l) for c in clauses for l in c})
+    for values in itertools.product((False, True), repeat=len(variables)):
+        model = dict(zip(variables, values))
+        if all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("clauses, want", [
+    ([], True),
+    ([()], False),
+    ([(1, 2), ()], False),
+    ([(1,), (-1,)], False),
+    ([(3,), (1, 2), (-3,)], False),
+    ([(1, 1, 1)], True),
+    ([(1, 1), (-1, -1)], False),
+    ([(1, -1)], True),
+    ([(1, -1), (2,), (-2, 1, 2)], True),
+    ([(4097,), (-4097, 4200), (-4200, -1)], True),
+    ([(4097, 4098), (-4097, 4098), (4097, -4098), (-4097, -4098)], False),
+], ids=["no-clauses", "empty-clause", "empty-among-others", "conflicting-units",
+        "conflicting-units-apart", "duplicate-literals", "duplicate-units",
+        "tautology", "tautology-among-others", "sparse-chain", "sparse-unsat"])
+def test_solver_edge_cases(clauses, want):
+    assert models._satisfiable(clauses) is want
+    assert brute_force_satisfiable(clauses) is want
+
+
+def test_solver_matches_brute_force_on_random_cnfs():
+    rng = random.Random(9001)
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        if rng.random() < 0.3:
+            # sparse ids, as when fresh variables start far above the atoms
+            names = rng.sample(range(1, 6000), n)
+        else:
+            names = list(range(1, n + 1))
+        clauses = [
+            tuple(rng.choice(names) * rng.choice((1, -1))
+                  for _ in range(rng.choice((0, 1, 1, 2, 2, 3, 3, 3, 4, 5))))
+            for _ in range(rng.randint(0, 16))
+        ]
+        assert models._satisfiable(clauses) == brute_force_satisfiable(clauses), clauses
+
+
+ENCODING_KB = parse_kb(
+    "(sort Empty Object)(func e (Empty) Boolean)"
+    "(func p () Boolean)(func q () Boolean)(func r () Boolean)"
+    "(func s () Boolean)(func u () Boolean)"
+)
+FIVE_ATOMS = [parse_formula(t, ENCODING_KB.sig) for t in ("(p)", "(q)", "(r)", "(s)", "(u)")]
+_EMPTY_ALL = parse_formula("(forall (x Empty) (e x))", ENCODING_KB.sig)
+
+
+def random_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(FIVE_ATOMS + [Falsum(), And(()), Or(())])
+    kind = rng.choice(("not", "and", "or", "implies", "iff", "xor", "forall", "exists"))
+    a, b = random_formula(rng, depth - 1), random_formula(rng, depth - 1)
+    if kind == "not":
+        return Not(a)
+    if kind == "implies":
+        return Implies(a, b)
+    if kind == "iff":
+        return Iff(a, b)
+    if kind in ("forall", "exists"):
+        # a quantifier over a sort with no terms: true for forall, false for exists
+        body = rng.choice((Or, And))((_EMPTY_ALL.body, a))
+        return (Forall if kind == "forall" else Exists)(_EMPTY_ALL.var, body)
+    args = (a, b) + tuple(random_formula(rng, depth - 1) for _ in range(rng.randrange(2)))
+    return {"and": And, "or": Or, "xor": Xor}[kind](args)
+
+
+def random_premise(rng):
+    """A premise whose top level is often a negated conjunction or disjunction."""
+    f = random_formula(rng, 3)
+    if rng.random() < 0.4:
+        args = (f, random_formula(rng, 2))
+        f = Not(rng.choice((And, Or))(args))
+    return f
+
+
+def test_random_encodings_match_oracle():
+    rng = random.Random(5150)
+    universe = ENCODING_KB.herbrand()
+    assert not universe.get("Empty")
+    kinds = set()
+    for _ in range(400):
+        gamma = tuple(random_premise(rng) for _ in range(rng.randrange(1, 5)))
+        kinds.update(type(f.body).__name__ for f in gamma if isinstance(f, Not))
+        got = models.consistent(gamma, universe=universe)
+        want = truth_table_consistent(gamma, universe)
+        assert (got == models.CONSISTENT) == want, gamma
+    assert {"And", "Or"} <= kinds
+
+
+@pytest.mark.parametrize("text, want", [
+    ("(forall (x Empty) (e x))", models.CONSISTENT),
+    ("(not (forall (x Empty) (e x)))", models.INCONSISTENT),
+    ("(exists (x Empty) (e x))", models.INCONSISTENT),
+    ("(not (exists (x Empty) (e x)))", models.CONSISTENT),
+    ("(or (p) (exists (x Empty) (e x)))", models.CONSISTENT),
+    ("(and (not (p)) (or (p) (exists (x Empty) (e x))))", models.INCONSISTENT),
+    ("(not (implies (forall (x Empty) (e x)) false))", models.CONSISTENT),
+    ("(not (or (p) (not (iff (q) (q)))))", models.CONSISTENT),
+    ("(not (or (xor (p) (q)) (iff (p) (q))))", models.INCONSISTENT),
+])
+def test_empty_sort_and_negated_connectives(text, want):
+    f = parse_formula(text, ENCODING_KB.sig)
+    assert models.consistent((f,), universe=ENCODING_KB.herbrand()) == want
+    assert truth_table_consistent((f,), ENCODING_KB.herbrand()) is (want == models.CONSISTENT)
