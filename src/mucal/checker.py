@@ -17,7 +17,6 @@ from .logic import (
     order_from_premises, substitute_unchecked,
 )
 from .prover import Proof, Step
-from .syntax import print_term
 
 
 def _eq(a: Formula, b: Formula) -> bool:
@@ -268,7 +267,7 @@ def _check_step(i: int, step: Step, steps: tuple, gamma_keys: set,
         if not isinstance(f, Believes):
             fail("output is not a belief")
         sf = src.formula
-        if print_term(sf.agent) != print_term(f.agent):
+        if sf.agent != f.agent:
             fail("agent mismatch")
         if not (isinstance(sf.moment, Const) and isinstance(f.moment, Const)):
             fail("moments must be ground")
@@ -284,7 +283,7 @@ def _check_step(i: int, step: Step, steps: tuple, gamma_keys: set,
             sf = src.formula
             if not isinstance(sf, Believes) or not isinstance(sf.moment, Const):
                 fail("inputs must be ground beliefs")
-            if print_term(sf.agent) != print_term(f.agent):
+            if sf.agent != f.agent:
                 fail("agent mismatch")
             if not order.le(sf.moment.name, f.moment.name):
                 fail("belief moment is after the conclusion moment")

@@ -29,20 +29,16 @@ def before(kb, t1: str, t2: str) -> bool:
     return order.lt(t1, t2)
 
 
-def _v(name: str, sort: str) -> Var:
-    return Var(name, sort)
-
-
 def ec_axioms(flavor: str) -> tuple:
     """The flavor's axiom schemas, independent of any KB."""
     if flavor == "minimal":
         return ()
     if flavor != "inertial":
         raise KbError(f"unknown ec flavor {flavor!r}")
-    e = _v("e", "Event")
-    f = _v("f", "Fluent")
-    t1 = _v("t1", "Moment")
-    t2 = _v("t2", "Moment")
+    e = Var("e", "Event")
+    f = Var("f", "Fluent")
+    t1 = Var("t1", "Moment")
+    t2 = Var("t2", "Moment")
     inertia = Forall(e, Forall(f, Forall(t1, Forall(t2, Implies(
         And((
             Atom(App("happens", (e, t1), "Boolean")),
@@ -55,15 +51,11 @@ def ec_axioms(flavor: str) -> tuple:
     return (inertia,)
 
 
-def _moment_const(name: str) -> Const:
-    return Const(name, "Moment")
-
-
 def background(kb) -> tuple:
     """Ground moment-order facts plus the selected flavor's theory."""
     order = kb.order()
     facts = [
-        Atom(App("prior", (_moment_const(a), _moment_const(b)), "Boolean"))
+        Atom(App("prior", (Const(a, "Moment"), Const(b, "Moment")), "Boolean"))
         for a, b in order.pairs()
     ]
     out = list(ec_axioms(kb.params.ec_flavor)) + facts
@@ -86,7 +78,7 @@ def _clipping_completion(kb, order: MomentOrder) -> list:
             for s in order.moments:
                 if not order.lt(r, s):
                     continue
-                triple = (_moment_const(r), fl, _moment_const(s))
+                triple = (Const(r, "Moment"), fl, Const(s, "Moment"))
                 clipped_here = triple in stated_clipped
                 if not clipped_here:
                     for (ev, tfl, tm) in sorted(terminates, key=str):
@@ -105,9 +97,9 @@ def _initially_bridge(kb, order: MomentOrder) -> list:
     m0 = order.minimum()
     if m0 is None:
         return []
-    f = _v("f", "Fluent")
-    t = _v("t", "Moment")
-    start = _moment_const(m0)
+    f = Var("f", "Fluent")
+    t = Var("t", "Moment")
+    start = Const(m0, "Moment")
     return [
         Forall(f, Implies(
             Atom(App("initially", (f,), "Boolean")),

@@ -435,20 +435,12 @@ def substitute(f: Formula, var: Var, t: Term, sig: Optional[Signature] = None) -
     When a signature is supplied the replacement's sort must be a subsort
     of the variable's sort.
     """
-    if sig is not None:
-        if not sig.sort_le(_term_sort(t), var.sort):
-            raise SortError(
-                f"cannot substitute {_term_sort(t)} term for {var.sort} variable {var.name!r}"
-            )
-    elif _term_sort(t) != var.sort and not _builtin_le(_term_sort(t), var.sort):
+    sort_le = _builtin_le if sig is None else sig.sort_le
+    if not sort_le(t.sort, var.sort):
         raise SortError(
-            f"cannot substitute {_term_sort(t)} term for {var.sort} variable {var.name!r}"
+            f"cannot substitute {t.sort} term for {var.sort} variable {var.name!r}"
         )
     return _subst(f, var, t)
-
-
-def _term_sort(t: Term) -> str:
-    return t.sort
 
 
 def _builtin_le(a: str, b: str) -> bool:

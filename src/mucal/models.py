@@ -1,20 +1,21 @@
 """Consistency checking by exhaustive ground-model search.
 
 Formulas are grounded over a finite term universe and encoded as clauses
-by polarity (`_Encoder`): top-level conjunctions and disjunctions become
-clauses directly, and each nested subformula gets a fresh variable with
-only the implication its polarity needs (Plaisted & Greenbaum), so the
-clause set is satisfiable exactly when the premises have a ground model.
-An iterative DPLL search with two watched literals per clause and no
-clause learning (`_satisfiable`) decides it.  The search space is finite,
-so a satisfying assignment means consistent and exhaustion means
-inconsistent; "unknown" arises only when grounding would exceed the
-configured budget (or the instance is not finitely ground).
+by polarity in one pass (`_Clauses`): each quantifier is instantiated as
+the walk meets it, top-level conjunctions and disjunctions become clauses
+directly, and each nested subformula gets a fresh variable with only the
+implication its polarity needs (Plaisted & Greenbaum), so the clause set
+is satisfiable exactly when the premises have a ground model.  An
+iterative DPLL search with two watched literals per clause and no clause
+learning (`_satisfiable`) decides it.  The search space is finite, so a
+satisfying assignment means consistent and exhaustion means inconsistent;
+"unknown" arises only when grounding would exceed the atom budget or visit
+more than `_NODE_CAP` nodes (or the instance is not finitely ground).
 
 Belief and perception subformulas become opaque ground atoms, named by
 their quoted form (`logic.quote_modal`), the same atoms the prover's
 contextualization builds.  The only coupling back to the logic is a
-conservative closure: every ground belief the grounder met, including
+conservative closure: every ground belief the grounding met, including
 those produced by instantiating a quantifier, is pinned true before the
 search when its content is entailed by the premise set's stated beliefs
 (earlier or equal moments, percepts lifted).
@@ -45,132 +46,108 @@ class _Overflow(Exception):
     pass
 
 
-class _Grounder:
+class _Clauses:
+    """Premises grounded straight into polarity-aware clauses (Plaisted &
+    Greenbaum, J. Symbolic Computation, 1986), in one pass.
+
+    Each node visited under a sign takes one shape step (`_shape`): a
+    negation flips the sign; an atom or a belief or perception becomes a
+    literal; every other node becomes a conjunctive or a disjunctive list
+    of signed operands (falsum is the empty disjunction, a quantifier's
+    operands are its instances over the universe, and an `iff` is the
+    conjunction of its two implications).  A top-level conjunction asserts
+    each conjunct and a disjunction is one clause, with nested disjunctions
+    flattened into it; any other nested subformula gets a fresh variable
+    and only the implication from that variable to it.  The clause set is
+    satisfiable exactly when the premises have a ground model.
+
+    Atoms and fresh variables share one counter, but only atoms count
+    against the atom budget.  `_NODE_CAP` bounds the nodes visited: each
+    node of each quantifier instance once, except that an `iff` visits
+    its two implications and so its operands once per direction.
+    """
+
     def __init__(self, universe: dict, atom_budget: int):
         self.universe = universe
         self.atom_budget = atom_budget
-        self.atoms: dict = {}
+        self.atoms: dict = {}  # atom key -> its variable
         self.beliefs: dict = {}  # atom key -> the ground belief it stands for
+        self.clauses: list = []
+        self.top = 0  # the highest variable in use
         self.nodes = 0
 
-    def atom(self, key: str) -> tuple:
-        if key not in self.atoms:
-            if len(self.atoms) >= self.atom_budget:
-                raise _Overflow()
-            self.atoms[key] = len(self.atoms)
-        return ("atom", self.atoms[key])
+    def _fresh(self) -> int:
+        self.top += 1
+        return self.top
 
     def _tick(self) -> None:
         self.nodes += 1
         if self.nodes > _NODE_CAP:
             raise _Overflow()
 
-    def ground(self, f: Formula):
+    def _shape(self, f: Formula, sign: bool):
+        """A literal for f under the sign, or (conjunctive, signed operands)."""
         self._tick()
+        while isinstance(f, Not):
+            f, sign = f.body, not sign
+            self._tick()
         if isinstance(f, Atom):
-            return self.atom(struct_key(f))
-        if isinstance(f, Falsum):
-            return ("false",)
-        if isinstance(f, Not):
-            return ("not", self.ground(f.body))
-        if isinstance(f, And):
-            return ("and", tuple(self.ground(a) for a in f.args))
-        if isinstance(f, Or):
-            return ("or", tuple(self.ground(a) for a in f.args))
-        if isinstance(f, Implies):
-            return ("or", (("not", self.ground(f.left)), self.ground(f.right)))
-        if isinstance(f, Iff):
-            a, b = self.ground(f.left), self.ground(f.right)
-            return ("and", (("or", (("not", a), b)), ("or", (("not", b), a))))
-        if isinstance(f, Forall):
-            terms = self.universe.get(f.var.sort, ())
-            if not terms:
-                return ("and", ())
-            return ("and", tuple(
-                self.ground(substitute_unchecked(f.body, f.var, t)) for t in terms
-            ))
-        if isinstance(f, Exists):
-            terms = self.universe.get(f.var.sort, ())
-            if not terms:
-                return ("or", ())
-            return ("or", tuple(
-                self.ground(substitute_unchecked(f.body, f.var, t)) for t in terms
-            ))
-        if isinstance(f, (Believes, Perceives)):
+            key = struct_key(f)
+        elif isinstance(f, (Believes, Perceives)):
             key = struct_key(quote_modal(f))
             if isinstance(f, Believes):
                 self.beliefs.setdefault(key, f)
-            return self.atom(key)
-        raise _Overflow()  # unexpanded sugar should not reach here
-
-
-class _Encoder:
-    """Polarity-aware clauses for ground expressions (Plaisted & Greenbaum,
-    J. Symbolic Computation, 1986).
-
-    Variables 1..n stand for the grounder's atoms.  A top-level conjunction
-    asserts each conjunct and a top-level disjunction is one clause, after
-    pushing negations inward; a nested subformula gets a fresh variable and
-    only the implication from that variable to the subformula (or to its
-    negation, under an odd number of negations).  The clause set is
-    satisfiable exactly when the asserted expressions are.
-    """
-
-    def __init__(self, n_atoms: int):
-        self.clauses: list = []
-        self.fresh = n_atoms
-
-    def add(self, expr, positive: bool = True) -> None:
-        """Assert expr (its negation when not positive)."""
-        kind = expr[0]
-        while kind == "not":
-            expr, positive = expr[1], not positive
-            kind = expr[0]
-        if kind == "atom":
-            v = expr[1] + 1
-            self.clauses.append((v if positive else -v,))
-        elif kind == "false":
-            if positive:
-                self.clauses.append(())
-        elif (kind == "and") == positive:
-            for e in expr[1]:
-                self.add(e, positive)
+        elif isinstance(f, Falsum):
+            return not sign, ()
+        elif isinstance(f, (And, Or)):
+            return isinstance(f, And) == sign, [(a, sign) for a in f.args]
+        elif isinstance(f, Implies):
+            return not sign, [(f.left, not sign), (f.right, sign)]
+        elif isinstance(f, Iff):
+            return sign, [(Implies(f.left, f.right), sign), (Implies(f.right, f.left), sign)]
+        elif isinstance(f, (Forall, Exists)):
+            terms = self.universe.get(f.var.sort, ())
+            return isinstance(f, Forall) == sign, (
+                (substitute_unchecked(f.body, f.var, t), sign) for t in terms
+            )
         else:
-            lits: list = []
-            self._disjuncts(expr[1], positive, lits)
-            self.clauses.append(tuple(lits))
+            raise _Overflow()  # unexpanded sugar should not reach here
+        v = self.atoms.get(key)
+        if v is None:
+            if len(self.atoms) >= self.atom_budget:
+                raise _Overflow()
+            v = self.atoms[key] = self._fresh()
+        return v if sign else -v
 
-    def _disjuncts(self, exprs, positive: bool, lits: list) -> None:
-        """Literals whose disjunction implies that of exprs under the sign;
-        nested disjunctions are flattened into the same clause."""
-        for e in exprs:
-            sign = positive
-            while e[0] == "not":
-                e, sign = e[1], not sign
-            if e[0] in ("and", "or") and (e[0] == "or") == sign:
-                self._disjuncts(e[1], sign, lits)
-            else:
-                lits.append(self._lit(e, sign))
-
-    def _lit(self, expr, positive: bool) -> int:
-        """A literal that implies expr (its negation when not positive)."""
-        kind = expr[0]
-        if kind == "not":
-            return self._lit(expr[1], not positive)
-        if kind == "atom":
-            return expr[1] + 1 if positive else -(expr[1] + 1)
-        self.fresh += 1
-        v = self.fresh
-        if kind == "false":
-            self.clauses.append((-v,))
-            return v if positive else -v
-        if (kind == "and") == positive:
-            for e in expr[1]:
-                self.clauses.append((-v, self._lit(e, positive)))
+    def add(self, f: Formula, sign: bool = True) -> None:
+        """Assert f (its negation when not sign)."""
+        shape = self._shape(f, sign)
+        if isinstance(shape, tuple) and shape[0]:
+            for g, g_sign in shape[1]:
+                self.add(g, g_sign)
         else:
-            lits = [-v]
-            self._disjuncts(expr[1], positive, lits)
-            self.clauses.append(tuple(lits))
+            self.clauses.append(tuple(self._disjoin(shape, [])))
+
+    def _disjoin(self, shape, lits: list) -> list:
+        """Append to lits literals whose disjunction implies the shaped
+        node, flattening nested disjunctions into the same clause."""
+        if isinstance(shape, tuple) and not shape[0]:
+            for g, sign in shape[1]:
+                self._disjoin(self._shape(g, sign), lits)
+        else:
+            lits.append(self._implied(shape))
+        return lits
+
+    def _implied(self, shape) -> int:
+        """A literal that implies the shaped node."""
+        if not isinstance(shape, tuple):
+            return shape
+        v = self._fresh()
+        if shape[0]:
+            for g, sign in shape[1]:
+                self.clauses.append((-v, self._implied(self._shape(g, sign))))
+        else:
+            self.clauses.append(tuple(self._disjoin(shape, [-v])))
         return v
 
 
@@ -282,21 +259,19 @@ def consistent(
     prems = tuple(expand_sugar(p) for p in premises)
     if universe is None:
         universe = collect_ground_terms(prems)
-    grounder = _Grounder(universe, atom_budget)
+    cnf = _Clauses(universe, atom_budget)
     try:
-        exprs = [grounder.ground(p) for p in prems]
+        for p in prems:
+            cnf.add(p)
     except _Overflow:
         return UNKNOWN
-    encoder = _Encoder(len(grounder.atoms))
-    for e in exprs:
-        encoder.add(e)
-    for key in _entailed_belief_keys(prems, grounder, universe, atom_budget, modal_depth):
-        encoder.clauses.append((grounder.atoms[key] + 1,))
-    return CONSISTENT if _satisfiable(encoder.clauses) else INCONSISTENT
+    for key in _entailed_belief_keys(prems, cnf, universe, atom_budget, modal_depth):
+        cnf.clauses.append((cnf.atoms[key],))
+    return CONSISTENT if _satisfiable(cnf.clauses) else INCONSISTENT
 
 
 def _entailed_belief_keys(
-    premises: tuple, grounder: _Grounder, universe: dict,
+    premises: tuple, cnf: _Clauses, universe: dict,
     atom_budget: int, modal_depth: int,
 ) -> list:
     """Grounded belief atoms whose content follows from stated beliefs."""
@@ -307,7 +282,7 @@ def _entailed_belief_keys(
         return []
     order = order_from_premises(premises)
     out = []
-    for key, belief in grounder.beliefs.items():
+    for key, belief in cnf.beliefs.items():
         held = [held_content(p, belief.agent, belief.moment, order) for p in stated]
         contents = [c for c in held if c is not None]
         if not contents:

@@ -26,8 +26,9 @@ from typing import Optional
 from .logic import (
     And, Atom, Believes, Const, Exists, Falsum, Forall, Formula, Iff,
     Implies, Not, Or, Perceives, Term, children, collect_ground_terms,
-    expand_sugar, formula_key, held_content, negation_of, order_from_premises,
-    quote_modal, rebuild, struct_key, substitute_unchecked, symbols,
+    expand_sugar, formula_key, held_content, moment_names, negation_of,
+    order_from_premises, quote_modal, rebuild, struct_key, substitute_unchecked,
+    symbols,
 )
 
 # ---------------------------------------------------------------------------
@@ -188,7 +189,7 @@ class _Search:
         self.gamma = gamma
         self.universe = universe
         self.order = order
-        self.moments = sorted({t.name for t in universe.get("Moment", ()) if isinstance(t, Const)})
+        self.moments = sorted(moment_names(universe))
         self.overflow = False
         self.fails: dict = {}
         # body key of a negated conjunction -> the negation keys; a

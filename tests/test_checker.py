@@ -5,7 +5,7 @@ import pytest
 
 from mucal.checker import check_proof
 from mucal.errors import CheckError
-from mucal.logic import App, Atom, Falsum, Not
+from mucal.logic import App, Atom, Believes, Const, Falsum, Not, collect_ground_terms
 from mucal.prover import Proof, prove, projection
 from mucal.syntax import parse_formula
 
@@ -135,3 +135,28 @@ def test_checker_accepts_a_generator_premise_set():
     assert result.outcome == "proved"
     assert check_proof(result.proof, gamma, goal)
     assert check_proof(result.proof, (g for g in gamma), goal)
+
+
+def test_checker_rejects_an_agent_of_another_sort():
+    # both agents print as `a`; only their sorts tell them apart
+    from mucal.kb import parse_kb
+
+    kb = parse_kb(
+        "(const a Agent)(const t1 Moment)(const t2 Moment)(func p () Boolean)"
+        "(prior t1 t2)(axiom x :certain (perceives a t1 (p)))"
+    )
+    gamma = tuple(ax.formula for ax in kb.axioms) + kb.background()
+    goal = parse_formula("(believes a t2 (p))", kb.sig)
+    proof = prove(gamma, goal, depth=2).proof
+    assert check_proof(proof, gamma, goal)
+    (i,) = [i for i, s in enumerate(proof.steps) if s.rule == "r_p"]
+    step = proof.steps[i]
+    assert step.formula.agent == Const("a", "Agent")
+    other = Believes(Const("a", "Self"), step.formula.moment, step.formula.body)
+    steps = proof.steps[:i] + (replace(step, formula=other),) + proof.steps[i + 1:]
+    universe = dict(proof.universe)
+    for sort, terms in collect_ground_terms((other,)).items():
+        universe[sort] = tuple(dict.fromkeys(universe.get(sort, ()) + tuple(terms)))
+    forged = replace(proof, goal=other, steps=steps, universe=tuple(universe.items()))
+    with pytest.raises(CheckError, match="agent mismatch"):
+        check_proof(forged, gamma, other)

@@ -5,7 +5,8 @@ import pytest
 
 from mucal.kb import parse_kb
 from mucal.logic import (
-    And, App, Atom, Exists, Falsum, Forall, Iff, Implies, Not, Or, Xor,
+    And, App, Atom, Const, Exists, Falsum, Forall, Iff, Implies, Not, Or, Var,
+    Xor,
 )
 from mucal import models
 from mucal.prover import prove
@@ -67,6 +68,18 @@ def test_lottery_with_all_negations(lottery_kb):
 def test_budget_exhaustion_is_unknown(lottery_kb):
     gamma = tuple(a.formula for a in lottery_kb.axioms)
     assert models.consistent(gamma, atom_budget=2) == models.UNKNOWN
+
+
+@pytest.mark.parametrize("n, want", [
+    (400, models.CONSISTENT),  # 1 + 400 * 401 = 160,401 nodes
+    (500, models.UNKNOWN),  # 1 + 500 * 501 = 250,501 nodes
+])
+def test_node_cap_is_unknown(n, want):
+    x, y = Var("x", "S"), Var("y", "S")
+    f = Forall(x, Forall(y, P))
+    universe = {"S": tuple(Const(f"c{i}", "S") for i in range(n))}
+    assert models._NODE_CAP == 200_000
+    assert models.consistent((f,), universe=universe) == want
 
 
 def test_quantified_consistency():
@@ -191,16 +204,21 @@ def test_solver_matches_brute_force_on_random_cnfs():
 
 ENCODING_KB = parse_kb(
     "(sort Empty Object)(func e (Empty) Boolean)"
+    "(sort Few Object)(const c1 Few)(const c2 Few)(const c3 Few)(func g (Few) Boolean)"
     "(func p () Boolean)(func q () Boolean)(func r () Boolean)"
     "(func s () Boolean)(func u () Boolean)"
 )
-FIVE_ATOMS = [parse_formula(t, ENCODING_KB.sig) for t in ("(p)", "(q)", "(r)", "(s)", "(u)")]
+# (g c2) ties one instance of the Few quantifiers to a ground atom
+LEAF_ATOMS = [
+    parse_formula(t, ENCODING_KB.sig) for t in ("(p)", "(q)", "(r)", "(s)", "(u)", "(g c2)")
+]
 _EMPTY_ALL = parse_formula("(forall (x Empty) (e x))", ENCODING_KB.sig)
+_FEW_ALL = parse_formula("(forall (y Few) (g y))", ENCODING_KB.sig)
 
 
 def random_formula(rng, depth):
     if depth == 0 or rng.random() < 0.25:
-        return rng.choice(FIVE_ATOMS + [Falsum(), And(()), Or(())])
+        return rng.choice(LEAF_ATOMS + [Falsum(), And(()), Or(())])
     kind = rng.choice(("not", "and", "or", "implies", "iff", "xor", "forall", "exists"))
     a, b = random_formula(rng, depth - 1), random_formula(rng, depth - 1)
     if kind == "not":
@@ -210,9 +228,13 @@ def random_formula(rng, depth):
     if kind == "iff":
         return Iff(a, b)
     if kind in ("forall", "exists"):
-        # a quantifier over a sort with no terms: true for forall, false for exists
-        body = rng.choice((Or, And))((_EMPTY_ALL.body, a))
-        return (Forall if kind == "forall" else Exists)(_EMPTY_ALL.var, body)
+        # over a sort with no terms (forall is true, exists false), or over
+        # three constants with a body that uses the variable, so instances
+        # are grounded under either sign
+        q = rng.choice((_EMPTY_ALL, _FEW_ALL))
+        use = q.body if rng.random() < 0.6 else Not(q.body)
+        body = rng.choice((Or((use, a)), And((use, a)), Implies(use, a)))
+        return (Forall if kind == "forall" else Exists)(q.var, body)
     args = (a, b) + tuple(random_formula(rng, depth - 1) for _ in range(rng.randrange(2)))
     return {"and": And, "or": Or, "xor": Xor}[kind](args)
 
@@ -229,7 +251,7 @@ def random_premise(rng):
 def test_random_encodings_match_oracle():
     rng = random.Random(5150)
     universe = ENCODING_KB.herbrand()
-    assert not universe.get("Empty")
+    assert not universe.get("Empty") and len(universe["Few"]) == 3
     kinds = set()
     for _ in range(400):
         gamma = tuple(random_premise(rng) for _ in range(rng.randrange(1, 5)))
