@@ -1,7 +1,7 @@
 """Consistency checking by exhaustive ground-model search.
 
 Formulas are grounded over a finite term universe and encoded as clauses
-by polarity in one pass (`_Clauses`): each quantifier is instantiated as
+by polarity in one pass (`Grounding`): each quantifier is instantiated as
 the walk meets it, top-level conjunctions and disjunctions become clauses
 directly, and each nested subformula gets a fresh variable with only the
 implication its polarity needs (Plaisted & Greenbaum), so the clause set
@@ -12,18 +12,27 @@ satisfying assignment means consistent and exhaustion means inconsistent;
 "unknown" arises only when grounding would exceed the atom budget or visit
 more than `_NODE_CAP` nodes (or the instance is not finitely ground).
 
+A premise prefix that many checks share is grounded once: a `Grounding`
+holds its clauses, and `consistent(more, ..., base=grounding)` grounds
+only `more`, into a copy.  The copy shares the prefix's clause tuples,
+which the solver never mutates.  The answer is the one a cold grounding
+of the whole set gives: the prefix is reused only over a universe equal
+to its own and under the same atom budget, and the atom budget and
+`_NODE_CAP` compare totals, which do not depend on the order premises
+are grounded in, so an overflowing prefix means an overflowing whole.
+
 Belief and perception subformulas become opaque ground atoms, named by
-their quoted form (`logic.quote_modal`), the same atoms the prover's
-contextualization builds.  The only coupling back to the logic is a
-conservative closure: every ground belief the grounding met, including
-those produced by instantiating a quantifier, is pinned true before the
-search when its content is entailed by the premise set's stated beliefs
-(earlier or equal moments, percepts lifted).
+their quoted form (`logic.quote_modal`).  The only coupling back to the
+logic is a conservative closure: every ground belief the grounding met,
+including those produced by instantiating a quantifier, is pinned true
+before the search when its content is entailed by the premise set's
+stated beliefs (earlier or equal moments, percepts lifted).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from copy import copy
 from itertools import chain
 from operator import neg
 from typing import Iterable, Optional
@@ -46,9 +55,9 @@ class _Overflow(Exception):
     pass
 
 
-class _Clauses:
-    """Premises grounded straight into polarity-aware clauses (Plaisted &
-    Greenbaum, J. Symbolic Computation, 1986), in one pass.
+class Grounding:
+    """A premise set grounded straight into polarity-aware clauses (Plaisted
+    & Greenbaum, J. Symbolic Computation, 1986), in one pass.
 
     Each node visited under a sign takes one shape step (`_shape`): a
     negation flips the sign; an atom or a belief or perception becomes a
@@ -64,17 +73,50 @@ class _Clauses:
     Atoms and fresh variables share one counter, but only atoms count
     against the atom budget.  `_NODE_CAP` bounds the nodes visited: each
     node of each quantifier instance once, except that an `iff` visits
-    its two implications and so its operands once per direction.
+    its two implications and so its operands once per direction.  A
+    grounding that passed either bound is `overflow`, and stays so when
+    extended.
     """
 
-    def __init__(self, universe: dict, atom_budget: int):
-        self.universe = universe
+    def __init__(self, premises: Iterable[Formula], atom_budget: int = 256,
+                 universe: Optional[dict] = None):
+        prems = tuple(expand_sugar(p) for p in premises)
+        self.premises: tuple = ()
+        self.universe = collect_ground_terms(prems) if universe is None else universe
         self.atom_budget = atom_budget
         self.atoms: dict = {}  # atom key -> its variable
         self.beliefs: dict = {}  # atom key -> the ground belief it stands for
         self.clauses: list = []
         self.top = 0  # the highest variable in use
         self.nodes = 0
+        self.overflow = False
+        self._ground(prems)
+
+    def _ground(self, prems: tuple) -> None:
+        self.premises += prems
+        if self.overflow:
+            return
+        try:
+            for p in prems:
+                self.add(p)
+        except _Overflow:
+            self.overflow = True
+
+    def extended(self, premises: Iterable[Formula]) -> "Grounding":
+        """A copy of this grounding with `premises` grounded after its own."""
+        g = copy(self)
+        g.atoms = dict(self.atoms)
+        g.beliefs = dict(self.beliefs)
+        g.clauses = list(self.clauses)
+        g._ground(tuple(expand_sugar(p) for p in premises))
+        return g
+
+    def solve(self, modal_depth: int = 2) -> str:
+        """Classify the grounded premises, after the belief closure."""
+        if self.overflow:
+            return UNKNOWN
+        pins = [(self.atoms[key],) for key in _entailed_belief_keys(self, modal_depth)]
+        return CONSISTENT if _satisfiable(chain(self.clauses, pins)) else INCONSISTENT
 
     def _fresh(self) -> int:
         self.top += 1
@@ -254,35 +296,35 @@ def consistent(
     atom_budget: int = 256,
     universe: Optional[dict] = None,
     modal_depth: int = 2,
+    base: Optional[Grounding] = None,
 ) -> str:
-    """Classify a premise set as consistent, inconsistent, or unknown."""
-    prems = tuple(expand_sugar(p) for p in premises)
-    if universe is None:
-        universe = collect_ground_terms(prems)
-    cnf = _Clauses(universe, atom_budget)
-    try:
-        for p in prems:
-            cnf.add(p)
-    except _Overflow:
-        return UNKNOWN
-    for key in _entailed_belief_keys(prems, cnf, universe, atom_budget, modal_depth):
-        cnf.clauses.append((cnf.atoms[key],))
-    return CONSISTENT if _satisfiable(cnf.clauses) else INCONSISTENT
+    """Classify a premise set as consistent, inconsistent, or unknown.
+
+    With `base`, the premise set is base's premises followed by
+    `premises`, over `universe` (base's when omitted).  When that universe
+    equals base's and the atom budget is base's, only `premises` are
+    grounded, into a copy of base; any other universe or budget grounds
+    the whole set cold.
+    """
+    if base is None:
+        g = Grounding(premises, atom_budget, universe)
+    elif universe in (None, base.universe) and atom_budget == base.atom_budget:
+        g = base.extended(premises)
+    else:
+        g = Grounding(base.premises + tuple(premises), atom_budget, universe)
+    return g.solve(modal_depth)
 
 
-def _entailed_belief_keys(
-    premises: tuple, cnf: _Clauses, universe: dict,
-    atom_budget: int, modal_depth: int,
-) -> list:
+def _entailed_belief_keys(g: Grounding, modal_depth: int) -> list:
     """Grounded belief atoms whose content follows from stated beliefs."""
     if modal_depth <= 0:
         return []
-    stated = [p for p in premises if isinstance(p, (Believes, Perceives))]
+    stated = [p for p in g.premises if isinstance(p, (Believes, Perceives))]
     if not stated:
         return []
-    order = order_from_premises(premises)
+    order = order_from_premises(g.premises)
     out = []
-    for key, belief in cnf.beliefs.items():
+    for key, belief in g.beliefs.items():
         held = [held_content(p, belief.agent, belief.moment, order) for p in stated]
         contents = [c for c in held if c is not None]
         if not contents:
@@ -293,8 +335,8 @@ def _entailed_belief_keys(
             continue
         sub = consistent(
             tuple(contents) + (Not(belief.body),),
-            atom_budget=atom_budget,
-            universe=universe,
+            atom_budget=g.atom_budget,
+            universe=g.universe,
             modal_depth=modal_depth - 1,
         )
         if sub == INCONSISTENT:

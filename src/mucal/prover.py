@@ -25,61 +25,10 @@ from typing import Optional
 
 from .logic import (
     And, Atom, Believes, Const, Exists, Falsum, Forall, Formula, Iff,
-    Implies, Not, Or, Perceives, Term, children, collect_ground_terms,
-    expand_sugar, formula_key, held_content, moment_names, negation_of,
-    order_from_premises, quote_modal, rebuild, struct_key, substitute_unchecked,
-    symbols,
+    Implies, Not, Or, Perceives, collect_ground_terms, expand_sugar,
+    formula_key, held_content, moment_names, negation_of, order_from_premises,
+    struct_key, substitute_unchecked, symbols,
 )
-
-# ---------------------------------------------------------------------------
-# Contextualization
-
-@dataclass(frozen=True)
-class ContextFrame:
-    agent: Term
-    moment: Term
-    kind: str = "B"  # B (belief) or P (perception)
-    positive: bool = True
-
-
-@dataclass(frozen=True)
-class ContextualizedFormula:
-    body: Formula  # first-order: inner modal subformulas become opaque atoms
-    context: tuple
-
-
-def quote_inner_modals(f: Formula) -> Formula:
-    """Replace modal subformulas by their quoted atoms (`quote_modal`) so
-    the result is pure first-order."""
-    if isinstance(f, (Believes, Perceives)):
-        return quote_modal(f)
-    return rebuild(f, tuple(quote_inner_modals(c) for c in children(f)))
-
-
-def contextualize(f: Formula) -> ContextualizedFormula:
-    """Strip the modal prefix into context frames; negated modal prefixes
-    tag their frame negative.  Total on well-sorted, sugar-free input."""
-    f = expand_sugar(f)
-    frames = []
-    cur = f
-    while True:
-        if isinstance(cur, (Believes, Perceives)):
-            frames.append(ContextFrame(
-                cur.agent, cur.moment,
-                "B" if isinstance(cur, Believes) else "P", True,
-            ))
-            cur = cur.body
-        elif isinstance(cur, Not) and isinstance(cur.body, (Believes, Perceives)):
-            inner = cur.body
-            frames.append(ContextFrame(
-                inner.agent, inner.moment,
-                "B" if isinstance(inner, Believes) else "P", False,
-            ))
-            cur = inner.body
-        else:
-            break
-    return ContextualizedFormula(quote_inner_modals(cur), tuple(frames))
-
 
 # ---------------------------------------------------------------------------
 # Proof objects

@@ -25,9 +25,9 @@ from typing import Optional
 
 from .kb import widen_universe
 from .logic import (
-    And, Falsum, Formula, MomentOrder, Not, collect_ground_terms,
-    expand_sugar, formula_key, is_belief_at, moment_names, negation_of,
-    stated_prior_pairs, weight,
+    MODAL, And, Falsum, Formula, MomentOrder, Not, children,
+    collect_ground_terms, expand_sugar, formula_key, is_belief_at,
+    moment_names, negation_of, stated_prior_pairs, weight,
 )
 from .prover import Proof, held_axioms, prove, rho
 from . import models
@@ -61,23 +61,6 @@ def pr_lookup(table: ProbTable, agent: str, moment: str, f: Formula) -> Optional
 
 
 # ---------------------------------------------------------------------------
-# Set distance
-
-def pi(g1, g2) -> int:
-    """Weighted symmetric difference of two formula sets."""
-    left = {formula_key(f): f for f in g1}
-    right = {formula_key(f): f for f in g2}
-    total = 0
-    for k, f in left.items():
-        if k not in right:
-            total += weight(f)
-    for k, f in right.items():
-        if k not in left:
-            total += weight(f)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # Revision witnesses
 
 @dataclass(frozen=True)
@@ -107,13 +90,31 @@ class ReasonablenessVerdict:
 # ---------------------------------------------------------------------------
 # Engine
 
-@dataclass(frozen=True)
+@dataclass
 class _Frame:
-    """What every proof at one (agent, moment, removals) frame shares."""
+    """What every proof and check at one (agent, moment, removals) frame
+    shares."""
     head: tuple          # the projection's axiom-derived premises
     background: tuple
     universe: dict       # the Herbrand universe widened by head + background
     order: MomentOrder   # the moment order head + background state
+    modal: bool          # whether head or background has a modal node
+    # the premise prefixes of the two per-pair consistency checks, each
+    # grounded on its first use: the feasibility check's remaining axioms
+    # + background, and the refutation check's head + background
+    feasible_base: Optional[models.Grounding] = None
+    refute_base: Optional[models.Grounding] = None
+
+
+def _has_modal(formulas) -> bool:
+    """Whether a belief, perception or withholding node occurs anywhere."""
+    stack = list(formulas)
+    while stack:
+        f = stack.pop()
+        if isinstance(f, MODAL):
+            return True
+        stack.extend(children(f))
+    return False
 
 
 class ReasonEngine:
@@ -127,6 +128,7 @@ class ReasonEngine:
         self._delta: dict = {}
         self._feasible: dict = {}
         self._frames: dict = {}
+        self._facts: dict = {}  # formula -> (its ground terms, has a modal node)
         self._budget_hits: set = set()  # delta keys with budget-skipped pairs
 
     # -- agent-relative derivability ------------------------------------
@@ -148,6 +150,7 @@ class ReasonEngine:
             frame = _Frame(
                 head, background, widen_universe(self.kb.herbrand(), terms),
                 MomentOrder(stated_prior_pairs(head + background), moment_names(terms)),
+                _has_modal(head + background),
             )
             self._frames[key] = frame
         return frame
@@ -190,7 +193,13 @@ class ReasonEngine:
         Removals range over non-certain axioms.  Pairs are tried
         best-first by (distance, change count, labels), all known before
         any proof, so the first feasible pair that derives the goal is
-        the minimal witness and the search stops there.
+        the minimal witness and the search stops there.  A pair whose
+        proof premises have a ground model that falsifies the goal is
+        rejected without a proof search (`_refuted`); that is exact where
+        the prover is sound for the semantics of `models` (domain closure
+        over the proof's universe, opaque modal atoms, belief closure to
+        depth 2), which holds on modal-free premises and goals, the only
+        ones it runs on.
         """
         content = self._strip_frame(goal, agent, moment)
         ckey = (agent, moment, formula_key(content))
@@ -257,22 +266,25 @@ class ReasonEngine:
 
     def _try_pair(self, agent, moment, content, theta, lam,
                   distance: int) -> Optional[RevisionWitness]:
+        """The witness for one (additions, removals) pair, or None.
+
+        The pair must be consistent with the remaining axioms and
+        background (`_feasibility`), its proof premises must not be
+        refuted (`_refuted`), and the prover must derive the goal from
+        them.  The refutation only rejects pairs whose proof search would
+        fail, and the prover keeps no state between calls, so the first
+        witness and its proof are those a search without it finds.
+        """
         lam_labels = frozenset(a.label for a in lam)
         theta_forms = tuple(f for _, f in theta)
+        frame = self._frame(agent, moment, lam_labels)
         fkey = (
             tuple((l, formula_key(f)) for l, f in theta),
             tuple(sorted(lam_labels)),
         )
 
         if fkey not in self._feasible:
-            check_set = tuple(
-                a.formula for a in self.kb.axioms if a.label not in lam_labels
-            ) + theta_forms + self._frame(agent, moment, lam_labels).background
-            self._feasible[fkey] = models.consistent(
-                check_set,
-                atom_budget=self.kb.params.consistency_depth,
-                universe=self.kb.universe(check_set),
-            )
+            self._feasible[fkey] = self._feasibility(frame, lam_labels, theta_forms)
         if self._feasible[fkey] != models.CONSISTENT:
             if self._feasible[fkey] == models.UNKNOWN:
                 # conservative: a budget-exhausted check makes the pair
@@ -280,6 +292,8 @@ class ReasonEngine:
                 self._budget_hits.add((agent, moment, formula_key(content)))
             return None
 
+        if self._refuted(frame, content, theta_forms):
+            return None
         proof = self._prove(agent, moment, content, theta_forms, lam_labels)
         if proof is None:
             return None
@@ -289,6 +303,73 @@ class ReasonEngine:
             distance=distance,
             proof=proof,
         )
+
+    def _feasibility(self, frame: _Frame, lam_labels: frozenset,
+                     theta_forms: tuple) -> str:
+        """`models.consistent` on the axioms outside the removals, the
+        additions and the background, over the Herbrand universe widened
+        by their terms; the axioms and background are grounded once per
+        frame."""
+        budget = self.kb.params.consistency_depth
+        if frame.feasible_base is None:
+            prefix = tuple(
+                a.formula for a in self.kb.axioms if a.label not in lam_labels
+            ) + frame.background
+            frame.feasible_base = models.Grounding(
+                prefix, budget, self.kb.universe(prefix)
+            )
+        base = frame.feasible_base
+        return models.consistent(
+            theta_forms, budget, self._widened(base.universe, theta_forms), base=base,
+        )
+
+    def _refuted(self, frame: _Frame, content: Formula, theta_forms: tuple) -> bool:
+        """Whether the proof premises of the pair (the frame's head, the
+        additions and the background) have a ground model, over the
+        proof's own universe, in which the goal is false.
+
+        Then a prover that is sound for `models`' semantics cannot derive
+        the goal, so no proof search is needed.  The prover is sound for
+        it on modal-free input: domain closure over the same universe is
+        the only thing its ground quantifier rules assume.  A belief or
+        perception node anywhere in the premises or the goal turns the
+        check off, because the prover's belief closure (`r_b`) reads every
+        belief it holds, derived ones included, and to any depth, while
+        `models` pins only what stated beliefs entail, to `modal_depth`.
+        Only `consistent` refutes: an `unknown` check leaves the pair to
+        the prover.
+        """
+        extra = tuple(expand_sugar(f) for f in theta_forms)
+        if frame.modal or any(self._formula_facts(f)[1] for f in extra + (content,)):
+            return False
+        if frame.refute_base is None:
+            frame.refute_base = models.Grounding(
+                frame.head + frame.background,
+                self.kb.params.consistency_depth, frame.universe,
+            )
+        return models.consistent(
+            extra + (Not(content),), self.kb.params.consistency_depth,
+            self._widened(frame.universe, extra + (content,)), base=frame.refute_base,
+        ) == models.CONSISTENT
+
+    def _formula_facts(self, f: Formula) -> tuple:
+        """f's ground terms by sort, and whether it has a modal node."""
+        facts = self._facts.get(f)
+        if facts is None:
+            facts = self._facts[f] = (
+                collect_ground_terms((f,), parents=self.kb.sig.sorts), _has_modal((f,)),
+            )
+        return facts
+
+    def _widened(self, universe: dict, forms: tuple) -> dict:
+        """`universe` widened by the ground terms of forms: `universe`
+        itself when it has them all already."""
+        if all(
+            t in universe.get(s, ())
+            for f in forms for s, ts in self._formula_facts(f)[0].items() for t in ts
+        ):
+            return universe
+        return widen_universe(universe, collect_ground_terms(forms, parents=self.kb.sig.sorts))
 
     # -- the cascade -------------------------------------------------------
 

@@ -12,8 +12,8 @@ from itertools import combinations, product
 
 from mucal.logic import (
     And, Atom, Believes, Exists, Falsum, Forall, Iff, Implies, Not, Or,
-    Perceives, expand_sugar, normalize, quote_modal, struct_key,
-    substitute_unchecked, weight,
+    Perceives, expand_sugar, formula_key, normalize, quote_modal,
+    struct_key, substitute_unchecked, weight,
 )
 from mucal.prover import projection, prove
 from mucal import models
@@ -98,6 +98,16 @@ def truth_table_entails(premises, goal, universe) -> bool:
     res = truth_table_consistent(tuple(premises) + (Not(goal),), universe)
     assert res is not None, "oracle atom budget exceeded"
     return not res
+
+
+def pi(g1, g2) -> int:
+    """The paper's set distance: the weighted symmetric difference of two
+    formula sets."""
+    left = {formula_key(f): f for f in g1}
+    right = {formula_key(f): f for f in g2}
+    return sum(weight(f) for k, f in left.items() if k not in right) + sum(
+        weight(f) for k, f in right.items() if k not in left
+    )
 
 
 def brute_force_delta(kb, agent: str, moment: str, goal):

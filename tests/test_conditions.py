@@ -4,8 +4,9 @@ from mucal import models
 from mucal.kb import parse_kb
 from mucal.logic import And
 from mucal.prover import Proof, Step, rho
-from mucal.reasonable import ReasonEngine, pi
+from mucal.reasonable import ReasonEngine
 from mucal.syntax import parse_formula
+from oracles import pi
 
 
 def test_conjunction_condition_on_revision_clause(lottery_kb):

@@ -277,3 +277,63 @@ def test_empty_sort_and_negated_connectives(text, want):
     f = parse_formula(text, ENCODING_KB.sig)
     assert models.consistent((f,), universe=ENCODING_KB.herbrand()) == want
     assert truth_table_consistent((f,), ENCODING_KB.herbrand()) is (want == models.CONSISTENT)
+
+
+# ---------------------------------------------------------------------------
+# a grounded prefix, extended
+
+@pytest.mark.parametrize("budget", [256, 10, 6, 3])
+def test_extending_a_grounding_matches_grounding_the_whole_set(budget):
+    rng = random.Random(7070 + budget)
+    universe = ENCODING_KB.herbrand()
+    seen = set()
+    for _ in range(300):
+        prefix = tuple(random_premise(rng) for _ in range(rng.randrange(0, 4)))
+        more = tuple(random_premise(rng) for _ in range(rng.randrange(0, 3)))
+        base = models.Grounding(prefix, budget, universe)
+        before = list(base.clauses)
+        got = models.consistent(more, budget, universe, base=base)
+        assert got == models.consistent(prefix + more, budget, universe), (prefix, more)
+        assert base.solve() == models.consistent(prefix, budget, universe)
+        # neither solve appended to the prefix or changed a clause of it
+        assert base.clauses == before
+        seen.add(got)
+    want = {models.CONSISTENT, models.INCONSISTENT}
+    assert want <= seen if budget > 3 else models.UNKNOWN in seen
+
+
+def test_an_overflowing_prefix_stays_unknown():
+    universe = ENCODING_KB.herbrand()
+    base = models.Grounding((Xor(tuple(LEAF_ATOMS)),), 3, universe)
+    assert base.overflow
+    assert models.consistent((Falsum(),), 3, universe, base=base) == models.UNKNOWN
+
+
+def test_belief_closure_spans_prefix_and_extension():
+    kb = parse_kb(
+        "(const a Agent)(const now Moment)(func p () Boolean)(func q () Boolean)"
+    )
+    both = parse_formula("(believes a now (and (p) (q)))", kb.sig)
+    not_p = parse_formula("(not (believes a now (p)))", kb.sig)
+    universe = kb.herbrand()
+    for first, then in ((both, not_p), (not_p, both)):
+        base = models.Grounding((first,), universe=universe)
+        before = list(base.clauses)
+        assert models.consistent((then,), universe=universe, base=base) == models.INCONSISTENT
+        assert base.solve() == models.CONSISTENT
+        # the pinned beliefs were not added to the prefix
+        assert base.clauses == before
+
+
+def test_a_wider_universe_or_another_budget_grounds_cold():
+    narrow = dict(ENCODING_KB.herbrand())
+    wide = dict(narrow)
+    narrow["Few"] = narrow["Few"][:2]
+    assert [t.name for t in wide["Few"]] == ["c1", "c2", "c3"]
+    every = parse_formula("(forall (y Few) (g y))", ENCODING_KB.sig)
+    not_c3 = parse_formula("(not (g c3))", ENCODING_KB.sig)
+    base = models.Grounding((every,), universe=narrow)
+    assert models.consistent((not_c3,), base=base) == models.CONSISTENT
+    assert models.consistent((not_c3,), universe=narrow, base=base) == models.CONSISTENT
+    assert models.consistent((not_c3,), universe=wide, base=base) == models.INCONSISTENT
+    assert models.consistent((not_c3,), 1, narrow, base=base) == models.UNKNOWN

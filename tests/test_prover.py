@@ -9,7 +9,7 @@ from mucal.logic import (
     And, App, Atom, Believes, Const, Falsum, Implies, Not, Or, Perceives,
     expand_sugar, formula_key, normalize,
 )
-from mucal.prover import ContextualizedFormula, contextualize, prove, rho
+from mucal.prover import prove, rho
 from mucal.reasonable import ReasonEngine
 from mucal.syntax import parse_formula, print_formula
 from conftest import scenario_path
@@ -24,68 +24,17 @@ def _lottery_axiom(kb):
 
 
 # ---------------------------------------------------------------------------
-# contextualize
+# prove
 
-def test_contextualize_nested_beliefs(rain_kb):
-    f = parse_formula(
-        "(believes john now (believes mary t1 (holds raining t1)))", rain_kb.sig
-    )
-    ctx = contextualize(f)
-    assert len(ctx.context) == 2
-    assert [fr.agent.name for fr in ctx.context] == ["john", "mary"]
-    assert [fr.positive for fr in ctx.context] == [True, True]
-    assert normalize(ctx.body) == normalize(
-        parse_formula("(holds raining t1)", rain_kb.sig)
-    )
-
-
-def test_contextualize_identity_frame(rain_kb):
-    f = parse_formula("(holds raining t1)", rain_kb.sig)
-    ctx = contextualize(f)
-    assert ctx.context == ()
-    assert ctx.body == f
-
-
-def test_contextualize_negative_polarity(rain_kb):
-    f = parse_formula(
-        "(not (believes john now (holds raining t1)))", rain_kb.sig
-    )
-    ctx = contextualize(f)
-    assert len(ctx.context) == 1
-    assert ctx.context[0].positive is False
-
-
-def test_contextualize_compound_body_semantics(rain_kb):
-    # a belief in a conjunction supports belief in each conjunct
+def test_belief_in_a_conjunction_supports_each_conjunct(rain_kb):
     sig = rain_kb.sig
     f = parse_formula(
         "(believes john now (and (holds raining t1) (holds raining now)))", sig
     )
-    ctx = contextualize(f)
-    assert len(ctx.context) == 1
     goal = parse_formula("(believes john now (holds raining t1))", sig)
     res = prove((f,), goal, depth=2)
     assert res.outcome == "proved"
 
-
-def test_contextualize_body_is_modal_free(rain_kb):
-    f = parse_formula(
-        "(believes john now (and (holds raining t1) "
-        "(believes mary t1 (holds raining t1))))", rain_kb.sig
-    )
-    ctx = contextualize(f)
-    from mucal.logic import MODAL, children
-
-    def modal_free(g) -> bool:
-        if isinstance(g, MODAL):
-            return False
-        return all(modal_free(c) for c in children(g))
-
-    assert modal_free(ctx.body)
-
-
-# ---------------------------------------------------------------------------
-# prove
 
 def test_prove_lottery_existential(lottery_kb):
     goal = parse_formula("(exists (t) (win t))", lottery_kb.sig)

@@ -9,9 +9,9 @@ from mucal.logic import (
     App, Atom, Believes, Const, Falsum, Not, Withholds, normalize, weight,
 )
 from mucal.prover import projection, prove
-from mucal.reasonable import ProbTable, ReasonEngine, pi, pr_lookup
+from mucal.reasonable import ProbTable, ReasonEngine, pr_lookup
 from mucal.syntax import parse_formula
-from oracles import brute_force_delta
+from oracles import brute_force_delta, pi
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,304 @@
+"""The revision search rejects a pair without a proof search when a ground
+model of the proof's premises falsifies the goal (`ReasonEngine._refuted`).
+
+That skip is exact only if the prover never proves what the models check
+refutes.  The agreement audit runs both on every consistent (additions,
+removals) pair that the golden commands, the scenario knowledge bases and
+a generated corpus reach, and checks that no skipped pair has a proof.
+"""
+
+import random
+
+import pytest
+
+from mucal import models
+from mucal.kb import load_kb, parse_kb, widen_universe
+from mucal.logic import Not, collect_ground_terms, expand_sugar
+from mucal.reasonable import ReasonEngine, _has_modal
+from mucal.syntax import parse_formula
+from conftest import DESK_SCENARIOS, scenario_path
+from oracles import brute_force_delta
+from test_cli import MANIFEST, run_cli
+
+
+class Audit:
+    """Wraps `ReasonEngine._try_pair` to run, on every consistent pair, the
+    refutation check as the search runs it, the same check grounded cold
+    with no modal gate, and the prover."""
+
+    def __init__(self, monkeypatch):
+        self.pairs = []  # (proved, skipped, cold check, modal, goal)
+        real = ReasonEngine._try_pair
+        audit = self
+
+        def try_pair(engine, agent, moment, content, theta, lam, distance):
+            found = real(engine, agent, moment, content, theta, lam, distance)
+            audit.check(engine, agent, moment, content, theta, lam, found)
+            return found
+
+        monkeypatch.setattr(ReasonEngine, "_try_pair", try_pair)
+
+    def check(self, engine, agent, moment, content, theta, lam, found):
+        kb = engine.kb
+        lam_labels = frozenset(a.label for a in lam)
+        theta_forms = tuple(f for _, f in theta)
+        frame = engine._frame(agent, moment, lam_labels)
+        if engine._feasibility(frame, lam_labels, theta_forms) != models.CONSISTENT:
+            assert found is None
+            return
+        skipped = engine._refuted(frame, content, theta_forms)
+        proof = engine._prove(agent, moment, content, theta_forms, lam_labels)
+        extra = tuple(expand_sugar(f) for f in theta_forms)
+        terms = collect_ground_terms(extra + (content,), parents=kb.sig.sorts)
+        premises = frame.head + extra + frame.background
+        cold = models.consistent(
+            premises + (Not(content),), kb.params.consistency_depth,
+            widen_universe(frame.universe, terms),
+        )
+        modal = _has_modal(premises + (content,))
+        goal = f"{agent}@{moment}: {content}"
+        assert not (proof is not None and skipped), goal
+        assert (found is not None) == (proof is not None), goal
+        if not modal:
+            # the reused grounding answers as the cold one does
+            assert skipped == (cold == models.CONSISTENT), goal
+        self.pairs.append((proof is not None, skipped, cold, modal, goal))
+
+    def disagreements(self) -> list:
+        """Goals of proved pairs that the ungated check calls consistent."""
+        return [p[4] for p in self.pairs if p[0] and p[2] == models.CONSISTENT]
+
+
+# ---------------------------------------------------------------------------
+# the generated corpus
+
+CORPUS_SIG = """
+(const a Agent)(const b Agent)(const c Agent)
+(const t0 Moment)(const t1 Moment)(const now Moment)
+(prior t0 t1)(prior t1 now)
+(const o1 Object)(const o2 Object)
+(func p () Boolean)(func q () Boolean)(func r (Object) Boolean)
+"""
+AGENTS = ("a", "b", "c")
+MOMENTS = ("t0", "t1", "now")
+
+
+def corpus_formula(rng, depth, var=None, modal=True):
+    leaves = ["(p)", "(q)", "(r o1)", "(r o2)"] + ([f"(r {var})"] * 2 if var else [])
+    if depth == 0 or rng.random() < 0.3:
+        leaf = rng.choice(leaves)
+        return f"(not {leaf})" if rng.random() < 0.3 else leaf
+    kinds = ("not", "and", "or", "implies", "quant") + ("modal", "modal") * modal
+    kind = rng.choice(kinds)
+    sub = lambda: corpus_formula(rng, depth - 1, var, modal)  # noqa: E731
+    if kind == "not":
+        return f"(not {sub()})"
+    if kind in ("and", "or", "implies"):
+        return f"({kind} {sub()} {sub()})"
+    if kind == "quant" and var is None:
+        q = rng.choice(("forall", "exists"))
+        return f"({q} (x Object) {corpus_formula(rng, depth - 1, 'x', modal)})"
+    if kind != "modal":
+        return f"(not {sub()})"
+    return modal_formula(rng, sub())
+
+
+def modal_formula(rng, body, kinds=("believes", "believes", "perceives")):
+    kind = rng.choice(kinds)
+    return f"({kind} {rng.choice(AGENTS)} {rng.choice(MOMENTS)} {body})"
+
+
+def belief_chain(rng, body, depth):
+    for _ in range(depth):
+        body = modal_formula(rng, body, kinds=("believes",))
+    return body
+
+
+def corpus_kb(rng):
+    """A KB text with certain, held, perceived and plain axioms and with
+    candidates, and goals that weaken a candidate or stand alone:
+    quantified, and (in the modal KBs, three in five) beliefs nested
+    three deep."""
+    modal = rng.random() < 0.6
+    lines = [CORPUS_SIG]
+    for i in range(rng.randrange(1, 4)):
+        f = corpus_formula(rng, 2, modal=modal)
+        forms = ("certain", "held", "percept", "plain") if modal else ("certain", "plain")
+        form = rng.choice(forms)
+        if form == "certain":
+            lines.append(f"(axiom ax{i} :certain {f})")
+        elif form == "held":
+            lines.append(f"(axiom ax{i} (believes a {rng.choice(MOMENTS)} {f}))")
+        elif form == "percept":
+            lines.append(f"(axiom ax{i} (perceives a {rng.choice(('t0', 't1'))} {f}))")
+        else:
+            lines.append(f"(axiom ax{i} {f})")
+    cands = []
+    for i in range(rng.randrange(1, 4)):
+        if modal and rng.random() < 0.3:
+            f = belief_chain(rng, corpus_formula(rng, 1), 3)
+        else:
+            f = corpus_formula(rng, 2, modal=modal)
+        cands.append(f)
+        lines.append(f"(candidate c{i} {f})")
+    goals = [corpus_formula(rng, 2, modal=modal)]
+    goals.append(f"({rng.choice(('forall', 'exists'))} (x Object) "
+                 f"{corpus_formula(rng, 1, 'x', modal)})")
+    if modal:
+        goals.append(belief_chain(rng, corpus_formula(rng, 1), 3))
+    for f in rng.sample(cands, k=min(2, len(cands))):
+        goals.append(f"(or {f} {corpus_formula(rng, 1, modal=modal)})")
+        goals.append(weaken_belief(rng, f))
+    return "\n".join(lines), goals
+
+
+def weaken_belief(rng, f: str) -> str:
+    """f with the body of its innermost belief prefix weakened by a
+    disjunct, so that only belief closure derives it from f."""
+    head = ""
+    while f.startswith("(believes "):
+        parts = f.split(" ", 3)
+        head += " ".join(parts[:3]) + " "
+        f = parts[3][:-1]
+    return head + f"(or {f} {corpus_formula(rng, 0)})" + ")" * head.count("(")
+
+
+def run_corpus(seed: int, count: int) -> None:
+    rng = random.Random(seed)
+    for _ in range(count):
+        text, goals = corpus_kb(rng)
+        kb = parse_kb(text)
+        engine = ReasonEngine(kb)
+        for g in goals:
+            engine.delta("a", "now", parse_formula(g, kb.sig))
+
+
+# ---------------------------------------------------------------------------
+# the agreement audit
+
+def test_refutation_agreement_on_goldens(monkeypatch):
+    audit = Audit(monkeypatch)
+    for case in MANIFEST:
+        run_cli(case["argv"])
+    assert any(p[0] for p in audit.pairs)
+    assert any(p[1] for p in audit.pairs)
+    assert audit.disagreements() == []
+
+
+def test_refutation_agreement_on_scenarios(monkeypatch):
+    audit = Audit(monkeypatch)
+    for name in DESK_SCENARIOS:
+        kb = load_kb(scenario_path(name))
+        engine = ReasonEngine(kb)
+        agents = sorted(n for n, s in kb.sig.constants.items() if s == "Agent")
+        moment = "now" if "now" in kb.moment_names() else kb.moment_names()[-1]
+        goals = [c.formula for c in kb.candidates] + [
+            Not(c.formula) for c in kb.candidates
+        ] + [Not(a.formula) for a in kb.axioms]
+        for agent in agents:
+            for g in goals:
+                engine.delta(agent, moment, g)
+    assert any(p[0] for p in audit.pairs)
+    assert any(p[1] for p in audit.pairs)
+    assert audit.disagreements() == []
+
+
+def test_refutation_agreement_on_generated_kbs(monkeypatch):
+    audit = Audit(monkeypatch)
+    run_corpus(seed=1111, count=60)
+    proved = [p for p in audit.pairs if p[0]]
+    assert any(not p[3] for p in proved) and any(p[3] for p in proved)
+    assert sum(p[1] for p in audit.pairs) >= 100
+    # the ungated check disagrees with the prover only where a modal node
+    # turns the skip off
+    assert all(p[3] for p in audit.pairs if p[0] and p[2] == models.CONSISTENT)
+
+
+# ---------------------------------------------------------------------------
+# what the modal gate keeps
+
+@pytest.mark.parametrize("text, goal, labels", [
+    # a belief that only and-elimination yields, read by belief closure
+    ("(candidate c1 (and (believes b now (p)) (q)))",
+     "(believes b now (or (p) (r o1)))", ("c1",)),
+    # belief closure three beliefs deep
+    ("(candidate c1 (believes b now (believes c now (believes a now (and (p) (q))))))",
+     "(believes b now (believes c now (believes a now (p))))", ("c1",)),
+    # a belief assumed by implication introduction
+    ("(candidate c1 (q))",
+     "(implies (believes b t1 (p)) (and (q) (believes b now (or (p) (q)))))", ("c1",)),
+])
+def test_gate_keeps_proofs_that_read_unstated_beliefs(text, goal, labels):
+    kb = parse_kb(CORPUS_SIG + text)
+    f = parse_formula(goal, kb.sig)
+    w = ReasonEngine(kb).delta("a", "now", f)
+    assert w.theta_labels == labels and w.proof is not None
+    assert w.distance == brute_force_delta(kb, "a", "now", f)
+
+
+# ---------------------------------------------------------------------------
+# unknown never skips; a new term grounds cold
+
+def test_unknown_refutation_goes_to_the_prover(monkeypatch):
+    # the goal grounds to seven atoms, past the budget of three, so the
+    # refutation check of every pair is unknown, while each feasibility
+    # check needs at most one atom
+    kb = parse_kb(
+        "(const a Agent)(const now Moment)"
+        "(const o1 Object)(const o2 Object)(const o3 Object)"
+        "(const o4 Object)(const o5 Object)(const o6 Object)"
+        "(func p () Boolean)(func s () Boolean)(func q (Object) Boolean)"
+        "(candidate c1 (s))(candidate c2 (p))"
+        "(param consistency-depth 3)"
+    )
+    goal = parse_formula("(or (p) (forall (x Object) (q x)))", kb.sig)
+    refutations = []
+    real = models.consistent
+
+    def consistent(premises, *args, **kwargs):
+        out = real(premises, *args, **kwargs)
+        if premises[-1:] == (Not(goal),):
+            refutations.append(out)
+        return out
+
+    monkeypatch.setattr(models, "consistent", consistent)
+    engine = ReasonEngine(kb)
+    w = engine.delta("a", "now", goal)
+    # c1 ranks first and fails to prove; c2 proves
+    assert (w.theta_labels, w.lam_labels) == (("c2",), ())
+    assert w.distance == brute_force_delta(kb, "a", "now", goal)
+    assert refutations == [models.UNKNOWN] * 2
+    # the unknown checks leave no budget note: no pair was skipped on them
+    v = engine.more_reasonable("a", "now", goal, parse_formula("(s)", kb.sig))
+    assert v.note == ""
+
+
+def test_goal_term_outside_the_frame_grounds_cold():
+    # 7 is a moment only the goal names; over the frame's universe the
+    # forall candidate would not reach it and the check would refute c1
+    kb = parse_kb(
+        "(const a Agent)(const now Moment)(const f Fluent)(const g Fluent)"
+        "(axiom link :certain (forall (m Moment) (implies (holds g m) (holds f m))))"
+        "(candidate c1 (forall (m Moment) (holds g m)))"
+    )
+    goal = parse_formula("(holds f 7)", kb.sig)
+    engine = ReasonEngine(kb)
+    frame = engine._frame("a", "now", frozenset())
+    assert not any(t.name == "7" for t in frame.universe["Moment"])
+    w = engine.delta("a", "now", goal)
+    assert w.theta_labels == ("c1",)
+    assert w.distance == brute_force_delta(kb, "a", "now", goal)
+
+
+def test_addition_term_outside_the_frame_grounds_cold():
+    # the fallback addition (holds f 7) names a moment the axioms do not;
+    # over their universe the removable axiom would not reach it and the
+    # pair with no removal would pass the feasibility check
+    kb = parse_kb(
+        "(const a Agent)(const now Moment)(const f Fluent)"
+        "(axiom never (forall (m Moment) (not (holds f m))))"
+    )
+    goal = parse_formula("(holds f 7)", kb.sig)
+    w = ReasonEngine(kb).delta("a", "now", goal)
+    assert (w.theta_labels, w.lam_labels) == (("+goal",), ("never",))
+    assert w.distance == brute_force_delta(kb, "a", "now", goal)
