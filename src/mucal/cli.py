@@ -23,7 +23,6 @@ integers; anything else exits 64.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -123,6 +122,8 @@ def _load(args) -> KbDocument:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
+        import json  # only here: a plain command does not pay for loading it
+
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(text)

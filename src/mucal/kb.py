@@ -17,7 +17,6 @@ Symbols must be declared before use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -26,41 +25,51 @@ from .errors import (
     KbError, ParseError, SortError, UnknownNameError, UnknownSymbolError,
 )
 from .logic import (
-    App, Const, Falsum, Formula, MomentOrder, Signature, collect_ground_terms,
-    formula_key, is_numeral, well_sorted,
+    App, Const, Falsum, Formula, MomentOrder, Record, Signature,
+    collect_ground_terms, formula_key, is_numeral, well_sorted,
 )
 from .syntax import Node, formula_from_node, print_term, read_all
 
 
-@dataclass
-class AxiomEntry:
-    label: str
-    formula: Formula
-    certain: bool = False
+class AxiomEntry(Record):
+    __slots__ = ("label", "formula", "certain")
+
+    def __init__(self, label: str, formula: Formula, certain: bool = False) -> None:
+        self.label = label
+        self.formula = formula
+        self.certain = certain
 
 
-@dataclass
-class CandidateEntry:
-    label: str
-    formula: Formula
+class CandidateEntry(Record):
+    __slots__ = ("label", "formula")
+
+    def __init__(self, label: str, formula: Formula) -> None:
+        self.label = label
+        self.formula = formula
 
 
-@dataclass
-class ProbEntry:
-    agent: str
-    moment: str
-    formula: Formula
-    value: Fraction
+class ProbEntry(Record):
+    __slots__ = ("agent", "moment", "formula", "value")
+
+    def __init__(self, agent: str, moment: str, formula: Formula, value: Fraction) -> None:
+        self.agent = agent
+        self.moment = moment
+        self.formula = formula
+        self.value = value
 
 
-@dataclass
-class Params:
-    u: int = 2
-    proof_depth: int = 3
-    add_max: int = 2
-    remove_max: int = 2
-    consistency_depth: int = 256
-    ec_flavor: str = "minimal"
+class Params(Record):
+    __slots__ = ("u", "proof_depth", "add_max", "remove_max", "consistency_depth", "ec_flavor")
+
+    def __init__(self, u: int = 2, proof_depth: int = 3, add_max: int = 2,
+                 remove_max: int = 2, consistency_depth: int = 256,
+                 ec_flavor: str = "minimal") -> None:
+        self.u = u
+        self.proof_depth = proof_depth
+        self.add_max = add_max
+        self.remove_max = remove_max
+        self.consistency_depth = consistency_depth
+        self.ec_flavor = ec_flavor
 
 
 _PARAM_NAMES = {

@@ -14,7 +14,6 @@ one cache that lives as long as the process.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
 from enum import IntEnum
 from typing import Iterable, Optional, Union
 
@@ -115,34 +114,57 @@ class Signature:
 
 
 # ---------------------------------------------------------------------------
-# Interned nodes
+# Interned nodes and records
+#
+# The node and record classes are written out by hand rather than
+# generated by `dataclasses`, which compiles each class's methods with
+# `exec` when the module is imported; a CLI command pays that on every
+# run.  A class's fields are its `__slots__`, in constructor order.
 #
 # A node's hash is computed once, when it is created, as the hash of its
-# field tuple: the value a frozen dataclass gives, so set and dict
-# iteration orders are those of uninterned nodes.  Each node also stores,
-# the first time they are asked for, its structural key, its formula
-# identity, its sugar-free form, its AC-sorted form and its normal form.
-# The intern table is one dict per node class.
+# field tuple, so set and dict iteration orders are those of uninterned
+# nodes.  Each node also stores, the first time they are asked for, its
+# structural key, its formula identity, its sugar-free form, its
+# AC-sorted form and its normal form.  The intern table is one dict per
+# node class.
 
 _set = object.__setattr__
 
 
+def _field_repr(self) -> str:
+    fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _read_only_set(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _read_only_del(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
 class _Node:
-    """Base of the interned term and formula classes."""
+    """Base of the interned term and formula classes: read-only, equal
+    only to itself, and rebuilt by pickle and copy as the interned node."""
 
     __slots__ = ("_hash", "_skey", "_fkey", "_plain", "_ac", "_norm")
 
+    def __init_subclass__(cls) -> None:
+        cls._interned = {}
+
     def __new__(cls, *args, **kwargs):
-        if kwargs:  # fields by name, as the dataclass constructor takes them
-            args += tuple(kwargs.pop(n) for n in cls._names[len(args):] if n in kwargs)
+        if kwargs:  # fields by name
+            args += tuple(kwargs.pop(n) for n in cls.__slots__[len(args):] if n in kwargs)
             if kwargs:
                 raise TypeError(f"{cls.__name__}() got unexpected arguments {sorted(kwargs)}")
         node = cls._interned.get(args)
         if node is None:
-            if len(args) != len(cls._names):
-                raise TypeError(f"{cls.__name__}() takes {len(cls._names)} fields, got {len(args)}")
+            if len(args) != len(cls.__slots__):
+                raise TypeError(
+                    f"{cls.__name__}() takes {len(cls.__slots__)} fields, got {len(args)}")
             node = object.__new__(cls)
-            for name, value in zip(cls._names, args):
+            for name, value in zip(cls.__slots__, args):
                 _set(node, name, value)
             _set(node, "_hash", hash(args))
             _set(node, "_skey", None)
@@ -159,34 +181,65 @@ class _Node:
         return self._hash
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, n) for n in self._names)
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+
+    __repr__ = _field_repr
+    __setattr__ = _read_only_set
+    __delattr__ = _read_only_del
 
 
-def _node(cls):
-    """Make `cls` a frozen, slotted, interned node dataclass."""
-    cls = dataclass(frozen=True, eq=False, init=False, slots=True)(cls)
-    cls._names = tuple(f.name for f in fields(cls))
-    cls._interned = {}
-    return cls
+class Record:
+    """Base of the plain data records (KB entries, tokens, proofs,
+    verdicts, judgments): equal only to a record of the same class with
+    equal fields, unhashable, and rebuilt by pickle and copy through the
+    constructor, which takes every field in `__slots__` order."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, n) for n in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    __repr__ = _field_repr
+
+
+class FrozenRecord(Record):
+    """A read-only record, hashed as its field tuple.  Its constructor
+    sets the fields with `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    __setattr__ = _read_only_set
+    __delattr__ = _read_only_del
 
 
 # ---------------------------------------------------------------------------
 # Terms
 
-@_node
 class Var(_Node):
+    __slots__ = ("name", "sort")
     name: str
     sort: str
 
 
-@_node
 class Const(_Node):
+    __slots__ = ("name", "sort")
     name: str
     sort: str
 
 
-@_node
 class App(_Node):
+    __slots__ = ("fn", "args", "sort")
     fn: str
     args: tuple
     sort: str
@@ -229,76 +282,75 @@ def subst_term(t: Term, var: Var, repl: Term) -> Term:
 # ---------------------------------------------------------------------------
 # Formulas
 
-@_node
 class Atom(_Node):
+    __slots__ = ("term",)
     term: Term  # Boolean-sorted term
 
 
-@_node
 class Falsum(_Node):
-    pass
+    __slots__ = ()
 
 
-@_node
 class Not(_Node):
+    __slots__ = ("body",)
     body: "Formula"
 
 
-@_node
 class And(_Node):
+    __slots__ = ("args",)
     args: tuple
 
 
-@_node
 class Or(_Node):
+    __slots__ = ("args",)
     args: tuple
 
 
-@_node
 class Implies(_Node):
+    __slots__ = ("left", "right")
     left: "Formula"
     right: "Formula"
 
 
-@_node
 class Iff(_Node):
+    __slots__ = ("left", "right")
     left: "Formula"
     right: "Formula"
 
 
-@_node
 class Xor(_Node):
+    __slots__ = ("args",)
     args: tuple  # sugar: pairwise-exclusive disjunction
 
 
-@_node
 class Forall(_Node):
+    __slots__ = ("var", "body")
     var: Var
     body: "Formula"
 
 
-@_node
 class Exists(_Node):
+    __slots__ = ("var", "body")
     var: Var
     body: "Formula"
 
 
-@_node
 class Believes(_Node):
+    __slots__ = ("agent", "moment", "body")
     agent: Term
     moment: Term
     body: "Formula"
 
 
-@_node
 class Perceives(_Node):
+    __slots__ = ("agent", "moment", "body")
     agent: Term
     moment: Term
     body: "Formula"
 
 
-@_node
 class Withholds(_Node):
+    __slots__ = ("agent", "moment", "body")
     agent: Term
     moment: Term
     body: "Formula"  # sugar: neither believes body nor its negation

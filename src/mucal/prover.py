@@ -19,12 +19,11 @@ fresh sub-search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .logic import (
-    And, Atom, Believes, Const, Exists, Falsum, Forall, Formula, Iff,
+    And, Atom, Believes, Const, Exists, Falsum, Forall, Formula, FrozenRecord, Iff,
     Implies, Not, Or, Perceives, collect_ground_terms, expand_sugar,
     formula_key, held_content, moment_names, negation_of, order_from_premises,
     struct_key, substitute_unchecked, symbols,
@@ -33,28 +32,39 @@ from .logic import (
 # ---------------------------------------------------------------------------
 # Proof objects
 
-@dataclass(frozen=True)
-class Step:
-    rule: str
-    inputs: tuple
-    formula: Formula
-    assumptions: tuple
-    extra: tuple = ()
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Proof:
-    goal: Formula
-    premises_used: tuple
-    steps: tuple
-    depth: int
-    universe: tuple  # ((sort, (term, ...)), ...)
+class Step(FrozenRecord):
+    __slots__ = ("rule", "inputs", "formula", "assumptions", "extra")
+
+    def __init__(self, rule: str, inputs: tuple, formula: Formula,
+                 assumptions: tuple, extra: tuple = ()) -> None:
+        _set(self, "rule", rule)
+        _set(self, "inputs", inputs)
+        _set(self, "formula", formula)
+        _set(self, "assumptions", assumptions)
+        _set(self, "extra", extra)
 
 
-@dataclass(frozen=True)
-class ProofResult:
-    outcome: str  # proved | refuted | unknown
-    proof: Optional[Proof] = None
+class Proof(FrozenRecord):
+    __slots__ = ("goal", "premises_used", "steps", "depth", "universe")
+
+    def __init__(self, goal: Formula, premises_used: tuple, steps: tuple, depth: int,
+                 universe: tuple) -> None:  # universe: ((sort, (term, ...)), ...)
+        _set(self, "goal", goal)
+        _set(self, "premises_used", premises_used)
+        _set(self, "steps", steps)
+        _set(self, "depth", depth)
+        _set(self, "universe", universe)
+
+
+class ProofResult(FrozenRecord):
+    __slots__ = ("outcome", "proof")
+
+    def __init__(self, outcome: str, proof: Optional[Proof] = None) -> None:
+        _set(self, "outcome", outcome)  # proved | refuted | unknown
+        _set(self, "proof", proof)
 
 
 def rho(p: Proof) -> Fraction:

@@ -18,14 +18,13 @@ luck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
 from .kb import widen_universe
 from .logic import (
-    MODAL, And, Falsum, Formula, MomentOrder, Not, children,
+    MODAL, And, Falsum, Formula, FrozenRecord, MomentOrder, Not, Record, children,
     collect_ground_terms, expand_sugar, formula_key, is_belief_at,
     moment_names, negation_of, stated_prior_pairs, weight,
 )
@@ -36,9 +35,12 @@ from . import models
 # ---------------------------------------------------------------------------
 # Probability table
 
-@dataclass
-class ProbTable:
-    entries: dict = field(default_factory=dict)  # (agent, moment, key) -> Fraction
+class ProbTable(Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Optional[dict] = None) -> None:
+        # (agent, moment, key) -> Fraction
+        self.entries = {} if entries is None else entries
 
     @classmethod
     def from_kb(cls, kb) -> "ProbTable":
@@ -63,12 +65,17 @@ def pr_lookup(table: ProbTable, agent: str, moment: str, f: Formula) -> Optional
 # ---------------------------------------------------------------------------
 # Revision witnesses
 
-@dataclass(frozen=True)
-class RevisionWitness:
-    theta: tuple      # (label, formula) additions
-    lam: tuple        # (label, formula) removals
-    distance: int
-    proof: Optional[Proof]
+_set = object.__setattr__
+
+
+class RevisionWitness(FrozenRecord):
+    __slots__ = ("theta", "lam", "distance", "proof")
+
+    def __init__(self, theta: tuple, lam: tuple, distance: int, proof: Optional[Proof]) -> None:
+        _set(self, "theta", theta)  # (label, formula) additions
+        _set(self, "lam", lam)      # (label, formula) removals
+        _set(self, "distance", distance)
+        _set(self, "proof", proof)
 
     @property
     def theta_labels(self) -> tuple:
@@ -79,31 +86,40 @@ class RevisionWitness:
         return tuple(l for l, _ in self.lam)
 
 
-@dataclass(frozen=True)
-class ReasonablenessVerdict:
-    holds: bool
-    clause: str  # I | II | III | inapplicable
-    evidence: dict = field(default_factory=dict)
-    note: str = ""
+class ReasonablenessVerdict(FrozenRecord):
+    __slots__ = ("holds", "clause", "evidence", "note")
+
+    def __init__(self, holds: bool, clause: str, evidence: Optional[dict] = None,
+                 note: str = "") -> None:
+        _set(self, "holds", holds)
+        _set(self, "clause", clause)  # I | II | III | inapplicable
+        _set(self, "evidence", {} if evidence is None else evidence)
+        _set(self, "note", note)
 
 
 # ---------------------------------------------------------------------------
 # Engine
 
-@dataclass
-class _Frame:
+class _Frame(Record):
     """What every proof and check at one (agent, moment, removals) frame
     shares."""
-    head: tuple          # the projection's axiom-derived premises
-    background: tuple
-    universe: dict       # the Herbrand universe widened by head + background
-    order: MomentOrder   # the moment order head + background state
-    modal: bool          # whether head or background has a modal node
-    # the premise prefixes of the two per-pair consistency checks, each
-    # grounded on its first use: the feasibility check's remaining axioms
-    # + background, and the refutation check's head + background
-    feasible_base: Optional[models.Grounding] = None
-    refute_base: Optional[models.Grounding] = None
+
+    __slots__ = ("head", "background", "universe", "order", "modal",
+                 "feasible_base", "refute_base")
+
+    def __init__(self, head: tuple, background: tuple, universe: dict, order: MomentOrder,
+                 modal: bool, feasible_base: Optional[models.Grounding] = None,
+                 refute_base: Optional[models.Grounding] = None) -> None:
+        self.head = head              # the projection's axiom-derived premises
+        self.background = background
+        self.universe = universe      # the Herbrand universe widened by head + background
+        self.order = order            # the moment order head + background state
+        self.modal = modal            # whether head or background has a modal node
+        # the premise prefixes of the two per-pair consistency checks, each
+        # grounded on its first use: the feasibility check's remaining axioms
+        # + background, and the refutation check's head + background
+        self.feasible_base = feasible_base
+        self.refute_base = refute_base
 
 
 def _has_modal(formulas) -> bool:

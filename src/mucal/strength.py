@@ -16,12 +16,11 @@ audited for downward closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import OrderingError, ProofError, UnknownNameError
 from .logic import (
-    And, Believes, Const, Falsum, Formula, Perceives, StrengthLevel,
+    And, Believes, Const, Falsum, Formula, FrozenRecord, Perceives, StrengthLevel,
     Withholds, constant_symbols, expand_sugar, formula_key, is_belief_at,
     negation_of,
 )
@@ -31,22 +30,31 @@ from .syntax import print_formula
 from . import models
 
 
-@dataclass(frozen=True)
-class TrailEntry:
-    kind: str          # cascade | store | rsp | rsb | audit
-    detail: str
-    level: Optional[int] = None
-    verdict: Optional[ReasonablenessVerdict] = None
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class StrengthJudgment:
-    agent: str
-    moment: str
-    formula: Formula
-    level: StrengthLevel
-    satisfied_levels: frozenset
-    trail: tuple
+class TrailEntry(FrozenRecord):
+    __slots__ = ("kind", "detail", "level", "verdict")
+
+    def __init__(self, kind: str, detail: str, level: Optional[int] = None,
+                 verdict: Optional[ReasonablenessVerdict] = None) -> None:
+        _set(self, "kind", kind)  # cascade | store | rsp | rsb | audit
+        _set(self, "detail", detail)
+        _set(self, "level", level)
+        _set(self, "verdict", verdict)
+
+
+class StrengthJudgment(FrozenRecord):
+    __slots__ = ("agent", "moment", "formula", "level", "satisfied_levels", "trail")
+
+    def __init__(self, agent: str, moment: str, formula: Formula, level: StrengthLevel,
+                 satisfied_levels: frozenset, trail: tuple) -> None:
+        _set(self, "agent", agent)
+        _set(self, "moment", moment)
+        _set(self, "formula", formula)
+        _set(self, "level", level)
+        _set(self, "satisfied_levels", satisfied_levels)
+        _set(self, "trail", trail)
 
     @property
     def content_key(self) -> str:

@@ -18,13 +18,12 @@ inferable from the first occurrence of the variable in the body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParseError
 from .logic import (
     And, App, Atom, Believes, Const, Exists, Falsum, Forall, Formula, Iff,
-    Implies, Not, Or, Perceives, Signature, Term, Var, Withholds, Xor,
+    Implies, Not, Or, Perceives, Record, Signature, Term, Var, Withholds, Xor,
     is_numeral,
 )
 
@@ -34,21 +33,25 @@ KEYWORDS = {
 }
 
 
-@dataclass
-class Token:
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = ("text", "line", "col")
+
+    def __init__(self, text: str, line: int, col: int) -> None:
+        self.text = text
+        self.line = line
+        self.col = col
 
 
-@dataclass
-class Node:
+class Node(Record):
     """Either an atom token or a parenthesized list of nodes."""
 
-    items: Optional[list]
-    token: Optional[Token]
-    line: int
-    col: int
+    __slots__ = ("items", "token", "line", "col")
+
+    def __init__(self, items: Optional[list], token: Optional[Token], line: int, col: int) -> None:
+        self.items = items
+        self.token = token
+        self.line = line
+        self.col = col
 
     @property
     def is_list(self) -> bool:

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -10,6 +9,13 @@ from mucal.prover import Proof, prove, projection
 from mucal.syntax import parse_formula
 
 P = Atom(App("p", (), "Boolean"))
+
+
+def replace(record, **changes):
+    """`record` with the named fields changed, rebuilt through its constructor."""
+    values = [changes.pop(n, getattr(record, n)) for n in record.__slots__]
+    assert not changes, f"no such fields: {sorted(changes)}"
+    return type(record)(*values)
 
 
 def corpus_proofs(lottery_kb, murder_kb, rain_kb):

@@ -146,24 +146,40 @@ def test_compare_irreflexive_message():
     assert "not more reasonable (irreflexive)" in out
 
 
-def test_closed_stdout_exits_quietly():
-    # the reader closes its end before any output arrives, as `| head -1`
-    # does once it has its line
+def fresh_env():
+    """The environment of a fresh interpreter that imports this tree's mucal."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader closes its end before any output arrives, as `| head -1`
+    # does once it has its line
     proc = subprocess.Popen(
         [sys.executable, "-m", "mucal.cli", "strength",
          "--kb", "scenarios/lottery5.kb", "--agent", "a", "--at", "now",
          "(exists (t) (win t))"],
-        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        cwd=ROOT, env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+def test_importing_the_cli_leaves_out_code_generation_and_json():
+    # every command pays for what `import mucal.cli` loads: `dataclasses`
+    # (with the `inspect` it pulls in) compiles methods with `exec`, and
+    # only `--json` needs `json`.  `-S` keeps site hooks out of the count.
+    code = ("import sys, mucal.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=ROOT, env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize("argv", [

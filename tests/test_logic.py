@@ -2,7 +2,6 @@ import itertools
 import random
 import sys
 import threading
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -235,7 +234,7 @@ def test_node_hash_is_the_hash_of_its_fields():
     ]
     assert len({type(n) for n in nodes}) == 16
     for n in nodes:
-        assert hash(n) == hash(tuple(getattr(n, f.name) for f in fields(n)))
+        assert hash(n) == hash(tuple(getattr(n, name) for name in n.__slots__))
 
 
 _FRESH = itertools.count()
