@@ -7,7 +7,7 @@ from .errors import (
 from .logic import (
     And, App, Atom, Believes, Const, Exists, Falsum, Forall, Formula, Iff,
     Implies, Not, Or, Perceives, Signature, StrengthLevel, Var, Withholds,
-    Xor, expand_sugar, free_vars, normalize, substitute, weight, well_sorted,
+    Xor, expand_sugar, free_vars, substitute, weight, well_sorted,
 )
 from .syntax import parse_formula, print_formula
 from .kb import KbDocument, load_kb, parse_kb
@@ -18,6 +18,6 @@ __all__ = [
     "MucalError", "Not", "Or", "OrderingError", "ParseError", "Perceives",
     "ProofError", "Signature", "SortError", "StrengthLevel",
     "UnknownNameError", "UnknownSymbolError", "Var", "Withholds", "Xor",
-    "expand_sugar", "free_vars", "load_kb", "normalize", "parse_formula",
+    "expand_sugar", "free_vars", "load_kb", "parse_formula",
     "parse_kb", "print_formula", "substitute", "weight", "well_sorted",
 ]

@@ -8,7 +8,7 @@ CheckError.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from .errors import CheckError
 from .logic import (
@@ -24,7 +24,7 @@ def _eq(a: Formula, b: Formula) -> bool:
 
 
 def check_proof(proof: Proof, gamma: Iterable[Formula],
-                goal: Optional[Formula] = None) -> bool:
+                goal: Formula | None = None) -> bool:
     """Replay the proof against the premise set; True or CheckError."""
     try:
         return _check(proof, gamma, goal)
@@ -34,7 +34,7 @@ def check_proof(proof: Proof, gamma: Iterable[Formula],
         raise CheckError(f"malformed proof object: {type(e).__name__}: {e}")
 
 
-def _check(proof: Proof, gamma: Iterable[Formula], goal: Optional[Formula]) -> bool:
+def _check(proof: Proof, gamma: Iterable[Formula], goal: Formula | None) -> bool:
     gamma = tuple(gamma)  # read twice below: premise keys, then moment order
     gamma_keys = {formula_key(g) for g in gamma}
     universe = {s: tuple(ts) for s, ts in proof.universe}

@@ -26,7 +26,6 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from .errors import MucalError
 from .kb import KbDocument, load_kb
@@ -67,7 +66,7 @@ def _proof_dict(proof: Proof) -> dict:
     }
 
 
-def _witness_dict(w: Optional[RevisionWitness]) -> Optional[dict]:
+def _witness_dict(w: RevisionWitness | None) -> dict | None:
     if w is None:
         return None
     return {

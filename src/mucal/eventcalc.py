@@ -81,7 +81,7 @@ def _clipping_completion(kb, order: MomentOrder) -> list:
                 triple = (Const(r, "Moment"), fl, Const(s, "Moment"))
                 clipped_here = triple in stated_clipped
                 if not clipped_here:
-                    for (ev, tfl, tm) in sorted(terminates, key=str):
+                    for (ev, tfl, tm) in terminates:
                         if tfl != fl:
                             continue
                         t = tm.name

@@ -18,7 +18,6 @@ Symbols must be declared before use.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from . import eventcalc
 from .errors import (
@@ -93,8 +92,8 @@ class KbDocument:
         self.candidates: list = []
         self.prior_pairs: list = []
         self.params = Params()
-        self._order: Optional[MomentOrder] = None
-        self._herbrand: Optional[dict] = None
+        self._order: MomentOrder | None = None
+        self._herbrand: dict | None = None
         self._finite: bool = True
 
     # -- declared names -------------------------------------------------
@@ -156,7 +155,7 @@ class KbDocument:
         def add(t) -> bool:
             fresh = False
             sort = t.sort
-            cur: Optional[str] = sort
+            cur: str | None = sort
             while cur is not None:
                 bucket = by_sort.setdefault(cur, {})
                 if t not in bucket:
@@ -181,7 +180,7 @@ class KbDocument:
                 arg_sorts, result = self.sig.functions[fn]
                 if result == "Boolean" or not arg_sorts:
                     continue
-                pools = [sorted(by_sort.get(s, {}), key=str) for s in arg_sorts]
+                pools = [by_sort.get(s, {}) for s in arg_sorts]
                 if any(not p for p in pools):
                     continue
                 combos = [()]

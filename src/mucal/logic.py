@@ -7,22 +7,24 @@ disjunction are definable sugar; :func:`expand_sugar` removes them.
 
 Term and formula nodes are interned: building a node equal to an existing
 one returns that node, so `==` is object identity.  `formula_key`, the one
-formula identity, stores its result on the node; the intern table is the
-one cache that lives as long as the process.
+formula identity, is read off the sugar-free formula in one walk: and/or
+runs flattened and ordered, bound variables keyed by binder depth.  It
+stores its result on the node; the intern table is the one cache that
+lives as long as the process.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from enum import IntEnum
-from typing import Iterable, Optional, Union
 
 from .errors import SortError, UnknownSymbolError
 
 # ---------------------------------------------------------------------------
 # Sorts and signatures
 
-BUILTIN_SORTS: dict[str, Optional[str]] = {
+BUILTIN_SORTS: dict[str, str | None] = {
     "Object": None,
     "Agent": None,
     "Self": "Agent",
@@ -63,11 +65,11 @@ class Signature:
     """
 
     def __init__(self) -> None:
-        self.sorts: dict[str, Optional[str]] = dict(BUILTIN_SORTS)
+        self.sorts: dict[str, str | None] = dict(BUILTIN_SORTS)
         self.constants: dict[str, str] = {}
         self.functions: dict[str, tuple[tuple[str, ...], str]] = dict(CORE_FUNCTIONS)
 
-    def declare_sort(self, name: str, parent: Optional[str] = None) -> None:
+    def declare_sort(self, name: str, parent: str | None = None) -> None:
         if name in self.sorts:
             raise SortError(f"sort {name!r} already declared")
         if parent is not None and parent not in self.sorts:
@@ -79,7 +81,7 @@ class Signature:
 
     def _has_cycle(self, start: str) -> bool:
         seen = set()
-        cur: Optional[str] = start
+        cur: str | None = start
         while cur is not None:
             if cur in seen:
                 return True
@@ -105,7 +107,7 @@ class Signature:
 
     def sort_le(self, a: str, b: str) -> bool:
         """True when sort a is b or a declared subsort of b."""
-        cur: Optional[str] = a
+        cur: str | None = a
         while cur is not None:
             if cur == b:
                 return True
@@ -124,9 +126,8 @@ class Signature:
 # A node's hash is computed once, when it is created, as the hash of its
 # field tuple, so set and dict iteration orders are those of uninterned
 # nodes.  Each node also stores, the first time they are asked for, its
-# structural key, its formula identity, its sugar-free form, its
-# AC-sorted form and its normal form.  The intern table is one dict per
-# node class.
+# formula key, its sugar-free form and, for an and/or node, its run's
+# sorted operand keys.  The intern table is one dict per node class.
 
 _set = object.__setattr__
 
@@ -148,7 +149,7 @@ class _Node:
     """Base of the interned term and formula classes: read-only, equal
     only to itself, and rebuilt by pickle and copy as the interned node."""
 
-    __slots__ = ("_hash", "_skey", "_fkey", "_plain", "_ac", "_norm")
+    __slots__ = ("_hash", "_fkey", "_plain", "_ops")
 
     def __init_subclass__(cls) -> None:
         cls._interned = {}
@@ -167,11 +168,9 @@ class _Node:
             for name, value in zip(cls.__slots__, args):
                 _set(node, name, value)
             _set(node, "_hash", hash(args))
-            _set(node, "_skey", None)
             _set(node, "_fkey", None)
             _set(node, "_plain", None)
-            _set(node, "_ac", None)
-            _set(node, "_norm", None)
+            _set(node, "_ops", None)
             # publish the finished node; a thread that built an equal node
             # first wins, so equal fields still give one object
             node = cls._interned.setdefault(args, node)
@@ -245,7 +244,7 @@ class App(_Node):
     sort: str
 
 
-Term = Union[Var, Const, App]
+Term = Var | Const | App
 
 
 def term_free_vars(t: Term) -> frozenset:
@@ -356,10 +355,10 @@ class Withholds(_Node):
     body: "Formula"  # sugar: neither believes body nor its negation
 
 
-Formula = Union[
-    Atom, Falsum, Not, And, Or, Implies, Iff, Xor,
-    Forall, Exists, Believes, Perceives, Withholds,
-]
+Formula = (
+    Atom | Falsum | Not | And | Or | Implies | Iff | Xor
+    | Forall | Exists | Believes | Perceives | Withholds
+)
 
 MODAL = (Believes, Perceives, Withholds)
 NARY = (And, Or, Xor)
@@ -481,7 +480,7 @@ def weight(f: Formula) -> int:
     return 1 + sum(weight(c) for c in children(f))
 
 
-def substitute(f: Formula, var: Var, t: Term, sig: Optional[Signature] = None) -> Formula:
+def substitute(f: Formula, var: Var, t: Term, sig: Signature | None = None) -> Formula:
     """Replace free occurrences of var by t, capture-avoiding.
 
     When a signature is supplied the replacement's sort must be a subsort
@@ -496,7 +495,7 @@ def substitute(f: Formula, var: Var, t: Term, sig: Optional[Signature] = None) -
 
 
 def _builtin_le(a: str, b: str) -> bool:
-    cur: Optional[str] = a
+    cur: str | None = a
     while cur is not None:
         if cur == b:
             return True
@@ -657,157 +656,114 @@ def _check_formula(f: Formula, sig: Signature, env: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Normalization and the one formula identity
+# The one formula identity
 #
-# Two formulas are the same formula exactly when their normal forms have
-# the same structural key; `formula_key` is that key and the only place
-# the package decides formula identity (probability table, cited premises,
-# revision pools, belief store, proof replay).  `struct_key` alone orders
-# formulas and names atoms that are already in normal form.
+# Two formulas are the same formula exactly when their keys are equal;
+# `formula_key` is that key and the only place the package decides formula
+# identity (probability table, cited premises, revision pools, belief
+# store, proof replay).  It is read off the sugar-free formula in one walk.
+# A run of nested and/or nodes is flattened, a one-operand node standing
+# for its operand, and the operand keys are sorted.  A bound variable is
+# keyed by the depth of its binder (its de Bruijn level), so renaming
+# binders keeps the key; operands are keyed inside their binders, so the
+# order of a run never depends on a bound variable's name.
 
-def _struct_key(f: Formula, depth: dict, level: int) -> str:
-    """Alpha-invariant structural key; bound variables keyed by binder depth.
+_TAGS = {
+    And: "and", Or: "or", Implies: "imp", Iff: "iff", Forall: "all",
+    Exists: "ex", Believes: "bel", Perceives: "per",
+}
 
-    Outside every binder (`depth` empty) the key depends on the node alone,
-    so it is computed once and stored on the node."""
-    if not depth and f._skey is not None:
-        return f._skey
+
+def _key(f: Formula, depth: dict, level: int) -> str:
+    """The key of a sugar-free formula under the binders in `depth`, which
+    maps each bound variable to its level; `level` is the next level.
+    Outside every binder the key depends on the node alone and is stored
+    on it."""
+    if not depth and f._fkey is not None:
+        return f._fkey
     if isinstance(f, Atom):
         key = "a(" + _term_key(f.term, depth) + ")"
     elif isinstance(f, Falsum):
         key = "false"
     elif isinstance(f, Not):
-        key = "n(" + _struct_key(f.body, depth, level) + ")"
-    elif isinstance(f, NARY):
-        tag = {And: "and", Or: "or", Xor: "xor"}[type(f)]
-        key = tag + "(" + ",".join(_struct_key(a, depth, level) for a in f.args) + ")"
+        key = "n(" + _key(f.body, depth, level) + ")"
+    elif isinstance(f, (And, Or)):
+        key = _run_key(*_run(f, depth, level))
     elif isinstance(f, BINARY):
-        tag = "imp" if isinstance(f, Implies) else "iff"
-        key = tag + "(" + _struct_key(f.left, depth, level) + "," + _struct_key(f.right, depth, level) + ")"
+        key = _TAGS[type(f)] + "(" + _key(f.left, depth, level) + "," + _key(f.right, depth, level) + ")"
     elif isinstance(f, QUANT):
-        tag = "all" if isinstance(f, Forall) else "ex"
         inner = dict(depth)
-        inner[f.var.name] = level
-        key = f"{tag}[{f.var.sort}](" + _struct_key(f.body, inner, level + 1) + ")"
+        inner[f.var] = level
+        key = f"{_TAGS[type(f)]}[{f.var.sort}](" + _key(f.body, inner, level + 1) + ")"
     else:
-        tag = {Believes: "bel", Perceives: "per", Withholds: "wit"}[type(f)]
-        key = tag + "(" + _term_key(f.agent, depth) + "," + _term_key(f.moment, depth) + "," + _struct_key(f.body, depth, level) + ")"
+        key = (_TAGS[type(f)] + "(" + _term_key(f.agent, depth) + "," + _term_key(f.moment, depth)
+               + "," + _key(f.body, depth, level) + ")")
     if not depth:
-        _set(f, "_skey", key)
+        _set(f, "_fkey", key)
     return key
+
+
+def _run(f: And | Or, depth: dict, level: int) -> tuple:
+    """The flattened and/or run rooted at f as (connective, sorted operand
+    keys).  A run of one operand is that operand: its own run when it is an
+    and/or node, else (None, (its key,)).  Stored on the node outside every
+    binder, so nested runs are keyed once."""
+    if not depth and f._ops is not None:
+        return f._ops
+    kind = type(f)
+    keys: list = []
+    sole = None  # the run of the last and/or operand kept as one key
+    stack = list(f.args)
+    while stack:
+        a = stack.pop()
+        if type(a) is kind:
+            stack.extend(a.args)
+        elif isinstance(a, (And, Or)):
+            sub = _run(a, depth, level)
+            if sub[0] is kind:  # a one-operand node standing for a run of this kind
+                keys.extend(sub[1])
+            else:
+                keys.append(_run_key(*sub))
+                sole = sub
+        else:
+            keys.append(_key(a, depth, level))
+            sole = None
+    if len(keys) == 1:
+        got = sole or (None, tuple(keys))
+    else:
+        keys.sort()
+        got = (kind, tuple(keys))
+    if not depth:
+        _set(f, "_ops", got)
+    return got
+
+
+def _run_key(kind: type | None, keys: tuple) -> str:
+    return keys[0] if kind is None else _TAGS[kind] + "(" + ",".join(keys) + ")"
 
 
 def _term_key(t: Term, depth: dict) -> str:
     """The key of a term; stored on the term when `depth` is empty."""
-    if not depth and t._skey is not None:
-        return t._skey
+    if not depth and t._fkey is not None:
+        return t._fkey
     if isinstance(t, Var):
-        key = f"b{depth[t.name]}" if t.name in depth else f"v:{t.name}:{t.sort}"
+        level = depth.get(t)
+        key = f"v:{t.name}:{t.sort}" if level is None else f"b{level}"
     elif isinstance(t, Const):
         key = f"c:{t.name}"
     else:
         key = t.fn + "(" + ",".join(_term_key(a, depth) for a in t.args) + ")"
     if not depth:
-        _set(t, "_skey", key)
+        _set(t, "_fkey", key)
     return key
 
 
-def struct_key(f: Formula) -> str:
-    return _struct_key(f, {}, 0)
-
-
-def _ac_sort(f: Formula) -> Formula:
-    """Flatten and order associative-commutative connectives.
-
-    A run of nested nodes of one connective is flattened first and sorted
-    once, so each operand is keyed once however deep the run is.  The
-    result is stored on the node."""
-    got = f._ac
-    if got is not None:
-        return got
-    if isinstance(f, (And, Or)):
-        flat: list = []
-        _ac_flatten(f, type(f), flat)
-        flat.sort(key=struct_key)
-        got = flat[0] if len(flat) == 1 else type(f)(tuple(flat))
-    else:
-        got = rebuild(f, tuple(_ac_sort(c) for c in children(f)))
-    _set(f, "_ac", got)
-    return got
-
-
-def _ac_flatten(f: Formula, kind: type, out: list) -> None:
-    """Append the normalized operands of the `kind` run rooted at f."""
-    for a in f.args:
-        if type(a) is kind:
-            _ac_flatten(a, kind, out)
-            continue
-        a = _ac_sort(a)
-        if type(a) is kind:  # a one-operand node of the other connective
-            out.extend(a.args)
-        else:
-            out.append(a)
-
-
-def _alpha(f: Formula, env: dict, counter: list, taken: frozenset) -> Formula:
-    """Rename binders to `_v0`, `_v1`, ..., skipping the free names in `taken`."""
-    if isinstance(f, Atom):
-        return Atom(_alpha_term(f.term, env))
-    if isinstance(f, QUANT):
-        while f"_v{counter[0]}" in taken:
-            counter[0] += 1
-        fresh = Var(f"_v{counter[0]}", f.var.sort)
-        counter[0] += 1
-        inner = dict(env)
-        inner[f.var] = fresh
-        return type(f)(fresh, _alpha(f.body, inner, counter, taken))
-    if isinstance(f, MODAL):
-        return type(f)(
-            _alpha_term(f.agent, env),
-            _alpha_term(f.moment, env),
-            _alpha(f.body, env, counter, taken),
-        )
-    kids = tuple(_alpha(c, env, counter, taken) for c in children(f))
-    return rebuild(f, kids)
-
-
-def _alpha_term(t: Term, env: dict) -> Term:
-    if isinstance(t, Var):
-        return env.get(t, t)
-    if isinstance(t, App):
-        return App(t.fn, tuple(_alpha_term(a, env) for a in t.args), t.sort)
-    return t
-
-
-def normalize(f: Formula) -> Formula:
-    """Canonical form: sugar expanded, AC connectives flattened and
-    ordered, bound variables renamed deterministically.
-
-    Two formulas are treated as equal throughout the package exactly when
-    their normal forms coincide.  The result is stored on the node.
-    """
-    got = f._norm
-    if got is not None:
-        return got
-    if isinstance(f, Not):
-        # every stage maps a negation to the negation of its body's result,
-        # so a negated formula whose body is normalized costs one node
-        got = Not(normalize(f.body))
-    else:
-        plain = expand_sugar(f)
-        # binders are keyed by name, so a free name is never reused for one
-        taken = frozenset(v.name for v in free_vars(plain))
-        got = _alpha(_ac_sort(plain), {}, [0], taken)
-    _set(f, "_norm", got)
-    return got
-
-
 def formula_key(f: Formula) -> str:
-    """The identity of a formula: the structural key of its normal form,
-    computed once per node and stored on it."""
+    """The identity of a formula: the key of its sugar-free form, computed
+    once per node and stored on it."""
     got = f._fkey
     if got is None:
-        got = struct_key(normalize(f))
+        got = _key(expand_sugar(f), {}, 0)
         _set(f, "_fkey", got)
     return got
 
@@ -844,7 +800,7 @@ def stated_ground_atoms(formulas: Iterable[Formula], fn: str) -> set:
 
 
 def collect_ground_terms(
-    formulas: Iterable[Formula], parents: Optional[dict] = None
+    formulas: Iterable[Formula], parents: dict | None = None
 ) -> dict:
     """Ground subterms grouped by sort; each term also joins the buckets of
     its ancestor sorts.  Buckets are deterministically ordered."""
@@ -852,7 +808,7 @@ def collect_ground_terms(
     buckets: dict = {}
 
     def add(t: Term) -> None:
-        cur: Optional[str] = t.sort
+        cur: str | None = t.sort
         while cur is not None:
             buckets.setdefault(cur, {}).setdefault(t, None)
             cur = parents.get(cur)
@@ -930,7 +886,7 @@ class MomentOrder:
     def pairs(self) -> list:
         return sorted(self._closure)
 
-    def minimum(self) -> Optional[str]:
+    def minimum(self) -> str | None:
         """The unique minimal moment, when one exists."""
         minima = [m for m in self.moments if not any(self.lt(x, m) for x in self.moments)]
         if len(minima) == 1:
@@ -961,7 +917,7 @@ def order_from_premises(formulas: Iterable[Formula]) -> MomentOrder:
     )
 
 
-def held_content(f: Formula, agent: Term, moment: Term, order) -> Optional[Formula]:
+def held_content(f: Formula, agent: Term, moment: Term, order) -> Formula | None:
     """The body of `f` when `agent` holds it at `moment`: a belief by
     `agent` at `moment` or earlier, or a perception strictly earlier.
     Otherwise None."""

@@ -32,16 +32,15 @@ stated beliefs (earlier or equal moments, percepts lifted).
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable
 from copy import copy
 from itertools import chain
 from operator import neg
-from typing import Iterable, Optional
 
 from .logic import (
     And, Atom, Believes, Exists, Falsum, Forall, Formula, Iff, Implies, Not,
     Or, Perceives, collect_ground_terms, expand_sugar, formula_key,
-    held_content, order_from_premises, quote_modal, struct_key,
-    substitute_unchecked,
+    held_content, order_from_premises, quote_modal, substitute_unchecked,
 )
 
 CONSISTENT = "consistent"
@@ -79,7 +78,7 @@ class Grounding:
     """
 
     def __init__(self, premises: Iterable[Formula], atom_budget: int = 256,
-                 universe: Optional[dict] = None):
+                 universe: dict | None = None):
         prems = tuple(expand_sugar(p) for p in premises)
         self.premises: tuple = ()
         self.universe = collect_ground_terms(prems) if universe is None else universe
@@ -134,9 +133,9 @@ class Grounding:
             f, sign = f.body, not sign
             self._tick()
         if isinstance(f, Atom):
-            key = struct_key(f)
+            key = formula_key(f)
         elif isinstance(f, (Believes, Perceives)):
-            key = struct_key(quote_modal(f))
+            key = formula_key(quote_modal(f))
             if isinstance(f, Believes):
                 self.beliefs.setdefault(key, f)
         elif isinstance(f, Falsum):
@@ -294,9 +293,9 @@ def _satisfiable(clauses: Iterable[tuple]) -> bool:
 def consistent(
     premises: Iterable[Formula],
     atom_budget: int = 256,
-    universe: Optional[dict] = None,
+    universe: dict | None = None,
     modal_depth: int = 2,
-    base: Optional[Grounding] = None,
+    base: Grounding | None = None,
 ) -> str:
     """Classify a premise set as consistent, inconsistent, or unknown.
 

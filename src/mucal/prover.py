@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Optional
 
 from .logic import (
     And, Atom, Believes, Const, Exists, Falsum, Forall, Formula, FrozenRecord, Iff,
     Implies, Not, Or, Perceives, collect_ground_terms, expand_sugar,
     formula_key, held_content, moment_names, negation_of, order_from_premises,
-    struct_key, substitute_unchecked, symbols,
+    substitute_unchecked, symbols,
 )
 
 # ---------------------------------------------------------------------------
@@ -62,7 +61,7 @@ class Proof(FrozenRecord):
 class ProofResult(FrozenRecord):
     __slots__ = ("outcome", "proof")
 
-    def __init__(self, outcome: str, proof: Optional[Proof] = None) -> None:
+    def __init__(self, outcome: str, proof: Proof | None = None) -> None:
         _set(self, "outcome", outcome)  # proved | refuted | unknown
         _set(self, "proof", proof)
 
@@ -112,17 +111,17 @@ class _Env:
 
     __slots__ = ("nodes", "key", "memo", "imps", "parent", "watch", "unblocked")
 
-    def __init__(self, nodes: dict, imps: list, parent: Optional[_Env] = None):
+    def __init__(self, nodes: dict, imps: list, parent: _Env | None = None):
         self.nodes = nodes
         self.key = frozenset(nodes)
         self.memo: dict = {}
         self.imps = imps
         self.parent = parent  # dropped once the watch index is built
-        self.watch: Optional[dict] = None
-        self.unblocked: Optional[set] = None
+        self.watch: dict | None = None
+        self.unblocked: set | None = None
 
 
-def _absent_need(body: Formula, nodes: dict) -> Optional[str]:
+def _absent_need(body: Formula, nodes: dict) -> str | None:
     """An absent key that a negated body needs before it can be proved at
     budget 0 in an environment without falsum, or None.
 
@@ -299,7 +298,7 @@ class _Search:
         env.watch, env.unblocked, env.parent = watch, unblocked, None
         return unblocked
 
-    def _antecedent_node(self, ante: Formula, nodes: dict) -> Optional[_Node]:
+    def _antecedent_node(self, ante: Formula, nodes: dict) -> _Node | None:
         got = nodes.get(formula_key(ante))
         if got is not None:
             return got
@@ -556,7 +555,7 @@ def _assemble(root: _Node, goal: Formula, universe: dict) -> Proof:
         ))
     premises = sorted(
         {s.formula for s in steps if s.rule == "premise"},
-        key=struct_key,
+        key=formula_key,
     )
     depth = max((len(s.assumptions) for s in steps), default=0)
     uni = tuple(sorted((s, tuple(ts)) for s, ts in universe.items()))
@@ -571,7 +570,7 @@ def prove(
     gamma,
     goal: Formula,
     depth: int = 3,
-    universe: Optional[dict] = None,
+    universe: dict | None = None,
     order=None,
     refute: bool = False,
 ) -> ProofResult:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
 
 from .kb import widen_universe
 from .logic import (
@@ -38,7 +37,7 @@ from . import models
 class ProbTable(Record):
     __slots__ = ("entries",)
 
-    def __init__(self, entries: Optional[dict] = None) -> None:
+    def __init__(self, entries: dict | None = None) -> None:
         # (agent, moment, key) -> Fraction
         self.entries = {} if entries is None else entries
 
@@ -50,7 +49,7 @@ class ProbTable(Record):
         return table
 
 
-def pr_lookup(table: ProbTable, agent: str, moment: str, f: Formula) -> Optional[Fraction]:
+def pr_lookup(table: ProbTable, agent: str, moment: str, f: Formula) -> Fraction | None:
     """Declared value, else the complement of the declared negation, else
     undefined.  Never invents values."""
     key = (agent, moment, formula_key(f))
@@ -71,7 +70,7 @@ _set = object.__setattr__
 class RevisionWitness(FrozenRecord):
     __slots__ = ("theta", "lam", "distance", "proof")
 
-    def __init__(self, theta: tuple, lam: tuple, distance: int, proof: Optional[Proof]) -> None:
+    def __init__(self, theta: tuple, lam: tuple, distance: int, proof: Proof | None) -> None:
         _set(self, "theta", theta)  # (label, formula) additions
         _set(self, "lam", lam)      # (label, formula) removals
         _set(self, "distance", distance)
@@ -89,7 +88,7 @@ class RevisionWitness(FrozenRecord):
 class ReasonablenessVerdict(FrozenRecord):
     __slots__ = ("holds", "clause", "evidence", "note")
 
-    def __init__(self, holds: bool, clause: str, evidence: Optional[dict] = None,
+    def __init__(self, holds: bool, clause: str, evidence: dict | None = None,
                  note: str = "") -> None:
         _set(self, "holds", holds)
         _set(self, "clause", clause)  # I | II | III | inapplicable
@@ -108,8 +107,8 @@ class _Frame(Record):
                  "feasible_base", "refute_base")
 
     def __init__(self, head: tuple, background: tuple, universe: dict, order: MomentOrder,
-                 modal: bool, feasible_base: Optional[models.Grounding] = None,
-                 refute_base: Optional[models.Grounding] = None) -> None:
+                 modal: bool, feasible_base: models.Grounding | None = None,
+                 refute_base: models.Grounding | None = None) -> None:
         self.head = head              # the projection's axiom-derived premises
         self.background = background
         self.universe = universe      # the Herbrand universe widened by head + background
@@ -149,7 +148,7 @@ class ReasonEngine:
 
     # -- agent-relative derivability ------------------------------------
 
-    def provable(self, agent: str, moment: str, f: Formula) -> Optional[Proof]:
+    def provable(self, agent: str, moment: str, f: Formula) -> Proof | None:
         content = self._strip_frame(f, agent, moment)
         key = (agent, moment, formula_key(content))
         if key not in self._provable:
@@ -173,7 +172,7 @@ class ReasonEngine:
 
     def _prove(self, agent: str, moment: str, content: Formula,
                theta_forms: tuple = (), lam_labels: frozenset = frozenset(),
-               ) -> Optional[Proof]:
+               ) -> Proof | None:
         """Prove `content` from the frame's projection with the additions.
 
         Premises, universe and moment order are exactly those a cold
@@ -200,7 +199,7 @@ class ReasonEngine:
 
     # -- delta ------------------------------------------------------------
 
-    def delta(self, agent: str, moment: str, goal: Formula) -> Optional[RevisionWitness]:
+    def delta(self, agent: str, moment: str, goal: Formula) -> RevisionWitness | None:
         """Minimal-distance consistent revision that derives the goal.
 
         The addition space is layered: subsets of the declared candidate
@@ -247,7 +246,7 @@ class ReasonEngine:
             for lam in combinations(removables, size)
         ]
 
-        def search(thetas) -> Optional[RevisionWitness]:
+        def search(thetas) -> RevisionWitness | None:
             ranked = []
             for theta in thetas:
                 theta_weight = sum(weight(f) for _, f in theta)
@@ -281,7 +280,7 @@ class ReasonEngine:
         return witness
 
     def _try_pair(self, agent, moment, content, theta, lam,
-                  distance: int) -> Optional[RevisionWitness]:
+                  distance: int) -> RevisionWitness | None:
         """The witness for one (additions, removals) pair, or None.
 
         The pair must be consistent with the remaining axioms and

@@ -16,8 +16,6 @@ audited for downward closure.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import OrderingError, ProofError, UnknownNameError
 from .logic import (
     And, Believes, Const, Falsum, Formula, FrozenRecord, Perceives, StrengthLevel,
@@ -36,8 +34,8 @@ _set = object.__setattr__
 class TrailEntry(FrozenRecord):
     __slots__ = ("kind", "detail", "level", "verdict")
 
-    def __init__(self, kind: str, detail: str, level: Optional[int] = None,
-                 verdict: Optional[ReasonablenessVerdict] = None) -> None:
+    def __init__(self, kind: str, detail: str, level: int | None = None,
+                 verdict: ReasonablenessVerdict | None = None) -> None:
         _set(self, "kind", kind)  # cascade | store | rsp | rsb | audit
         _set(self, "detail", detail)
         _set(self, "level", level)
@@ -85,7 +83,7 @@ class BeliefStore:
         self.judged: dict = {}
         self.diagnostics: list = []
 
-    def get(self, agent: str, moment: str, content_key: str) -> Optional[StrengthJudgment]:
+    def get(self, agent: str, moment: str, content_key: str) -> StrengthJudgment | None:
         return self.judged.get((agent, moment, content_key))
 
     def add(self, j: StrengthJudgment) -> bool:
@@ -119,7 +117,7 @@ class BeliefStore:
 class StrengthEngine:
     """Binds a KB to a reasonableness engine and a belief store."""
 
-    def __init__(self, kb, store: Optional[BeliefStore] = None):
+    def __init__(self, kb, store: BeliefStore | None = None):
         self.kb = kb
         self.reason = ReasonEngine(kb)
         self.store = store if store is not None else BeliefStore()
@@ -206,7 +204,7 @@ class StrengthEngine:
         return j
 
     def infer_rsb(self, premises: list, conclusion: Formula, t: str,
-                  u: Optional[int] = None) -> Optional[StrengthJudgment]:
+                  u: int | None = None) -> StrengthJudgment | None:
         """Level-propagating closure: fires at min premise level when the
         level spread is within u; returns None when the guard blocks."""
         if not premises:
@@ -249,7 +247,7 @@ class StrengthEngine:
             ),),
         )
 
-    def _entail(self, contents: list, conclusion: Formula) -> Optional[Proof]:
+    def _entail(self, contents: list, conclusion: Formula) -> Proof | None:
         key = (
             frozenset(formula_key(c) for c in contents),
             formula_key(conclusion),
@@ -389,7 +387,7 @@ class StrengthEngine:
         return [seen[k] for k in sorted(seen) if k != skip]
 
     def classify(self, agent: str, moment: str, f: Formula,
-                 pool: Optional[list] = None) -> StrengthJudgment:
+                 pool: list | None = None) -> StrengthJudgment:
         """Grade a formula through the definition cascade merged with the
         propagation store, with the full evidence trail."""
         self.kb.frame_terms(agent, moment)
@@ -423,7 +421,7 @@ class StrengthEngine:
         return out
 
     def _classify_cascade(self, agent: str, moment: str, f: Formula,
-                          pool: Optional[list] = None) -> StrengthJudgment:
+                          pool: list | None = None) -> StrengthJudgment:
         a_t, m_t = self.kb.frame_terms(agent, moment)
         bel = Believes(a_t, m_t, f)
         bel_neg = Believes(a_t, m_t, negation_of(f))

@@ -18,13 +18,11 @@ inferable from the first occurrence of the variable in the body.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import ParseError
 from .logic import (
     And, App, Atom, Believes, Const, Exists, Falsum, Forall, Formula, Iff,
-    Implies, Not, Or, Perceives, Record, Signature, Term, Var, Withholds, Xor,
-    is_numeral,
+    MODAL, Implies, Not, Or, Perceives, Record, Signature, Term, Var, Withholds,
+    Xor, children, is_numeral,
 )
 
 KEYWORDS = {
@@ -47,7 +45,7 @@ class Node(Record):
 
     __slots__ = ("items", "token", "line", "col")
 
-    def __init__(self, items: Optional[list], token: Optional[Token], line: int, col: int) -> None:
+    def __init__(self, items: list | None, token: Token | None, line: int, col: int) -> None:
         self.items = items
         self.token = token
         self.line = line
@@ -131,7 +129,7 @@ def _read(tokens: list, pos: int):
 # ---------------------------------------------------------------------------
 # Formula construction
 
-def formula_from_node(node: Node, sig: Signature, env: Optional[dict] = None) -> Formula:
+def formula_from_node(node: Node, sig: Signature, env: dict | None = None) -> Formula:
     env = env or {}
     if not node.is_list:
         word = node.token.text
@@ -249,7 +247,7 @@ def _binder_var(spec_node: Node, body: Node, sig: Signature, env: dict) -> Var:
     return Var(name, sort)
 
 
-def _infer_sort(name: str, node: Node, sig: Signature, shadowed: set) -> Optional[str]:
+def _infer_sort(name: str, node: Node, sig: Signature, shadowed: set) -> str | None:
     """Sort of the first occurrence of `name` in an argument position."""
     if not node.is_list:
         return None
@@ -326,7 +324,6 @@ def _all_var_names(f: Formula) -> frozenset:
                 of_term(a)
 
     def walk(g: Formula) -> None:
-        from .logic import MODAL, children
         if isinstance(g, Atom):
             of_term(g.term)
             return

@@ -12,8 +12,8 @@ from itertools import combinations, product
 
 from mucal.logic import (
     And, Atom, Believes, Exists, Falsum, Forall, Iff, Implies, Not, Or,
-    Perceives, expand_sugar, formula_key, normalize, quote_modal,
-    struct_key, substitute_unchecked, weight,
+    Perceives, expand_sugar, formula_key, quote_modal, substitute_unchecked,
+    weight,
 )
 from mucal.prover import projection, prove
 from mucal import models
@@ -21,8 +21,8 @@ from mucal import models
 
 def atom_key(f) -> str:
     if isinstance(f, (Believes, Perceives)):
-        return struct_key(quote_modal(f))
-    return struct_key(f)
+        return formula_key(quote_modal(f))
+    return formula_key(f)
 
 
 def collect_atoms(f, universe, acc) -> None:
@@ -125,11 +125,11 @@ def brute_force_delta(kb, agent: str, moment: str, goal):
     if direct.outcome == "proved":
         return 0
 
-    axiom_keys = {struct_key(normalize(a.formula)) for a in kb.axioms}
+    axiom_keys = {formula_key(a.formula) for a in kb.axioms}
     pool = [
         (c.label, c.formula)
         for c in sorted(kb.candidates, key=lambda c: c.label)
-        if struct_key(normalize(c.formula)) not in axiom_keys
+        if formula_key(c.formula) not in axiom_keys
     ]
     removables = sorted(kb.removable_axioms(), key=lambda a: a.label)
 

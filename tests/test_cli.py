@@ -173,10 +173,11 @@ def test_closed_stdout_exits_quietly():
 
 def test_importing_the_cli_leaves_out_code_generation_and_json():
     # every command pays for what `import mucal.cli` loads: `dataclasses`
-    # (with the `inspect` it pulls in) compiles methods with `exec`, and
-    # only `--json` needs `json`.  `-S` keeps site hooks out of the count.
+    # (with the `inspect` it pulls in) compiles methods with `exec`, only
+    # `--json` needs `json`, and annotations need no `typing`.  `-S` keeps
+    # site hooks out of the count.
     code = ("import sys, mucal.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'json', 'typing'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=ROOT, env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -4,7 +4,6 @@ import pytest
 
 from mucal.errors import KbError, ParseError
 from mucal.kb import parse_kb
-from mucal.logic import normalize
 from mucal.syntax import parse_formula
 
 LOTTERY_SNIPPET = """

@@ -11,7 +11,7 @@ from mucal.errors import SortError, UnknownSymbolError
 from mucal.logic import (
     And, App, Atom, Believes, Const, Exists, Falsum, Forall, Iff, Implies,
     Not, Or, Perceives, Signature, StrengthLevel, Var, Withholds, Xor,
-    expand_sugar, formula_key, free_vars, normalize, substitute,
+    expand_sugar, formula_key, free_vars, substitute,
     substitute_unchecked, weight, well_sorted,
 )
 from mucal.syntax import parse_formula, print_formula
@@ -187,22 +187,116 @@ def test_well_sorted_unknown_symbol(sig):
 def test_normalize_alpha_blind(sig):
     f = parse_formula("(exists (t Object) (win t))", sig)
     g = parse_formula("(exists (u Object) (win u))", sig)
-    assert normalize(f) == normalize(g)
+    assert formula_key(f) == formula_key(g)
 
 
 def test_normalize_ac(sig):
     f = parse_formula("(and (win t1) (win t2))", sig)
     g = parse_formula("(and (win t2) (win t1))", sig)
-    assert normalize(f) == normalize(g)
+    assert formula_key(f) == formula_key(g)
 
 
 def test_normalize_does_not_capture_a_free_variable(sig):
-    # a free `_v0` must not be bound by the name the first binder gets
+    # a free `_v0` is keyed by its name, never as a bound variable
     sig.declare_func("p", ("Object", "Object"), "Boolean")
     f = parse_formula("(exists (_v0 Object) (forall (y Object) (p _v0 y)))", sig).body
     g = parse_formula("(forall (y Object) (p y y))", sig)
     assert formula_key(f) != formula_key(g)
-    assert free_vars(normalize(f)) == free_vars(f)
+
+
+def test_alpha_variants_with_an_or_under_two_binders_get_one_key(sig):
+    # the or's operands mention both bound variables, so their order must
+    # not depend on the variables' names
+    sig.declare_sort("T")
+    sig.declare_func("r", ("T", "T"), "Boolean")
+    f = parse_formula("(forall (x T) (forall (y T) (or (r x y) (r y x))))", sig)
+    g = parse_formula("(forall (y T) (forall (x T) (or (r y x) (r x y))))", sig)
+    assert formula_key(f) == formula_key(g) == "all[T](all[T](or(a(r(b0,b1)),a(r(b1,b0)))))"
+
+
+def _identity_sig(sig):
+    sig.declare_func("p", (), "Boolean")
+    sig.declare_func("q", (), "Boolean")
+    sig.declare_const("b", "Agent")
+    return sig
+
+
+def _rename_binders(f, rng):
+    """f with each binder renamed to a name drawn from a small pool, so that
+    binders often trade names; its bound occurrences follow it."""
+    if isinstance(f, (Forall, Exists)):
+        body = _rename_binders(f.body, rng)
+        others = free_vars(body) - {f.var}
+        var = Var(rng.choice([n for n in "xyzu" if Var(n, f.var.sort) not in others]), f.var.sort)
+        return type(f)(var, substitute_unchecked(body, f.var, var))
+    return logic.rebuild(f, tuple(_rename_binders(c, rng) for c in logic.children(f)))
+
+
+def _regroup(f, rng):
+    """f with the operands of each and/or node shuffled, some of them grouped
+    into a nested node of the same connective, and some nodes wrapped in a
+    one-operand and/or node."""
+    kids = [_regroup(c, rng) for c in logic.children(f)]
+    if isinstance(f, (And, Or)):
+        rng.shuffle(kids)
+        if len(kids) > 2 and rng.random() < 0.5:
+            i = rng.randrange(len(kids) - 1)
+            j = rng.randrange(i + 2, len(kids) + 1)
+            kids[i:j] = [type(f)(tuple(kids[i:j]))]
+    g = logic.rebuild(f, tuple(kids))
+    return rng.choice([And, Or])((g,)) if rng.random() < 0.1 else g
+
+
+def test_key_survives_renaming_regrouping_and_sugar_expansion(sig):
+    _identity_sig(sig)
+    rng = random.Random(13)
+    x, y, w = (Var(n, "Object") for n in "xyw")
+    for _ in range(300):
+        # two binders over an and/or whose operands differ only in which of
+        # the two variables they mention where, beside a formula of any shape
+        g = random_formula(rng, sig, depth=4, env={0: x, 1: y})
+        swapped = substitute_unchecked(substitute_unchecked(
+            substitute_unchecked(g, x, w), y, x), w, y)
+        pair = Forall(x, Exists(y, rng.choice([And, Or])((g, swapped))))
+        for f in (random_formula(rng, sig, depth=5, env={}), pair):
+            key = formula_key(f)
+            assert formula_key(_rename_binders(f, rng)) == key
+            assert formula_key(_regroup(expand_sugar(f), rng)) == key
+            assert formula_key(expand_sugar(f)) == key
+
+
+def _propositional(rng, depth):
+    atoms = [Atom(App(n, (), "Boolean")) for n in "pqr"] + [Falsum()]
+    kind = rng.randrange(8) if depth > 0 else 0
+    if kind < 2:
+        return rng.choice(atoms)
+    if kind == 2:
+        return Not(_propositional(rng, depth - 1))
+    if kind < 6:
+        cls = (And, Or, Xor)[kind - 3]
+        return cls(tuple(_propositional(rng, depth - 1) for _ in range(rng.randrange(1, 4))))
+    cls = Implies if kind == 6 else Iff
+    return cls(_propositional(rng, depth - 1), _propositional(rng, depth - 1))
+
+
+def test_equal_keys_have_equal_truth_tables():
+    from oracles import collect_atoms, holds_in
+
+    rng = random.Random(29)
+    classes: dict = {}
+    for _ in range(3000):
+        f = _propositional(rng, 3)
+        classes.setdefault(formula_key(f), set()).add(f)
+    shared = [fs for fs in classes.values() if len(fs) > 1]
+    assert len(shared) > 50  # the check below compares many distinct formulas
+    for fs in shared:
+        names: set = set()
+        for f in fs:
+            collect_atoms(f, {}, names)
+        names = sorted(names)
+        for values in itertools.product((False, True), repeat=len(names)):
+            assignment = dict(zip(names, values))
+            assert len({holds_in(f, assignment, {}) for f in fs}) == 1
 
 
 def test_equal_nodes_are_one_object(sig):
@@ -242,13 +336,13 @@ _FRESH = itertools.count()
 
 def test_formula_key_of_an_and_chain_is_linear(monkeypatch):
     calls = [0]
-    inner = logic._struct_key
+    inner = logic._key
 
     def counting(*args):
         calls[0] += 1
         return inner(*args)
 
-    monkeypatch.setattr(logic, "_struct_key", counting)
+    monkeypatch.setattr(logic, "_key", counting)
 
     def key_calls(n):
         tag = f"chain{next(_FRESH)}_"  # fresh names: no stored keys to reuse
@@ -263,33 +357,24 @@ def test_formula_key_of_an_and_chain_is_linear(monkeypatch):
     assert key_calls(80) <= 2.5 * key_calls(40)
 
 
-def test_normal_form_of_a_negation_is_the_staged_one(sig):
-    # normalize takes a negation's normal form from its body's; the three
-    # stages, run on the whole negation, are the reference
-    def staged(f):
-        plain = expand_sugar(f)
-        taken = frozenset(v.name for v in free_vars(plain))
-        return logic._alpha(logic._ac_sort(plain), {}, [0], taken)
-
-    sig.declare_func("p", (), "Boolean")
-    sig.declare_func("q", (), "Boolean")
-    sig.declare_const("b", "Agent")
+def test_key_of_a_negation_wraps_its_body_key(sig):
+    _identity_sig(sig)
     rng = random.Random(7)
     for _ in range(500):
         f = random_formula(rng, sig, depth=5, env={})
-        cases = [Not(f), Not(Not(f))]
+        cases = [f, Not(f)]
         if isinstance(f, (Forall, Exists)):  # an open body: its free variable is kept
-            cases.append(Not(f.body))
+            cases.append(f.body)
         for g in cases:
-            assert normalize(g) is staged(g)
+            assert formula_key(Not(g)) == "n(" + formula_key(g) + ")"
 
 
-def test_second_normalize_builds_no_node(monkeypatch):
-    # sugar, AC order and a binder: every stage of the normal form
-    tag = f"norm{next(_FRESH)}_"
+def test_keying_a_sugar_free_formula_builds_no_node(monkeypatch):
+    # and/or order, a one-operand node and a binder
+    tag = f"key{next(_FRESH)}_"
     atoms = [Atom(App(f"{tag}{i}", (X,), "Boolean")) for i in range(4)]
-    f = Exists(X, Xor((atoms[2], And((atoms[3], atoms[0])), atoms[1])))
-    first = normalize(f)
+    f = Exists(X, Or((atoms[2], And((atoms[3], Or((atoms[0],)))), atoms[1])))
+    assert expand_sugar(f) is f  # looks every node up once, before counting
     built = [0]
     inner = logic._Node.__new__
 
@@ -298,7 +383,7 @@ def test_second_normalize_builds_no_node(monkeypatch):
         return inner(cls, *args, **kwargs)
 
     monkeypatch.setattr(logic._Node, "__new__", counting)
-    assert normalize(f) is first
+    assert formula_key(f) == f"ex[Object](or(a({tag}1(b0)),a({tag}2(b0)),and(a({tag}0(b0)),a({tag}3(b0)))))"
     assert built[0] == 0
 
 

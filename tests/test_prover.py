@@ -7,7 +7,7 @@ from mucal.errors import UnknownNameError
 from mucal.kb import load_kb, parse_kb
 from mucal.logic import (
     And, App, Atom, Believes, Const, Falsum, Implies, Not, Or, Perceives,
-    expand_sugar, formula_key, normalize,
+    expand_sugar, formula_key,
 )
 from mucal.prover import prove, rho
 from mucal.reasonable import ReasonEngine
@@ -96,7 +96,7 @@ def test_prove_refutation_direction():
     gamma = (Not(P),)
     res = prove(gamma, P, depth=2, refute=True)
     assert res.outcome == "refuted"
-    assert normalize(res.proof.goal) == normalize(Not(P))
+    assert formula_key(res.proof.goal) == formula_key(Not(P))
 
 
 def test_prove_explosion():

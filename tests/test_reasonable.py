@@ -6,7 +6,7 @@ import pytest
 import mucal.reasonable as reasonable
 from mucal.kb import parse_kb
 from mucal.logic import (
-    App, Atom, Believes, Const, Falsum, Not, Withholds, normalize, weight,
+    App, Atom, Believes, Const, Falsum, Not, Withholds, weight,
 )
 from mucal.prover import projection, prove
 from mucal.reasonable import ProbTable, ReasonEngine, pr_lookup

@@ -2,7 +2,7 @@ import pytest
 
 from mucal.errors import OrderingError, ProofError, UnknownNameError
 from mucal.kb import parse_kb
-from mucal.logic import Falsum, StrengthLevel, formula_key, normalize, struct_key
+from mucal.logic import Falsum, StrengthLevel, formula_key
 from mucal.strength import (
     BeliefStore, StrengthEngine, StrengthJudgment, TrailEntry,
     check_subsumption, explain,
@@ -129,7 +129,7 @@ def test_rsp_feeds_pool_check(rain_kb):
     content = parse_formula("(holds raining t1)", rain_kb.sig)
     j = engine.classify("mary", "now", content)
     assert int(j.level) == 5
-    stored = engine.store.get("mary", "now", struct_key(normalize(content)))
+    stored = engine.store.get("mary", "now", formula_key(content))
     assert stored is not None and int(stored.level) == 5
 
 
@@ -206,11 +206,11 @@ def test_saturate_zero_rounds_seeds_percepts(rain_kb):
 
 def test_saturate_lottery_two_rounds(lottery_kb):
     store = StrengthEngine(lottery_kb).saturate(2, agent="a", moment="now")
-    key5 = struct_key(normalize(parse_formula("(exists (t) (win t))", lottery_kb.sig)))
-    key2 = struct_key(normalize(parse_formula("(not (exists (t) (win t)))", lottery_kb.sig)))
+    key5 = formula_key(parse_formula("(exists (t) (win t))", lottery_kb.sig))
+    key2 = formula_key(parse_formula("(not (exists (t) (win t)))", lottery_kb.sig))
     assert int(store.get("a", "now", key5).level) == 5
     assert int(store.get("a", "now", key2).level) == 2
-    falsum_key = struct_key(normalize(Falsum()))
+    falsum_key = formula_key(Falsum())
     assert store.get("a", "now", falsum_key) is None
 
 
@@ -236,7 +236,7 @@ def test_belief_consistency_after_saturation(lottery_kb):
     store = StrengthEngine(lottery_kb).saturate(3, agent="a", moment="now")
     from mucal.logic import negation_of
     for (agent, moment, key), j in store.judged.items():
-        neg_key = struct_key(normalize(negation_of(j.formula)))
+        neg_key = formula_key(negation_of(j.formula))
         rival = store.get(agent, moment, neg_key)
         if rival is not None:
             assert rival.level != j.level
@@ -265,7 +265,7 @@ def test_store_upgrade_keeps_max(lottery_kb):
     store.add(_judgment(lottery_kb, "a", "now", "(win ticket1)", 2))
     store.add(_judgment(lottery_kb, "a", "now", "(win ticket1)", 4))
     store.add(_judgment(lottery_kb, "a", "now", "(win ticket1)", 1))
-    key = struct_key(normalize(parse_formula("(win ticket1)", lottery_kb.sig)))
+    key = formula_key(parse_formula("(win ticket1)", lottery_kb.sig))
     assert int(store.get("a", "now", key).level) == 4
 
 
