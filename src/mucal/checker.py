@@ -38,7 +38,8 @@ def _check(proof: Proof, gamma: Iterable[Formula], goal: Formula | None) -> bool
     gamma = tuple(gamma)  # read twice below: premise keys, then moment order
     gamma_keys = {formula_key(g) for g in gamma}
     universe = {s: tuple(ts) for s, ts in proof.universe}
-    order = order_from_premises(tuple(expand_sugar(g) for g in gamma))
+    # exact before expansion: sugar adds no term and no top-level `prior`
+    order = order_from_premises(gamma)
 
     for f in proof.premises_used:
         if formula_key(f) not in gamma_keys:

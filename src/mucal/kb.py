@@ -17,6 +17,8 @@ Symbols must be declared before use.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 from . import eventcalc
@@ -24,7 +26,7 @@ from .errors import (
     KbError, ParseError, SortError, UnknownNameError, UnknownSymbolError,
 )
 from .logic import (
-    App, Const, Falsum, Formula, MomentOrder, Record, Signature,
+    App, Const, Falsum, Formula, MomentOrder, Record, Signature, _join_sorts,
     collect_ground_terms, formula_key, is_numeral, well_sorted,
 )
 from .syntax import Node, formula_from_node, print_term, read_all
@@ -143,57 +145,20 @@ class KbDocument:
         return collect_ground_terms(stated, parents={})
 
     def herbrand(self) -> dict:
-        """Ground terms per sort, closed under declared functions.
+        """Ground terms per sort, closed under the declared functions; each
+        term is also in the buckets of its ancestor sorts.
 
-        Closure rounds are capped; if new terms still appear at the cap the
-        instance is flagged not finitely ground (see ``finitely_ground``).
+        The closure is bounded (see ``_close``); when a bound cuts it short
+        the KB is flagged not finitely ground (see ``finitely_ground``).
         """
         if self._herbrand is not None:
             return self._herbrand
         by_sort: dict = {}
-
-        def add(t) -> bool:
-            fresh = False
-            sort = t.sort
-            cur: str | None = sort
-            while cur is not None:
-                bucket = by_sort.setdefault(cur, {})
-                if t not in bucket:
-                    bucket[t] = None
-                    fresh = True
-                cur = self.sig.sorts.get(cur)
-            return fresh
-
-        for name in sorted(self.sig.constants):
-            add(Const(name, self.sig.constants[name]))
-        for m in self.moment_names():
-            if is_numeral(m):
-                add(Const(m, "Moment"))
-        for terms in self._stated_terms().values():
-            for t in terms:
-                add(t)
-
-        self._finite = True
-        for _ in range(4):
-            grew = False
-            for fn in sorted(self.sig.functions):
-                arg_sorts, result = self.sig.functions[fn]
-                if result == "Boolean" or not arg_sorts:
-                    continue
-                pools = [by_sort.get(s, {}) for s in arg_sorts]
-                if any(not p for p in pools):
-                    continue
-                combos = [()]
-                for pool in pools:
-                    combos = [c + (t,) for c in combos for t in pool]
-                for combo in combos:
-                    if add(App(fn, combo, result)):
-                        grew = True
-            if not grew:
-                break
-        else:
-            self._finite = False
-
+        seeds = [Const(name, self.sig.constants[name]) for name in sorted(self.sig.constants)]
+        seeds += [Const(m, "Moment") for m in self.moment_names() if is_numeral(m)]
+        seeds += [t for terms in self._stated_terms().values() for t in terms]
+        size = sum(_join_sorts(by_sort, t, self.sig.sorts) for t in seeds)
+        self._finite = _close(by_sort, size, self.sig)
         self._herbrand = {
             s: tuple(sorted(bucket, key=print_term)) for s, bucket in by_sort.items()
         }
@@ -223,6 +188,37 @@ class KbDocument:
 
     def removable_axioms(self) -> list:
         return [a for a in self.axioms if not a.certain]
+
+
+# bounds of the Herbrand closure: its rounds, and its size in terms (the
+# largest bundled KB, scenarios/lottery_stress.kb, has 2,002)
+_HERBRAND_ROUNDS = 4
+_HERBRAND_CAP = 10_000
+
+
+def _close(by_sort: dict, size: int, sig: Signature) -> bool:
+    """Close the `size` terms in `by_sort` under the declared non-Boolean
+    functions, in rounds; within a round a function applied later sees
+    the terms that earlier ones made.  True when a round adds nothing.
+    False when the rounds run out, or when a function's argument
+    combinations could take the terms past `_HERBRAND_CAP`; that function
+    then adds none."""
+    for _ in range(_HERBRAND_ROUNDS):
+        grew = False
+        for fn in sorted(sig.functions):
+            arg_sorts, result = sig.functions[fn]
+            if result == "Boolean" or not arg_sorts:
+                continue
+            pools = [by_sort.get(s, {}) for s in arg_sorts]
+            if size + math.prod(map(len, pools)) > _HERBRAND_CAP:
+                return False
+            for combo in itertools.product(*pools):
+                if _join_sorts(by_sort, App(fn, combo, result), sig.sorts):
+                    size += 1
+                    grew = True
+        if not grew:
+            return True
+    return False
 
 
 def _require(cond: bool, msg: str, node: Node) -> None:

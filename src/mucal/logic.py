@@ -115,6 +115,10 @@ class Signature:
         return False
 
 
+# the built-in sorts alone, for sort checks made without a KB
+_BUILTIN_SIGNATURE = Signature()
+
+
 # ---------------------------------------------------------------------------
 # Interned nodes and records
 #
@@ -256,18 +260,6 @@ def term_free_vars(t: Term) -> frozenset:
             out |= term_free_vars(a)
         return out
     return frozenset()
-
-
-def term_symbols(t: Term) -> frozenset:
-    if isinstance(t, (Var, Const)):
-        return frozenset([t.name])
-    return frozenset([t.fn]).union(*[term_symbols(a) for a in t.args]) if t.args else frozenset([t.fn])
-
-
-def term_weight(t: Term) -> int:
-    if isinstance(t, App):
-        return 1 + sum(term_weight(a) for a in t.args)
-    return 1
 
 
 def subst_term(t: Term, var: Var, repl: Term) -> Term:
@@ -433,74 +425,64 @@ def free_vars(f: Formula) -> frozenset:
     return out
 
 
-def symbols(f: Formula) -> frozenset:
-    """Distinct non-logical symbol names occurring in f."""
-    if isinstance(f, Atom):
-        return term_symbols(f.term)
-    if isinstance(f, MODAL):
-        out = term_symbols(f.agent) | term_symbols(f.moment)
-        return out | symbols(f.body)
-    out = frozenset()
-    for c in children(f):
-        out |= symbols(c)
+def _nodes(n, out: list) -> list:
+    """Append to `out` every formula node of `n` and every term of its
+    atoms and of its modal agents and moments, in written order, children
+    before their parent.  A binder's variable is appended only where it
+    occurs.  Returns `out`."""
+    if isinstance(n, App):
+        for a in n.args:
+            _nodes(a, out)
+    elif isinstance(n, Atom):
+        _nodes(n.term, out)
+    elif isinstance(n, MODAL):
+        _nodes(n.agent, out)
+        _nodes(n.moment, out)
+        _nodes(n.body, out)
+    else:
+        for c in children(n):
+            _nodes(c, out)
+    out.append(n)
     return out
+
+
+def symbols(f: Formula) -> frozenset:
+    """Distinct function, constant and variable names occurring in f.
+
+    Bound variables count too, so a renamed binder can change the set; a
+    binder whose variable never occurs adds nothing."""
+    return frozenset(
+        n.fn if isinstance(n, App) else n.name
+        for n in _nodes(f, []) if isinstance(n, (Var, Const, App))
+    )
 
 
 def constant_symbols(f: Formula) -> frozenset:
     """Function and constant names occurring in f; variables excluded."""
-
-    def of_term(t: Term) -> frozenset:
-        if isinstance(t, Var):
-            return frozenset()
-        if isinstance(t, Const):
-            return frozenset([t.name])
-        out = frozenset([t.fn])
-        for a in t.args:
-            out |= of_term(a)
-        return out
-
-    if isinstance(f, Atom):
-        return of_term(f.term)
-    if isinstance(f, MODAL):
-        return of_term(f.agent) | of_term(f.moment) | constant_symbols(f.body)
-    out: frozenset = frozenset()
-    for c in children(f):
-        out |= constant_symbols(c)
-    return out
+    return frozenset(
+        n.fn if isinstance(n, App) else n.name
+        for n in _nodes(f, []) if isinstance(n, (Const, App))
+    )
 
 
 def weight(f: Formula) -> int:
-    """Symbol-occurrence count; an atomic 0-ary predicate weighs 1."""
-    if isinstance(f, Atom):
-        return term_weight(f.term)
-    if isinstance(f, Falsum):
-        return 1
-    if isinstance(f, MODAL):
-        return 1 + term_weight(f.agent) + term_weight(f.moment) + weight(f.body)
-    return 1 + sum(weight(c) for c in children(f))
+    """Symbol-occurrence count: 1 per connective, quantifier, modal node,
+    falsum and term occurrence, so an atom weighs its term size and an
+    atomic 0-ary predicate weighs 1."""
+    return sum(not isinstance(n, Atom) for n in _nodes(f, []))
 
 
 def substitute(f: Formula, var: Var, t: Term, sig: Signature | None = None) -> Formula:
     """Replace free occurrences of var by t, capture-avoiding.
 
-    When a signature is supplied the replacement's sort must be a subsort
-    of the variable's sort.
+    The replacement's sort must be a subsort of the variable's sort in
+    `sig`, or among the built-in sorts when no signature is supplied.
     """
-    sort_le = _builtin_le if sig is None else sig.sort_le
-    if not sort_le(t.sort, var.sort):
+    if not (sig or _BUILTIN_SIGNATURE).sort_le(t.sort, var.sort):
         raise SortError(
             f"cannot substitute {t.sort} term for {var.sort} variable {var.name!r}"
         )
     return _subst(f, var, t)
-
-
-def _builtin_le(a: str, b: str) -> bool:
-    cur: str | None = a
-    while cur is not None:
-        if cur == b:
-            return True
-        cur = BUILTIN_SORTS.get(cur)
-    return False
 
 
 def _subst(f: Formula, var: Var, t: Term) -> Formula:
@@ -799,41 +781,40 @@ def stated_ground_atoms(formulas: Iterable[Formula], fn: str) -> set:
     return out
 
 
+def _join_sorts(buckets: dict, t: Term, parents: dict) -> bool:
+    """Put t in the bucket of its sort and of each of that sort's ancestors
+    in `parents`; True when t was new."""
+    fresh = False
+    cur: str | None = t.sort
+    while cur is not None:
+        bucket = buckets.setdefault(cur, {})
+        if t not in bucket:
+            bucket[t] = None
+            fresh = True
+        cur = parents.get(cur)
+    return fresh
+
+
 def collect_ground_terms(
     formulas: Iterable[Formula], parents: dict | None = None
 ) -> dict:
-    """Ground subterms grouped by sort; each term also joins the buckets of
-    its ancestor sorts.  Buckets are deterministically ordered."""
+    """The ground terms of the formulas' atoms and modal agents and moments,
+    by sort: constants, and applications whose arguments are all ground.
+    Each term also joins the buckets of its ancestor sorts in `parents`
+    (the built-in sort edges by default).  Sorts come in the order the walk
+    first meets them, and each bucket is ordered by term key."""
     parents = BUILTIN_SORTS if parents is None else parents
     buckets: dict = {}
-
-    def add(t: Term) -> None:
-        cur: str | None = t.sort
-        while cur is not None:
-            buckets.setdefault(cur, {}).setdefault(t, None)
-            cur = parents.get(cur)
-
-    def walk_term(t: Term) -> None:
-        if isinstance(t, Const):
-            add(t)
-        elif isinstance(t, App):
-            for a in t.args:
-                walk_term(a)
-            if not term_free_vars(t):
-                add(t)
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Atom):
-            walk_term(f.term)
-            return
-        if isinstance(f, MODAL):
-            walk_term(f.agent)
-            walk_term(f.moment)
-        for c in children(f):
-            walk(c)
-
+    ground: set = set()
     for f in formulas:
-        walk(f)
+        for n in _nodes(f, []):
+            if n in ground:
+                continue
+            if isinstance(n, Const) or (
+                isinstance(n, App) and all(a in ground for a in n.args)
+            ):
+                ground.add(n)
+                _join_sorts(buckets, n, parents)
     return {
         s: tuple(sorted(b, key=lambda t: _term_key(t, {})))
         for s, b in buckets.items()

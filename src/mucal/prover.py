@@ -580,12 +580,14 @@ def prove(
     proof of the negated goal, or unknown once the depth budget and the
     bounded search space are exhausted.
     """
+    gamma = tuple(gamma)
+    if order is None:
+        # exact before expansion: sugar adds no term and no top-level `prior`
+        order = order_from_premises(gamma + (goal,))
     gamma = tuple(expand_sugar(g) for g in gamma)
     goal_x = expand_sugar(goal)
     if universe is None:
         universe = collect_ground_terms(gamma + (goal_x,))
-    if order is None:
-        order = order_from_premises(gamma + (goal_x,))
     search = _Search(gamma, universe, order)
     env = search.base_env()
     if search.overflow:

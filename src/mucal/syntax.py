@@ -21,8 +21,8 @@ from __future__ import annotations
 from .errors import ParseError
 from .logic import (
     And, App, Atom, Believes, Const, Exists, Falsum, Forall, Formula, Iff,
-    MODAL, Implies, Not, Or, Perceives, Record, Signature, Term, Var, Withholds,
-    Xor, children, is_numeral,
+    Implies, Not, Or, Perceives, Record, Signature, Term, Var, Withholds,
+    Xor, _nodes, is_numeral,
 )
 
 KEYWORDS = {
@@ -314,29 +314,10 @@ def print_formula(f: Formula) -> str:
 
 
 def _all_var_names(f: Formula) -> frozenset:
-    names: set = set()
-
-    def of_term(t: Term) -> None:
-        if isinstance(t, Var):
-            names.add(t.name)
-        elif isinstance(t, App):
-            for a in t.args:
-                of_term(a)
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Atom):
-            of_term(g.term)
-            return
-        if isinstance(g, (Forall, Exists)):
-            names.add(g.var.name)
-        if isinstance(g, MODAL):
-            of_term(g.agent)
-            of_term(g.moment)
-        for c in children(g):
-            walk(c)
-
-    walk(f)
-    return frozenset(names)
+    return frozenset(
+        n.var.name if isinstance(n, (Forall, Exists)) else n.name
+        for n in _nodes(f, []) if isinstance(n, (Var, Forall, Exists))
+    )
 
 
 def _print(f: Formula, scope: dict, visible: frozenset, avoid: frozenset) -> str:

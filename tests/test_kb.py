@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from mucal.errors import KbError, ParseError
-from mucal.kb import parse_kb
-from mucal.syntax import parse_formula
+from mucal.kb import _HERBRAND_CAP, parse_kb
+from mucal.syntax import parse_formula, print_term
 
 LOTTERY_SNIPPET = """
 (const a Agent)
@@ -114,6 +114,36 @@ def test_herbrand_closure_includes_fluent_terms(murder_kb):
     names = {str(t) for t in fluents}
     assert len(fluents) == 3  # owns(alice), owns(bob), owns(s)
     assert murder_kb.finitely_ground()
+
+
+def _object_names(kb):
+    return {print_term(t) for t in kb.herbrand()["Object"]}
+
+
+def test_herbrand_round_cap_keeps_four_rounds():
+    # one constant and a binary function: 1, 2, 5, 26 and then 677 terms
+    kb = parse_kb("(const c Object)(func g (Object Object) Object)")
+    assert len(kb.herbrand()["Object"]) == 677
+    assert not kb.finitely_ground()
+
+
+def test_herbrand_function_applied_later_in_a_round_sees_earlier_terms():
+    # g, applied after f in each round, also sees that round's f terms: 88
+    # terms after four rounds, where fixed per-round pools would give 31
+    kb = parse_kb("(const c Object)(func f (Object) Object)(func g (Object) Object)")
+    assert len(kb.herbrand()["Object"]) == 88
+    assert "(g (f c))" in _object_names(kb)
+    assert not kb.finitely_ground()
+
+
+def test_herbrand_closure_stops_at_its_size_cap():
+    # unbounded, the fourth round would square 1,446 terms into 2,090,918
+    kb = parse_kb("(const c Object)(const d Object)(func g (Object Object) Object)"
+                  "(func p (Object) Boolean)(axiom a1 (p c))")
+    names = _object_names(kb)
+    assert len(names) <= _HERBRAND_CAP
+    assert {"c", "d", "(g c c)"} <= names
+    assert not kb.finitely_ground()
 
 
 def test_candidate_formulas_validated():

@@ -14,6 +14,7 @@ from mucal.logic import (
     expand_sugar, formula_key, free_vars, substitute,
     substitute_unchecked, weight, well_sorted,
 )
+from mucal.prover import prove
 from mucal.syntax import parse_formula, print_formula
 from conftest import DESK_SCENARIOS, scenario_path
 from mucal.kb import load_kb
@@ -415,6 +416,91 @@ def test_weight_examples(sig):
     assert weight(p) == 1
     assert weight(win(T1)) == 2
     assert weight(Not(win(T1))) == 3
+
+
+# ---------------------------------------------------------------------------
+# What the ground-term walk reads off a formula: weight, symbols, ground terms
+
+P = Atom(App("p", (), "Boolean"))
+A = Const("a", "Agent")
+NOW = Const("now", "Moment")
+
+
+def test_weight_counts_each_node_over_its_operands():
+    nested = Atom(App("r", (App("f", (T1,), "Object"), X), "Boolean"))
+    assert weight(nested) == 4  # an atom weighs its term size
+    assert weight(Falsum()) == 1
+    assert weight(And((P, win(T1)))) == 1 + 1 + 2
+    assert weight(Xor((P, P, P))) == 1 + 3
+    assert weight(Implies(P, Falsum())) == 1 + 1 + 1
+    assert weight(Forall(X, win(X))) == 1 + 2
+    assert weight(Exists(X, P)) == 1 + 1  # an unused binder adds nothing
+    assert weight(Believes(A, NOW, win(T1))) == 1 + 1 + 1 + 2
+    moment = App("next", (NOW,), "Moment")
+    assert weight(Withholds(A, moment, P)) == 1 + 1 + 2 + 1
+
+
+def test_symbols_count_bound_variable_names_and_constant_symbols_do_not(sig):
+    f = parse_formula("(forall (x Object) (win x))", sig)
+    assert logic.symbols(f) == {"x", "win"}
+    assert logic.constant_symbols(f) == {"win"}
+    # a binder named like a declared constant is still a variable
+    bound = Var("t1", "Object")
+    shadow = Forall(bound, win(bound))
+    assert logic.symbols(shadow) == {"t1", "win"}
+    assert logic.constant_symbols(shadow) == {"win"}
+    assert logic.constant_symbols(Forall(bound, win(T1))) == {"win", "t1"}
+    # a binder whose variable never occurs adds no name
+    assert logic.symbols(Exists(Var("y", "Object"), P)) == {"p"}
+    assert logic.symbols(Believes(A, NOW, P)) == {"a", "now", "p"}
+
+
+def test_collect_ground_terms_walks_atoms_agents_and_moments():
+    later = App("next", (NOW,), "Moment")
+    got = logic.collect_ground_terms((Believes(A, later, win(T1)),))
+    # sorts in the order the walk first meets them, never in set order
+    assert list(got) == ["Agent", "Moment", "Object", "Boolean"]
+    assert got["Agent"] == (A,)
+    assert got["Moment"] == (NOW, later)
+    assert got["Boolean"] == (win(T1).term,)  # a ground atom is a Boolean term
+
+
+def test_collect_ground_terms_skips_open_terms_but_keeps_their_ground_parts():
+    c = Const("c", "Object")
+    open_term = App("f", (c, App("g", (X,), "Object")), "Object")
+    got = logic.collect_ground_terms((Atom(App("r", (open_term,), "Boolean")),))
+    assert got == {"Object": (c,)}
+
+
+def test_collect_ground_terms_joins_ancestor_sorts_and_orders_by_key():
+    me = Const("me", "Self")
+    assert logic.collect_ground_terms((Believes(me, NOW, P),))["Agent"] == (me,)
+    sub = Const("s", "Sub")
+    parents = {"Sub": "Object", "Object": None}
+    f = And((win(T2), Atom(App("q", (sub,), "Boolean")), win(T1)))
+    got = logic.collect_ground_terms((f,), parents)
+    assert got["Sub"] == (sub,)
+    assert got["Object"] == (sub, T1, T2)  # "c:s" < "c:t1" < "c:t2"
+    assert logic.collect_ground_terms((f,), {})["Object"] == (T1, T2)
+    b = App("b", (), "Object")
+    assert logic.collect_ground_terms((Atom(App("r", (T1, b), "Boolean")),))["Object"] == (b, T1)
+
+
+def test_prove_on_sugared_premises_matches_prove_on_their_expansion(sig):
+    # the default moment order is taken before sugar expansion; the r_p lift
+    # below needs `prior m1 now`, so a wrong order would change the proof
+    gamma = [parse_formula(t, sig) for t in (
+        "(xor (win t1) (win t2))", "(prior m1 now)",
+        "(perceives a m1 (win t1))", "(withholds a m1 (win t2))",
+    )]
+    goal = parse_formula("(believes a now (or (win t1) (win t2)))", sig)
+    expanded = [expand_sugar(g) for g in gamma]
+    sugared = prove(gamma, goal)
+    assert sugared.outcome == "proved"
+    assert sugared == prove(expanded, expand_sugar(goal))
+    raw = logic.order_from_premises(gamma + [goal])
+    plain = logic.order_from_premises(expanded + [expand_sugar(goal)])
+    assert (raw.pairs(), raw.moments) == (plain.pairs(), plain.moments)
 
 
 def test_strength_level_order():
