@@ -99,29 +99,66 @@ class _Node:
 _FALSE_KEY = formula_key(Falsum())
 
 
+class _Base:
+    """The saturated premise nodes of one search, shared by every
+    environment of that search, with the sorted keys of its split
+    candidates (`Or`, `Exists`) and of its `Believes` nodes."""
+
+    __slots__ = ("nodes", "splits", "beliefs")
+
+    def __init__(self, nodes: dict):
+        self.nodes = nodes
+        self.splits = _sorted_keys(nodes, (Or, Exists))
+        self.beliefs = _sorted_keys(nodes, Believes)
+
+
+def _sorted_keys(nodes: dict, kinds) -> list:
+    return sorted(k for k, n in nodes.items() if isinstance(n.formula, kinds))
+
+
 class _Env:
-    """An immutable saturated fact set.  `key` identifies the content, so
-    failure memoization transfers between branches that reach the same
-    premise set; successful nodes are cached per instance because their
-    assumption bookkeeping is tied to this environment's assume nodes.
+    """An immutable saturated fact set in two layers: the search's shared
+    `base` and the `own` nodes that assumptions added beyond it.  A key
+    enters `own` only when the base lacks it, and every environment of a
+    search has the same base, so `key`, the key set of `own`, identifies
+    the content within that search.  Failure memoization transfers between
+    branches that reach the same premise set; successful nodes are cached
+    per instance because their assumption bookkeeping is tied to this
+    environment's assume nodes.
 
     `imps` lists the implication nodes in insertion order.  The falsum
     watch index (`watch`, `unblocked`) is built on the first falsum
-    query, from the parent's index when the environment extends one."""
+    query, from the parent's index when the environment extends one.
+    `splits()` and `beliefs()` merge the base's sorted indexes with the
+    own layer's few entries."""
 
-    __slots__ = ("nodes", "key", "memo", "imps", "parent", "watch", "unblocked")
+    __slots__ = ("base", "own", "key", "memo", "imps", "parent", "watch", "unblocked")
 
-    def __init__(self, nodes: dict, imps: list, parent: _Env | None = None):
-        self.nodes = nodes
-        self.key = frozenset(nodes)
+    def __init__(self, base: _Base, own: dict, imps: list, parent: _Env | None = None):
+        self.base = base
+        self.own = own
+        self.key = frozenset(own)
         self.memo: dict = {}
         self.imps = imps
         self.parent = parent  # dropped once the watch index is built
         self.watch: dict | None = None
         self.unblocked: set | None = None
 
+    def get(self, key: str) -> _Node | None:
+        return self.own.get(key) or self.base.nodes.get(key)
 
-def _absent_need(body: Formula, nodes: dict) -> str | None:
+    def splits(self) -> list:
+        return self._merged(self.base.splits, (Or, Exists))
+
+    def beliefs(self) -> list:
+        return self._merged(self.base.beliefs, Believes)
+
+    def _merged(self, keys: list, kinds) -> list:
+        own = _sorted_keys(self.own, kinds)
+        return sorted(keys + own) if own else keys
+
+
+def _absent_need(body: Formula, base: dict, own: dict) -> str | None:
     """An absent key that a negated body needs before it can be proved at
     budget 0 in an environment without falsum, or None.
 
@@ -130,14 +167,15 @@ def _absent_need(body: Formula, nodes: dict) -> str | None:
     present."""
     if isinstance(body, Atom):
         key = formula_key(body)
-        return None if key in nodes else key
-    if not isinstance(body, And) or formula_key(body) in nodes:
+        return None if key in own or key in base else key
+    if not isinstance(body, And) or not all(isinstance(a, Atom) for a in body.args):
         return None
-    if not all(isinstance(a, Atom) for a in body.args):
+    key = formula_key(body)
+    if key in own or key in base:
         return None
     for a in body.args:
         key = formula_key(a)
-        if key not in nodes:
+        if key not in own and key not in base:
             return key
     return None
 
@@ -164,28 +202,30 @@ class _Search:
             if n.key not in nodes:
                 nodes[n.key] = n
                 new.append(n)
-        imps = self._saturate(nodes, new, [])
-        return _Env(nodes, imps)
+        imps = self._saturate({}, nodes, new, [])
+        return _Env(_Base(nodes), {}, imps)
 
     def extend(self, env: _Env, formulas: tuple):
-        nodes = dict(env.nodes)
+        base = env.base.nodes
+        own = dict(env.own)
         assumes = []
         new = []
         for f in formulas:
             n = _Node("assume", (), f, assumptions=frozenset())
             n.assumptions = frozenset([n])
-            if n.key not in nodes:
+            if n.key not in own and n.key not in base:
                 # an already-derived fact needs no assumption; the fresh
                 # assume node still stands in for discharge bookkeeping
-                nodes[n.key] = n
+                own[n.key] = n
                 new.append(n)
             assumes.append(n)
-        imps = self._saturate(nodes, new, env.imps)
-        return _Env(nodes, imps, env), assumes
+        imps = self._saturate(base, own, new, env.imps)
+        return _Env(env.base, own, imps, env), assumes
 
-    def _saturate(self, nodes: dict, new: list, imps: list) -> list:
-        """Saturate `nodes` from the `new` ones; `imps` lists the
-        implication nodes already in `nodes` before `new`.  Returns the
+    def _saturate(self, base: dict, own: dict, new: list, imps: list) -> list:
+        """Saturate `own` over `base` from the `new` nodes, adding to `own`
+        only keys that neither layer has; `imps` lists the implication
+        nodes already in the layers before `new`.  Returns the
         implication list of the result."""
         kept = list(imps)
         # a new implication is on the firing list from the start and again
@@ -196,12 +236,12 @@ class _Search:
         idx = 0
 
         def add(node: _Node) -> None:
-            if len(nodes) > _SATURATION_CAP:
+            if len(base) + len(own) > _SATURATION_CAP:
                 self.overflow = True
                 return
-            if node.key in nodes:
+            if node.key in own or node.key in base:
                 return
-            nodes[node.key] = node
+            own[node.key] = node
             work.append(node)
 
         while idx < len(work):
@@ -226,9 +266,9 @@ class _Search:
             elif isinstance(f, Perceives):
                 self._lift_percept(n, add)
             # contradiction detection
-            neg = negation_of(f)
-            partner = nodes.get(formula_key(neg))
-            if partner is not None and _FALSE_KEY not in nodes:
+            neg_key = formula_key(negation_of(f))
+            partner = own.get(neg_key) or base.get(neg_key)
+            if partner is not None and _FALSE_KEY not in own and _FALSE_KEY not in base:
                 pos, negn = (partner, n) if isinstance(f, Not) else (n, partner)
                 add(_Node("neg_elim", (pos, negn), Falsum()))
             # implication firing
@@ -236,12 +276,12 @@ class _Search:
             while fired:
                 fired = False
                 for imp in list(imps):
-                    if imp.key not in nodes:
+                    if imp.key not in own and imp.key not in base:
                         continue
                     out_key = formula_key(imp.formula.right)
-                    if out_key in nodes:
+                    if out_key in own or out_key in base:
                         continue
-                    ante = self._antecedent_node(imp.formula.left, nodes)
+                    ante = self._antecedent_node(imp.formula.left, base, own)
                     if ante is not None:
                         add(_Node("imp_elim", (imp, ante), imp.formula.right))
                         fired = True
@@ -260,21 +300,21 @@ class _Search:
     def _unblocked(self, env: _Env) -> set:
         if env.unblocked is not None:
             return env.unblocked
+        base, own = env.base.nodes, env.own
         parent = env.parent
         if parent is None:
             watch: dict = {}
             unblocked: set = set()
-            new = env.nodes.values()
+            new = itertools.chain(base.values(), own.values())
         else:
             self._unblocked(parent)
             watch = dict(parent.watch)
             unblocked = set(parent.unblocked)
-            new = itertools.islice(env.nodes.values(), len(parent.nodes), None)
-        nodes = env.nodes
+            new = itertools.islice(own.values(), len(parent.own), None)
         owned: set = set()  # watch lists made here, not shared with the parent
 
         def place(neg: _Node) -> None:
-            need = _absent_need(neg.formula.body, nodes)
+            need = _absent_need(neg.formula.body, base, own)
             if need is None:
                 unblocked.add(neg.key)
             elif need in owned:
@@ -293,20 +333,21 @@ class _Search:
                 if neg.key not in unblocked:
                     place(neg)
             for k in self.conj_negs.get(n.key, ()):
-                if k in nodes:
+                if k in own or k in base:
                     unblocked.add(k)
         env.watch, env.unblocked, env.parent = watch, unblocked, None
         return unblocked
 
-    def _antecedent_node(self, ante: Formula, nodes: dict) -> _Node | None:
-        got = nodes.get(formula_key(ante))
+    def _antecedent_node(self, ante: Formula, base: dict, own: dict) -> _Node | None:
+        key = formula_key(ante)
+        got = own.get(key) or base.get(key)
         if got is not None:
             return got
         if isinstance(ante, And):
-            parts = [nodes.get(formula_key(a)) for a in ante.args]
+            parts = [own.get(k) or base.get(k) for k in map(formula_key, ante.args)]
             if all(p is not None for p in parts):
                 n = _Node("and_intro", tuple(parts), ante)
-                nodes[n.key] = n
+                own[n.key] = n
                 return n
         return None
 
@@ -367,10 +408,10 @@ class _Search:
 
     def _prove_inner(self, env: _Env, goal: Formula, key: str, budget: int,
                      seen: frozenset, splits: frozenset):
-        got = env.nodes.get(key)
+        got = env.get(key)
         if got is not None:
             return got
-        falsum = env.nodes.get(_FALSE_KEY)
+        falsum = env.get(_FALSE_KEY)
         if falsum is not None and not isinstance(goal, Falsum):
             return _Node("efq", (falsum,), goal)
 
@@ -379,7 +420,7 @@ class _Search:
             # only try to close negated premises structurally (budget 0),
             # deeper contradictions come from the split fallback below
             for k in sorted(self._unblocked(env)):
-                n = env.nodes[k]
+                n = env.get(k)
                 sub = self.prove(env, n.formula.body, 0, seen, splits)
                 if sub is not None:
                     return _Node("neg_elim", (sub, n), Falsum())
@@ -448,17 +489,17 @@ class _Search:
             return None
 
         # case split over a disjunctive premise
-        for k in sorted(env.nodes):
+        for k in env.splits():
             if k in splits:
                 continue
-            n = env.nodes[k]
+            n = env.get(k)
             if isinstance(n.formula, Or):
                 cases = self._split(env, goal, n, n.formula.args, budget,
                                     seen, splits | {k})
                 if cases is not None:
                     return _Node("or_elim", (n,) + cases, goal,
                                  assumptions=self._discharge(n, cases))
-            elif isinstance(n.formula, Exists):
+            else:
                 pool = self.universe.get(n.formula.var.sort, ())
                 if not pool:
                     continue
@@ -508,13 +549,12 @@ class _Search:
             return None
         belief_nodes = []
         contents = []
-        for k in sorted(env.nodes):
-            n = env.nodes[k]
-            if isinstance(n.formula, Believes):
-                body = held_content(n.formula, goal.agent, goal.moment, self.order)
-                if body is not None:
-                    belief_nodes.append(n)
-                    contents.append(body)
+        for k in env.beliefs():
+            n = env.get(k)
+            body = held_content(n.formula, goal.agent, goal.moment, self.order)
+            if body is not None:
+                belief_nodes.append(n)
+                contents.append(body)
         if not contents:
             return None
         sub = prove(tuple(contents), goal.body, depth=budget,

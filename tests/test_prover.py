@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -209,9 +210,15 @@ def _prove_goal(kb, text):
                  universe=kb.universe(premises + (goal,)), refute=True)
 
 
+def _layers(env):
+    """Every node of an environment: its search's base, then its own."""
+    return {**env.base.nodes, **env.own}
+
+
 def _unblocked_by_scan(env):
+    nodes = _layers(env)
     out = set()
-    for k, n in env.nodes.items():
+    for k, n in nodes.items():
         if not isinstance(n.formula, Not):
             continue
         body = n.formula.body
@@ -222,8 +229,8 @@ def _unblocked_by_scan(env):
         else:
             out.add(k)
             continue
-        if formula_key(body) in env.nodes or all(
-                formula_key(a) in env.nodes for a in atoms):
+        if formula_key(body) in nodes or all(
+                formula_key(a) in nodes for a in atoms):
             out.add(k)
     return out
 
@@ -260,11 +267,12 @@ def test_falsum_index_matches_a_scan(monkeypatch, scenario, goal):
     for search, env in reversed(made):
         unblocked = search._unblocked(env)
         assert unblocked == _unblocked_by_scan(env)
-        if prover._FALSE_KEY in env.nodes:
+        nodes = _layers(env)
+        if prover._FALSE_KEY in nodes:
             continue
         # a blocked negation's body fails at budget 0
         fresh = prover._Search(search.gamma, search.universe, search.order)
-        for k, n in env.nodes.items():
+        for k, n in nodes.items():
             if isinstance(n.formula, Not) and k not in unblocked:
                 assert fresh.prove(env, n.formula.body, 0, frozenset(),
                                    frozenset()) is None
@@ -311,3 +319,58 @@ def test_falsum_step_uses_a_negated_conjunction_present_as_a_whole():
     res = prove(gamma, Implies(a, Implies(bc, Falsum())), depth=3)
     assert res.outcome == "proved"
     assert "neg_elim" in [s.rule for s in res.proof.steps]
+
+
+# ---------------------------------------------------------------------------
+# the shared base layer and the own layer
+
+_LAYERS_KB = (
+    "(sort T Object)(const c T)(const d T)(const a Agent)(const now Moment)"
+    "(func p () Boolean)(func q () Boolean)(func s () Boolean)(func r (T) Boolean)"
+)
+
+
+@pytest.mark.parametrize("goal", [
+    # split candidates and beliefs that only an assumption adds
+    "(implies (and (or (p) (q)) (implies (p) (s)) (implies (q) (s))) (s))",
+    "(implies (exists (x T) (and (r x) (p))) (p))",
+    "(implies (and (exists (x T) (r x)) (forall (x T) (implies (r x) (s)))) (s))",
+    "(implies (believes a now (and (p) (q))) (believes a now (p)))",
+    "(implies (or (believes a now (p)) (believes a now (q))) (believes a now (or (p) (q))))",
+])
+def test_own_layer_joins_the_split_and_belief_indexes(goal):
+    kb = parse_kb(_LAYERS_KB)
+    g = parse_formula(goal, kb.sig)
+    res = prove((), g, depth=kb.params.proof_depth, universe=kb.universe((g,)))
+    assert res.outcome == "proved"
+
+
+def test_eighty_ticket_lottery_branches_share_the_base(monkeypatch):
+    kb = _lottery_n(80)  # 3160 pairwise exclusions
+    goal = parse_formula("(exists (t) (win t))", kb.sig)
+    premises = kb.all_premises()
+    universe = kb.universe(premises + (goal,))
+    made = []  # (search, env), in creation order
+    extend = prover._Search.extend
+
+    def record_extend(self, env, formulas):
+        env2, assumes = extend(self, env, formulas)
+        made.append((self, env2))
+        return env2, assumes
+
+    monkeypatch.setattr(prover._Search, "extend", record_extend)
+    tracemalloc.start()
+    try:
+        res = prove(premises, goal, depth=kb.params.proof_depth, universe=universe,
+                    refute=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.outcome == "proved"
+    assert peak < 12 * 2**20
+    assert len({id(search) for search, _ in made}) == 1
+    base = made[0][1].base
+    assert len(base.nodes) > 3000
+    for _, env in made:
+        assert env.base is base
+        assert len(env.own) <= 4
