@@ -27,9 +27,9 @@ from .errors import (
 )
 from .logic import (
     App, Const, Falsum, Formula, MomentOrder, Record, Signature, _join_sorts,
-    collect_ground_terms, formula_key, is_numeral, well_sorted,
+    collect_ground_terms, formula_key, is_numeral,
 )
-from .syntax import Node, formula_from_node, print_term, read_all
+from .syntax import Node, print_term, read_all, sorted_formula
 
 
 class AxiomEntry(Record):
@@ -280,8 +280,7 @@ def parse_kb(text: str) -> KbDocument:
             if label in labels:
                 raise ParseError(f"duplicate label {label!r}", form.line, form.col)
             labels.add(label)
-            formula = formula_from_node(body, kb.sig)
-            _validate_formula(formula, kb.sig, body)
+            formula = sorted_formula(body, kb.sig)
             kb.axioms.append(AxiomEntry(label, formula, certain))
         elif head == "candidate":
             _require(len(rest) == 2, "(candidate <label> <formula>)", form)
@@ -289,8 +288,7 @@ def parse_kb(text: str) -> KbDocument:
             if label in labels:
                 raise ParseError(f"duplicate label {label!r}", form.line, form.col)
             labels.add(label)
-            formula = formula_from_node(rest[1], kb.sig)
-            _validate_formula(formula, kb.sig, rest[1])
+            formula = sorted_formula(rest[1], kb.sig)
             kb.candidates.append(CandidateEntry(label, formula))
         elif head == "pr":
             _require(len(rest) == 4, "(pr <agent> <moment> <formula> <rational>)", form)
@@ -302,8 +300,7 @@ def parse_kb(text: str) -> KbDocument:
                 raise ParseError(f"{agent!r} is not a declared agent", rest[0].line, rest[0].col)
             if not is_numeral(moment) and kb.sig.constants.get(moment) != "Moment":
                 raise ParseError(f"{moment!r} is not a declared moment", rest[1].line, rest[1].col)
-            formula = formula_from_node(rest[2], kb.sig)
-            _validate_formula(formula, kb.sig, rest[2])
+            formula = sorted_formula(rest[2], kb.sig)
             key = formula_key(formula)
             if key == formula_key(Falsum()):
                 raise ParseError("probability entries cannot target falsum",
@@ -348,17 +345,6 @@ def parse_kb(text: str) -> KbDocument:
     except KbError as e:
         raise KbError(f"moment order: {e}")
     return kb
-
-
-def _validate_formula(f: Formula, sig: Signature, node: Node) -> None:
-    # sugar expansion only rearranges already-checked subformulas, so the
-    # surface check suffices here
-    try:
-        ok = well_sorted(f, sig)
-    except UnknownSymbolError as e:
-        raise ParseError(str(e), node.line, node.col)
-    if not ok:
-        raise ParseError("formula is not well-sorted", node.line, node.col)
 
 
 def widen_universe(base: dict, extra: dict) -> dict:

@@ -18,7 +18,6 @@ fresh sub-search.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .logic import (
@@ -102,14 +101,33 @@ _FALSE_KEY = formula_key(Falsum())
 class _Base:
     """The saturated premise nodes of one search, shared by every
     environment of that search, with the sorted keys of its split
-    candidates (`Or`, `Exists`) and of its `Believes` nodes."""
+    candidates (`Or`, `Exists`) and of its `Believes` nodes.  Its falsum
+    index (`falsum_index`) is built on the search's first falsum query."""
 
-    __slots__ = ("nodes", "splits", "beliefs")
+    __slots__ = ("nodes", "splits", "beliefs", "_falsum")
 
     def __init__(self, nodes: dict):
         self.nodes = nodes
         self.splits = _sorted_keys(nodes, (Or, Exists))
         self.beliefs = _sorted_keys(nodes, Believes)
+        self._falsum: tuple | None = None
+
+    def falsum_index(self) -> tuple:
+        """The sorted keys of the negations that can close falsum at budget
+        0, and, for each absent key that could unblock a blocked negation,
+        the negation nodes waiting on it."""
+        if self._falsum is None:
+            unblocked, waiting = [], {}
+            for k, n in self.nodes.items():
+                if isinstance(n.formula, Not):
+                    needs = _absent_needs(n.formula.body, self.nodes, {})
+                    if not needs:
+                        unblocked.append(k)
+                    for need in needs:
+                        waiting.setdefault(need, []).append(n)
+            unblocked.sort()
+            self._falsum = (unblocked, waiting)
+        return self._falsum
 
 
 def _sorted_keys(nodes: dict, kinds) -> list:
@@ -126,58 +144,70 @@ class _Env:
     per instance because their assumption bookkeeping is tied to this
     environment's assume nodes.
 
-    `imps` lists the implication nodes in insertion order.  The falsum
-    watch index (`watch`, `unblocked`) is built on the first falsum
-    query, from the parent's index when the environment extends one.
-    `splits()` and `beliefs()` merge the base's sorted indexes with the
-    own layer's few entries."""
+    `imps` lists the implication nodes in insertion order.  `splits()`,
+    `beliefs()` and `unblocked()` merge the base's sorted indexes with the
+    own layer's few entries; `unblocked()` is built once, on the
+    environment's first falsum query."""
 
-    __slots__ = ("base", "own", "key", "memo", "imps", "parent", "watch", "unblocked")
+    __slots__ = ("base", "own", "key", "memo", "imps", "_unblocked")
 
-    def __init__(self, base: _Base, own: dict, imps: list, parent: _Env | None = None):
+    def __init__(self, base: _Base, own: dict, imps: list):
         self.base = base
         self.own = own
         self.key = frozenset(own)
         self.memo: dict = {}
         self.imps = imps
-        self.parent = parent  # dropped once the watch index is built
-        self.watch: dict | None = None
-        self.unblocked: set | None = None
+        self._unblocked: list | None = None
 
     def get(self, key: str) -> _Node | None:
         return self.own.get(key) or self.base.nodes.get(key)
 
     def splits(self) -> list:
-        return self._merged(self.base.splits, (Or, Exists))
+        return self._merged(self.base.splits, _sorted_keys(self.own, (Or, Exists)))
 
     def beliefs(self) -> list:
-        return self._merged(self.base.beliefs, Believes)
+        return self._merged(self.base.beliefs, _sorted_keys(self.own, Believes))
 
-    def _merged(self, keys: list, kinds) -> list:
-        own = _sorted_keys(self.own, kinds)
+    # A negation whose body has an absent need (`_absent_needs`) cannot
+    # close a falsum goal, so the falsum step walks only the unblocked
+    # negations.  Needs only appear as layers grow, so a negation unblocked
+    # in the base stays unblocked, and a blocked base negation is unblocked
+    # here only when one of the keys it waits on is in the own layer.
+
+    def unblocked(self) -> list:
+        """The sorted keys of the negations that can close falsum at budget 0."""
+        if self._unblocked is None:
+            keys, waiting = self.base.falsum_index()
+            base, own = self.base.nodes, self.own
+            negs = {n for k in own for n in waiting.get(k, ())}
+            negs.update(n for n in own.values() if isinstance(n.formula, Not))
+            self._unblocked = self._merged(keys, sorted(
+                n.key for n in negs if not _absent_needs(n.formula.body, base, own)))
+        return self._unblocked
+
+    @staticmethod
+    def _merged(keys: list, own: list) -> list:
         return sorted(keys + own) if own else keys
 
 
-def _absent_need(body: Formula, base: dict, own: dict) -> str | None:
-    """An absent key that a negated body needs before it can be proved at
-    budget 0 in an environment without falsum, or None.
+def _absent_needs(body: Formula, base: dict, own: dict) -> tuple:
+    """The absent keys whose addition could let a negated body be proved at
+    budget 0 in an environment without falsum; empty when it may be proved
+    now.
 
-    Only an atom or a conjunction of atoms has one: such a body is proved
+    Only an atom or a conjunction of atoms has them: such a body is proved
     at budget 0 only by being present itself or by having every atom
     present."""
     if isinstance(body, Atom):
         key = formula_key(body)
-        return None if key in own or key in base else key
+        return () if key in own or key in base else (key,)
     if not isinstance(body, And) or not all(isinstance(a, Atom) for a in body.args):
-        return None
+        return ()
     key = formula_key(body)
     if key in own or key in base:
-        return None
-    for a in body.args:
-        key = formula_key(a)
-        if key not in own and key not in base:
-            return key
-    return None
+        return ()
+    atoms = tuple(k for k in map(formula_key, body.args) if k not in own and k not in base)
+    return (key,) + atoms if atoms else ()
 
 
 class _Search:
@@ -188,9 +218,6 @@ class _Search:
         self.moments = sorted(moment_names(universe))
         self.overflow = False
         self.fails: dict = {}
-        # body key of a negated conjunction -> the negation keys; a
-        # negation's body key is fixed by its own key
-        self.conj_negs: dict = {}
 
     # -- forward saturation ------------------------------------------------
 
@@ -220,7 +247,7 @@ class _Search:
                 new.append(n)
             assumes.append(n)
         imps = self._saturate(base, own, new, env.imps)
-        return _Env(env.base, own, imps, env), assumes
+        return _Env(env.base, own, imps), assumes
 
     def _saturate(self, base: dict, own: dict, new: list, imps: list) -> list:
         """Saturate `own` over `base` from the `new` nodes, adding to `own`
@@ -288,55 +315,6 @@ class _Search:
             if self.overflow:
                 break
         return kept
-
-    # -- the falsum watch index -----------------------------------------------
-    #
-    # A negation whose body has an absent need (`_absent_need`) cannot close
-    # a falsum goal, so the falsum step walks only the unblocked negations.
-    # Each blocked negation watches one absent atom; adding that atom wakes
-    # it, and it watches another absent atom or becomes unblocked.  A
-    # negated conjunction is also unblocked when its body itself is added.
-
-    def _unblocked(self, env: _Env) -> set:
-        if env.unblocked is not None:
-            return env.unblocked
-        base, own = env.base.nodes, env.own
-        parent = env.parent
-        if parent is None:
-            watch: dict = {}
-            unblocked: set = set()
-            new = itertools.chain(base.values(), own.values())
-        else:
-            self._unblocked(parent)
-            watch = dict(parent.watch)
-            unblocked = set(parent.unblocked)
-            new = itertools.islice(own.values(), len(parent.own), None)
-        owned: set = set()  # watch lists made here, not shared with the parent
-
-        def place(neg: _Node) -> None:
-            need = _absent_need(neg.formula.body, base, own)
-            if need is None:
-                unblocked.add(neg.key)
-            elif need in owned:
-                watch[need].append(neg)
-            else:
-                watch[need] = watch.get(need, []) + [neg]
-                owned.add(need)
-
-        for n in new:
-            if isinstance(n.formula, Not):
-                body = n.formula.body
-                if isinstance(body, And):
-                    self.conj_negs.setdefault(formula_key(body), set()).add(n.key)
-                place(n)
-            for neg in watch.pop(n.key, ()):
-                if neg.key not in unblocked:
-                    place(neg)
-            for k in self.conj_negs.get(n.key, ()):
-                if k in own or k in base:
-                    unblocked.add(k)
-        env.watch, env.unblocked, env.parent = watch, unblocked, None
-        return unblocked
 
     def _antecedent_node(self, ante: Formula, base: dict, own: dict) -> _Node | None:
         key = formula_key(ante)
@@ -419,7 +397,7 @@ class _Search:
             # complementary literal pairs are caught during saturation; here
             # only try to close negated premises structurally (budget 0),
             # deeper contradictions come from the split fallback below
-            for k in sorted(self._unblocked(env)):
+            for k in env.unblocked():
                 n = env.get(k)
                 sub = self.prove(env, n.formula.body, 0, seen, splits)
                 if sub is not None:

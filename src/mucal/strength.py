@@ -117,10 +117,10 @@ class BeliefStore:
 class StrengthEngine:
     """Binds a KB to a reasonableness engine and a belief store."""
 
-    def __init__(self, kb, store: BeliefStore | None = None):
+    def __init__(self, kb):
         self.kb = kb
         self.reason = ReasonEngine(kb)
-        self.store = store if store is not None else BeliefStore()
+        self.store = BeliefStore()
         self._entail_cache: dict = {}
         self._seeded: set = set()
 

@@ -18,11 +18,11 @@ inferable from the first occurrence of the variable in the body.
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import ParseError, UnknownSymbolError
 from .logic import (
     And, App, Atom, Believes, Const, Exists, Falsum, Forall, Formula, Iff,
     Implies, Not, Or, Perceives, Record, Signature, Term, Var, Withholds,
-    Xor, _nodes, is_numeral,
+    Xor, _nodes, is_numeral, well_sorted,
 )
 
 KEYWORDS = {
@@ -287,9 +287,25 @@ def _infer_sort(name: str, node: Node, sig: Signature, shadowed: set) -> str | N
     return None
 
 
+def sorted_formula(node: Node, sig: Signature) -> Formula:
+    """The well-sorted formula a surface node denotes; raises ParseError
+    at the node's position otherwise."""
+    f = formula_from_node(node, sig)
+    # sugar expansion only rearranges already-checked subformulas, so the
+    # surface check suffices
+    try:
+        ok = well_sorted(f, sig)
+    except UnknownSymbolError as e:
+        raise ParseError(str(e), node.line, node.col)
+    if not ok:
+        raise ParseError("formula is not well-sorted", node.line, node.col)
+    return f
+
+
 def parse_formula(text: str, sig: Signature) -> Formula:
-    """Parse a single formula; raises ParseError with line/column on failure."""
-    return formula_from_node(read_one(text), sig)
+    """Parse a single well-sorted formula; raises ParseError with
+    line/column on failure."""
+    return sorted_formula(read_one(text), sig)
 
 
 # ---------------------------------------------------------------------------

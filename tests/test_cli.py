@@ -75,6 +75,29 @@ def test_exit_code_unknown_agent():
     assert rc == 64
 
 
+_LOTTERY = ["--kb", "scenarios/lottery5.kb"]
+_FRAME = _LOTTERY + ["--agent", "a", "--at", "now"]
+
+
+@pytest.mark.parametrize("formula", [
+    "(win now)",  # a Moment where win takes an Object
+    "(believes ticket1 now (win ticket1))",  # an Object as the agent
+], ids=["argument", "agent"])
+@pytest.mark.parametrize("argv", [
+    ["prove", *_LOTTERY, "F"],
+    ["strength", *_FRAME, "F"],
+    ["compare", *_FRAME, "F", "(win ticket1)"],
+    ["compare", *_FRAME, "(win ticket1)", "F"],
+    ["counterfactual", *_FRAME, "F"],
+    ["explain", *_FRAME, "F"],
+], ids=["prove", "strength", "compare", "compare-other", "counterfactual", "explain"])
+def test_exit_code_ill_sorted_formula(argv, formula, capsys):
+    rc, out = run_cli([formula if a == "F" else a for a in argv])
+    assert rc == 64
+    assert out == ""
+    assert "not well-sorted" in capsys.readouterr().err
+
+
 def test_exit_code_missing_kb():
     rc, _ = run_cli(["prove", "--kb", "scenarios/missing.kb", "(p)"])
     assert rc == 64

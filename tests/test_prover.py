@@ -263,9 +263,9 @@ def test_falsum_index_matches_a_scan(monkeypatch, scenario, goal):
     _prove_goal(kb, goal)
     monkeypatch.undo()
     assert len(made) > 1
-    # children first, so most indexes are built from their parents' on demand
+    # children first, so the base index is built on a child's query
     for search, env in reversed(made):
-        unblocked = search._unblocked(env)
+        unblocked = set(env.unblocked())
         assert unblocked == _unblocked_by_scan(env)
         nodes = _layers(env)
         if prover._FALSE_KEY in nodes:
@@ -311,14 +311,22 @@ def test_saturation_stops_building_at_the_cap(monkeypatch):
 
 def test_falsum_step_uses_a_negated_conjunction_present_as_a_whole():
     # `(or (and b c))` has the key of `(and b c)` but is not and-eliminated,
-    # so the conjunction below is derived whole, by the implication's
-    # and_intro, while b and c stay absent
-    a, b, c, r = (Atom(App(n, (), "Boolean")) for n in "abcr")
-    bc = Or((And((b, c)),))
-    gamma = (Not(And((a, b, c))), Implies(And((a, bc)), r))
-    res = prove(gamma, Implies(a, Implies(bc, Falsum())), depth=3)
-    assert res.outcome == "proved"
-    assert "neg_elim" in [s.rule for s in res.proof.steps]
+    # so each conjunction below is derived whole, by the implication's
+    # and_intro, while b, c, d and e stay absent.  In the first case the
+    # assumed atom a can also wake the negation; in the second no atom of
+    # the negated body is present, so only its body key can
+    a, b, c, d, e, r = (Atom(App(n, (), "Boolean")) for n in "abcder")
+    bc, de = Or((And((b, c)),)), Or((And((d, e)),))
+    cases = [
+        ((Not(And((a, b, c))), Implies(And((a, bc)), r)),
+         Implies(a, Implies(bc, Falsum()))),
+        ((Not(And((b, c, d, e))), Implies(And((bc, de)), r)),
+         Implies(bc, Implies(de, Falsum()))),
+    ]
+    for gamma, goal in cases:
+        res = prove(gamma, goal, depth=3)
+        assert res.outcome == "proved"
+        assert "neg_elim" in [s.rule for s in res.proof.steps]
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,17 @@ def test_parse_error_position(sig):
     assert e.value.line == 2
 
 
+@pytest.mark.parametrize("text", [
+    "(win now)",  # a Moment where win takes an Object
+    "(believes ticket1 now (win ticket1))",  # an Object as the agent
+])
+def test_parse_rejects_an_ill_sorted_formula(sig, text):
+    with pytest.raises(ParseError) as e:
+        parse_formula(text, sig)
+    assert "not well-sorted" in str(e.value)
+    assert (e.value.line, e.value.col) == (1, 1)
+
+
 def test_parse_binder_sort_inference(sig):
     f = parse_formula("(exists (t) (win t))", sig)
     assert isinstance(f, Exists)
