@@ -169,7 +169,8 @@ class KbDocument:
         return self._finite
 
     def universe(self, formulas: tuple) -> dict:
-        """The Herbrand universe widened by the ground terms of `formulas`."""
+        """The Herbrand universe widened by the ground terms of `formulas`:
+        `herbrand()` itself when they add none."""
         return widen_universe(
             self.herbrand(), collect_ground_terms(formulas, parents=self.sig.sorts)
         )
@@ -348,12 +349,16 @@ def parse_kb(text: str) -> KbDocument:
 
 
 def widen_universe(base: dict, extra: dict) -> dict:
-    """`base` with the terms of `extra` joined in, each sort in print order."""
-    out = dict(base)
+    """`base` with the terms of `extra` joined in, each sort it widens in
+    print order; `base` itself when `extra` adds no term."""
+    out = base
     for s, ts in extra.items():
-        have = dict.fromkeys(out.get(s, ()))
-        for t in ts:
-            have.setdefault(t, None)
+        have = dict.fromkeys(base.get(s, ()))
+        if all(t in have for t in ts):
+            continue
+        if out is base:
+            out = dict(base)
+        have.update(dict.fromkeys(ts))
         out[s] = tuple(sorted(have, key=print_term))
     return out
 

@@ -74,20 +74,8 @@ class Signature:
             raise SortError(f"sort {name!r} already declared")
         if parent is not None and parent not in self.sorts:
             raise UnknownSymbolError(parent, f"unknown parent sort {parent!r}")
+        # the parent is already declared, so no declaration closes a cycle
         self.sorts[name] = parent
-        if self._has_cycle(name):
-            del self.sorts[name]
-            raise SortError(f"sort {name!r} would create a cycle")
-
-    def _has_cycle(self, start: str) -> bool:
-        seen = set()
-        cur: str | None = start
-        while cur is not None:
-            if cur in seen:
-                return True
-            seen.add(cur)
-            cur = self.sorts.get(cur)
-        return False
 
     def declare_const(self, name: str, sort: str) -> None:
         if sort not in self.sorts:

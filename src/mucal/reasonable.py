@@ -43,10 +43,8 @@ class ProbTable(Record):
 
     @classmethod
     def from_kb(cls, kb) -> "ProbTable":
-        table = cls()
-        for e in kb.prob_entries:
-            table.entries[(e.agent, e.moment, formula_key(e.formula))] = e.value
-        return table
+        return cls({(e.agent, e.moment, formula_key(e.formula)): e.value
+                    for e in kb.prob_entries})
 
 
 def pr_lookup(table: ProbTable, agent: str, moment: str, f: Formula) -> Fraction | None:
@@ -99,37 +97,53 @@ class ReasonablenessVerdict(FrozenRecord):
 # ---------------------------------------------------------------------------
 # Engine
 
+class _Shared(Record):
+    """What every frame of one KB shares.  `kb.herbrand()` holds every
+    ground term of every axiom and candidate, so this universe is that of
+    every frame and every pool addition, and only a goal can widen it."""
+
+    __slots__ = ("background", "universe", "order")
+
+    def __init__(self, background: tuple, universe: dict, order: MomentOrder) -> None:
+        self.background = background
+        self.universe = universe  # the Herbrand universe widened by the background
+        self.order = order        # the moment order the background states
+
+
 class _Frame(Record):
     """What every proof and check at one (agent, moment, removals) frame
-    shares."""
+    shares besides the engine's `_Shared`."""
 
-    __slots__ = ("head", "background", "universe", "order", "modal",
-                 "feasible_base", "refute_base")
+    __slots__ = ("head", "order", "modal", "feasible_base", "refute_base")
 
-    def __init__(self, head: tuple, background: tuple, universe: dict, order: MomentOrder,
-                 modal: bool, feasible_base: models.Grounding | None = None,
+    def __init__(self, head: tuple, order: MomentOrder, modal: bool,
+                 feasible_base: models.Grounding | None = None,
                  refute_base: models.Grounding | None = None) -> None:
-        self.head = head              # the projection's axiom-derived premises
-        self.background = background
-        self.universe = universe      # the Herbrand universe widened by head + background
-        self.order = order            # the moment order head + background state
-        self.modal = modal            # whether head or background has a modal node
+        self.head = head    # the projection's axiom-derived premises
+        self.order = order  # the moment order head + background state and name
+        self.modal = modal  # whether the head has a modal node
         # the premise prefixes of the two per-pair consistency checks, each
-        # grounded on its first use: the feasibility check's remaining axioms
-        # + background, and the refutation check's head + background
+        # grounded on its first use: the feasibility check's remaining
+        # axioms + background, and the refutation check's head + background
         self.feasible_base = feasible_base
         self.refute_base = refute_base
 
 
+class _Goal(Record):
+    """What every check and proof of one goal shares."""
+
+    __slots__ = ("content", "universe", "moments", "modal")
+
+    def __init__(self, content: Formula, universe: dict, moments: set, modal: bool) -> None:
+        self.content = content
+        self.universe = universe  # the engine's universe widened by the goal's terms
+        self.moments = moments    # the goal's constant moments
+        self.modal = modal        # whether the goal has a modal node
+
+
 def _has_modal(formulas) -> bool:
     """Whether a belief, perception or withholding node occurs anywhere."""
-    stack = list(formulas)
-    while stack:
-        f = stack.pop()
-        if isinstance(f, MODAL):
-            return True
-        stack.extend(children(f))
-    return False
+    return any(isinstance(f, MODAL) or _has_modal(children(f)) for f in formulas)
 
 
 class ReasonEngine:
@@ -143,8 +157,24 @@ class ReasonEngine:
         self._delta: dict = {}
         self._feasible: dict = {}
         self._frames: dict = {}
-        self._facts: dict = {}  # formula -> (its ground terms, has a modal node)
         self._budget_hits: set = set()  # delta keys with budget-skipped pairs
+        self._base: _Shared | None = None
+
+    def _shared(self) -> _Shared:
+        """The KB's `_Shared`, built on first use."""
+        if self._base is None:
+            background = self.kb.background()
+            terms = collect_ground_terms(background, parents=self.kb.sig.sorts)
+            self._base = _Shared(
+                background, widen_universe(self.kb.herbrand(), terms),
+                MomentOrder(stated_prior_pairs(background), moment_names(terms)),
+            )
+        return self._base
+
+    def _goal(self, content: Formula) -> _Goal:
+        terms = collect_ground_terms((content,), parents=self.kb.sig.sorts)
+        return _Goal(content, widen_universe(self._shared().universe, terms),
+                     moment_names(terms), _has_modal((content,)))
 
     # -- agent-relative derivability ------------------------------------
 
@@ -152,7 +182,7 @@ class ReasonEngine:
         content = self._strip_frame(f, agent, moment)
         key = (agent, moment, formula_key(content))
         if key not in self._provable:
-            self._provable[key] = self._prove(agent, moment, content)
+            self._provable[key] = self._prove(agent, moment, self._goal(content))
         return self._provable[key]
 
     def _frame(self, agent: str, moment: str, lam_labels: frozenset) -> _Frame:
@@ -160,34 +190,27 @@ class ReasonEngine:
         frame = self._frames.get(key)
         if frame is None:
             head = held_axioms(self.kb, agent, moment, exclude=lam_labels)
-            background = self.kb.background()
-            terms = collect_ground_terms(head + background, parents=self.kb.sig.sorts)
-            frame = _Frame(
-                head, background, widen_universe(self.kb.herbrand(), terms),
-                MomentOrder(stated_prior_pairs(head + background), moment_names(terms)),
-                _has_modal(head + background),
-            )
-            self._frames[key] = frame
+            named = moment_names(collect_ground_terms(head, parents=self.kb.sig.sorts))
+            order = self._shared().order.widened(stated_prior_pairs(head), named)
+            frame = self._frames[key] = _Frame(head, order, _has_modal(head))
         return frame
 
-    def _prove(self, agent: str, moment: str, content: Formula,
-               theta_forms: tuple = (), lam_labels: frozenset = frozenset(),
-               ) -> Proof | None:
-        """Prove `content` from the frame's projection with the additions.
-
-        Premises, universe and moment order are exactly those a cold
-        `prove(projection(...))` builds; only the parts that depend on the
-        additions and the goal are computed per call.
-        """
+    def _prove(self, agent: str, moment: str, goal: _Goal, theta_forms: tuple = (),
+               lam_labels: frozenset = frozenset()) -> Proof | None:
+        """Prove the goal from the frame's projection with the additions,
+        over the universe and moment order a cold `prove(projection(...))`
+        builds: the goal's universe, and the frame's order widened by the
+        `prior` atoms and moments that the additions and the goal state."""
         frame = self._frame(agent, moment, lam_labels)
         extra = tuple(expand_sugar(f) for f in theta_forms)
-        own = extra + (content,)
-        terms = collect_ground_terms(own, parents=self.kb.sig.sorts)
+        terms = collect_ground_terms(extra, parents=self.kb.sig.sorts) if extra else {}
         res = prove(
-            frame.head + extra + frame.background, content,
+            frame.head + extra + self._shared().background, goal.content,
             depth=self.kb.params.proof_depth,
-            universe=widen_universe(frame.universe, terms),
-            order=frame.order.widened(stated_prior_pairs(own), moment_names(terms)),
+            universe=goal.universe,
+            order=frame.order.widened(
+                stated_prior_pairs(extra + (goal.content,)), moment_names(terms) | goal.moments,
+            ),
         )
         return res.proof if res.outcome == "proved" else None
 
@@ -245,6 +268,7 @@ class ReasonEngine:
             for size in range(self.kb.params.remove_max + 1)
             for lam in combinations(removables, size)
         ]
+        target = self._goal(content)
 
         def search(thetas) -> RevisionWitness | None:
             ranked = []
@@ -262,7 +286,7 @@ class ReasonEngine:
                     ))
             ranked.sort(key=lambda r: r[0])
             for (distance, *_), theta, lam in ranked:
-                found = self._try_pair(agent, moment, content, theta, lam, distance)
+                found = self._try_pair(agent, moment, target, theta, lam, distance)
                 if found is not None:
                     return found
             return None
@@ -279,7 +303,7 @@ class ReasonEngine:
         self._delta[ckey] = witness
         return witness
 
-    def _try_pair(self, agent, moment, content, theta, lam,
+    def _try_pair(self, agent, moment, goal: _Goal, theta, lam,
                   distance: int) -> RevisionWitness | None:
         """The witness for one (additions, removals) pair, or None.
 
@@ -293,23 +317,20 @@ class ReasonEngine:
         lam_labels = frozenset(a.label for a in lam)
         theta_forms = tuple(f for _, f in theta)
         frame = self._frame(agent, moment, lam_labels)
-        fkey = (
-            tuple((l, formula_key(f)) for l, f in theta),
-            tuple(sorted(lam_labels)),
-        )
+        fkey = (tuple((l, formula_key(f)) for l, f in theta), tuple(sorted(lam_labels)))
 
         if fkey not in self._feasible:
-            self._feasible[fkey] = self._feasibility(frame, lam_labels, theta_forms)
+            self._feasible[fkey] = self._feasibility(frame, lam_labels, theta_forms, goal)
         if self._feasible[fkey] != models.CONSISTENT:
             if self._feasible[fkey] == models.UNKNOWN:
                 # conservative: a budget-exhausted check makes the pair
                 # infeasible, and the verdict will say so
-                self._budget_hits.add((agent, moment, formula_key(content)))
+                self._budget_hits.add((agent, moment, formula_key(goal.content)))
             return None
 
-        if self._refuted(frame, content, theta_forms):
+        if self._refuted(frame, goal, theta_forms):
             return None
-        proof = self._prove(agent, moment, content, theta_forms, lam_labels)
+        proof = self._prove(agent, moment, goal, theta_forms, lam_labels)
         if proof is None:
             return None
         return RevisionWitness(
@@ -319,29 +340,25 @@ class ReasonEngine:
             proof=proof,
         )
 
-    def _feasibility(self, frame: _Frame, lam_labels: frozenset,
-                     theta_forms: tuple) -> str:
+    def _feasibility(self, frame: _Frame, lam_labels: frozenset, theta_forms: tuple,
+                     goal: _Goal) -> str:
         """`models.consistent` on the axioms outside the removals, the
-        additions and the background, over the Herbrand universe widened
-        by their terms; the axioms and background are grounded once per
-        frame."""
+        additions and the background, over the engine's universe widened by
+        the additions' terms: the goal's universe when the goal is among
+        them, and the engine's otherwise, since the pool adds no term.  The
+        axioms and background are grounded once per frame."""
         budget = self.kb.params.consistency_depth
+        shared = self._shared()
         if frame.feasible_base is None:
-            prefix = tuple(
-                a.formula for a in self.kb.axioms if a.label not in lam_labels
-            ) + frame.background
-            frame.feasible_base = models.Grounding(
-                prefix, budget, self.kb.universe(prefix)
-            )
-        base = frame.feasible_base
-        return models.consistent(
-            theta_forms, budget, self._widened(base.universe, theta_forms), base=base,
-        )
+            kept = tuple(a.formula for a in self.kb.axioms if a.label not in lam_labels)
+            frame.feasible_base = models.Grounding(kept + shared.background, budget, shared.universe)
+        universe = goal.universe if goal.content in theta_forms else shared.universe
+        return models.consistent(theta_forms, budget, universe, base=frame.feasible_base)
 
-    def _refuted(self, frame: _Frame, content: Formula, theta_forms: tuple) -> bool:
+    def _refuted(self, frame: _Frame, goal: _Goal, theta_forms: tuple) -> bool:
         """Whether the proof premises of the pair (the frame's head, the
-        additions and the background) have a ground model, over the
-        proof's own universe, in which the goal is false.
+        additions and the background) have a ground model, over the goal's
+        universe (the proof's own), in which the goal is false.
 
         Then a prover that is sound for `models`' semantics cannot derive
         the goal, so no proof search is needed.  The prover is sound for
@@ -355,41 +372,23 @@ class ReasonEngine:
         the prover.
         """
         extra = tuple(expand_sugar(f) for f in theta_forms)
-        if frame.modal or any(self._formula_facts(f)[1] for f in extra + (content,)):
+        if frame.modal or goal.modal or _has_modal(extra):
             return False
         if frame.refute_base is None:
             frame.refute_base = models.Grounding(
-                frame.head + frame.background,
-                self.kb.params.consistency_depth, frame.universe,
+                frame.head + self._shared().background,
+                self.kb.params.consistency_depth, self._shared().universe,
             )
         return models.consistent(
-            extra + (Not(content),), self.kb.params.consistency_depth,
-            self._widened(frame.universe, extra + (content,)), base=frame.refute_base,
+            extra + (Not(goal.content),), self.kb.params.consistency_depth,
+            goal.universe, base=frame.refute_base,
         ) == models.CONSISTENT
-
-    def _formula_facts(self, f: Formula) -> tuple:
-        """f's ground terms by sort, and whether it has a modal node."""
-        facts = self._facts.get(f)
-        if facts is None:
-            facts = self._facts[f] = (
-                collect_ground_terms((f,), parents=self.kb.sig.sorts), _has_modal((f,)),
-            )
-        return facts
-
-    def _widened(self, universe: dict, forms: tuple) -> dict:
-        """`universe` widened by the ground terms of forms: `universe`
-        itself when it has them all already."""
-        if all(
-            t in universe.get(s, ())
-            for f in forms for s, ts in self._formula_facts(f)[0].items() for t in ts
-        ):
-            return universe
-        return widen_universe(universe, collect_ground_terms(forms, parents=self.kb.sig.sorts))
 
     # -- the cascade -------------------------------------------------------
 
     def more_reasonable(self, agent: str, moment: str, f: Formula,
                         g: Formula) -> ReasonablenessVerdict:
+        self.kb.frame_terms(agent, moment)  # an undeclared name is an error first
         fx = expand_sugar(f)
         gx = expand_sugar(g)
         if formula_key(fx) == formula_key(gx):

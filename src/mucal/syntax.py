@@ -18,11 +18,11 @@ inferable from the first occurrence of the variable in the body.
 
 from __future__ import annotations
 
-from .errors import ParseError, UnknownSymbolError
+from .errors import ParseError, SortError, UnknownSymbolError
 from .logic import (
     And, App, Atom, Believes, Const, Exists, Falsum, Forall, Formula, Iff,
     Implies, Not, Or, Perceives, Record, Signature, Term, Var, Withholds,
-    Xor, _nodes, is_numeral, well_sorted,
+    Xor, _check_formula, _nodes, is_numeral,
 )
 
 KEYWORDS = {
@@ -289,16 +289,16 @@ def _infer_sort(name: str, node: Node, sig: Signature, shadowed: set) -> str | N
 
 def sorted_formula(node: Node, sig: Signature) -> Formula:
     """The well-sorted formula a surface node denotes; raises ParseError
-    at the node's position otherwise."""
+    at the node's position otherwise, with the sort error's message."""
     f = formula_from_node(node, sig)
     # sugar expansion only rearranges already-checked subformulas, so the
     # surface check suffices
     try:
-        ok = well_sorted(f, sig)
+        _check_formula(f, sig, {})
     except UnknownSymbolError as e:
         raise ParseError(str(e), node.line, node.col)
-    if not ok:
-        raise ParseError("formula is not well-sorted", node.line, node.col)
+    except SortError as e:
+        raise ParseError(f"formula is not well-sorted: {e}", node.line, node.col)
     return f
 
 

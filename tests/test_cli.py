@@ -79,9 +79,11 @@ _LOTTERY = ["--kb", "scenarios/lottery5.kb"]
 _FRAME = _LOTTERY + ["--agent", "a", "--at", "now"]
 
 
-@pytest.mark.parametrize("formula", [
-    "(win now)",  # a Moment where win takes an Object
-    "(believes ticket1 now (win ticket1))",  # an Object as the agent
+@pytest.mark.parametrize("formula, message", [
+    # a Moment where win takes an Object
+    ("(win now)", "'win' argument has sort Moment, expected Object"),
+    # an Object as the agent
+    ("(believes ticket1 now (win ticket1))", "modal agent argument has sort Object"),
 ], ids=["argument", "agent"])
 @pytest.mark.parametrize("argv", [
     ["prove", *_LOTTERY, "F"],
@@ -91,11 +93,25 @@ _FRAME = _LOTTERY + ["--agent", "a", "--at", "now"]
     ["counterfactual", *_FRAME, "F"],
     ["explain", *_FRAME, "F"],
 ], ids=["prove", "strength", "compare", "compare-other", "counterfactual", "explain"])
-def test_exit_code_ill_sorted_formula(argv, formula, capsys):
+def test_exit_code_ill_sorted_formula(argv, formula, message, capsys):
     rc, out = run_cli([formula if a == "F" else a for a in argv])
     assert rc == 64
     assert out == ""
-    assert "not well-sorted" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not well-sorted" in err
+    assert f"not well-sorted: {message}" in err
+
+
+@pytest.mark.parametrize("frame, message", [
+    (["--agent", "nobody", "--at", "now"], "unknown agent 'nobody'"),
+    (["--agent", "a", "--at", "never"], "unknown moment 'never'"),
+], ids=["agent", "moment"])
+def test_exit_code_unknown_name_in_an_irreflexive_compare(frame, message, capsys):
+    # the irreflexive shortcut answers before any frame is built
+    rc, out = run_cli(["compare", *_LOTTERY, *frame, "(win ticket1)", "(win ticket1)"])
+    assert rc == 64
+    assert out == ""
+    assert message in capsys.readouterr().err
 
 
 def test_exit_code_missing_kb():

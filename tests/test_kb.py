@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from mucal.errors import KbError, ParseError
-from mucal.kb import _HERBRAND_CAP, parse_kb
+from mucal.kb import _HERBRAND_CAP, parse_kb, widen_universe
+from mucal.logic import Const
 from mucal.syntax import parse_formula, print_term
 
 LOTTERY_SNIPPET = """
@@ -144,6 +145,25 @@ def test_herbrand_closure_stops_at_its_size_cap():
     assert len(names) <= _HERBRAND_CAP
     assert {"c", "d", "(g c c)"} <= names
     assert not kb.finitely_ground()
+
+
+def test_widen_universe_returns_its_input_when_nothing_is_new():
+    kb = parse_kb(LOTTERY_SNIPPET)
+    u = kb.herbrand()
+    assert widen_universe(u, {}) is u
+    assert widen_universe(u, {"Object": u["Object"][1:3]}) is u
+    assert kb.universe(tuple(a.formula for a in kb.axioms)) is u
+
+
+def test_widen_universe_with_a_new_term_gives_a_new_dict_in_print_order():
+    kb = parse_kb(LOTTERY_SNIPPET)
+    u = kb.herbrand()
+    before = dict(u)
+    t0 = Const("ticket0", "Object")
+    wider = widen_universe(u, {"Object": (t0,), "Moment": u["Moment"]})
+    assert wider is not u and u == before
+    assert [print_term(t) for t in wider["Object"]] == [f"ticket{i}" for i in range(6)]
+    assert wider["Moment"] == u["Moment"]
 
 
 def test_candidate_formulas_validated():

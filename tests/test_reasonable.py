@@ -402,3 +402,29 @@ def test_goal_numeral_moment_extends_the_frame_order():
     w = engine.delta("a", "now", goal)
     assert w.distance == brute_force_delta(kb, "a", "now", goal) == 0
     assert w.proof == cold
+
+
+@pytest.mark.parametrize("named_by", [
+    "",
+    "(axiom k :certain (holds f 5))",
+    "(candidate c1 (holds f 5))",
+], ids=["nothing", "head", "addition"])
+def test_a_numeral_moment_is_ordered_only_where_a_premise_names_it(named_by):
+    # 5 is the KB's only numeral.  A proof orders it against the goal's 3,
+    # and so lifts the percept to a belief at 5, only when its premises
+    # name 5, as a cold prove of the same premises does
+    kb = parse_kb(
+        "(const a Agent)(const now Moment)(const f Fluent)(func q () Boolean)"
+        "(pr a 5 (q) 1/2)" + named_by
+    )
+    goal = parse_formula(
+        "(implies (perceives a 3 (q)) (exists (t Moment) (believes a t (q))))", kb.sig
+    )
+    engine = ReasonEngine(kb)
+    cold = _cold_proof(kb, "a", "now", goal)
+    assert (cold is not None) == ("axiom" in named_by)
+    assert engine.provable("a", "now", goal) == cold
+    if "candidate" in named_by:
+        w = engine.delta("a", "now", goal)
+        assert w.theta_labels == ("c1",)
+        assert w.proof == _cold_proof(kb, "a", "now", goal, extra=(kb.candidates[0].formula,))

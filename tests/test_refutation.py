@@ -7,16 +7,17 @@ removals) pair that the golden commands, the scenario knowledge bases and
 a generated corpus reach, and checks that no skipped pair has a proof.
 """
 
+import os
 import random
 
 import pytest
 
 from mucal import models
-from mucal.kb import load_kb, parse_kb, widen_universe
+from mucal.kb import load_kb, parse_kb
 from mucal.logic import Not, collect_ground_terms, expand_sugar
 from mucal.reasonable import ReasonEngine, _has_modal
 from mucal.syntax import parse_formula
-from conftest import DESK_SCENARIOS, scenario_path
+from conftest import DESK_SCENARIOS, SCENARIOS, scenario_path
 from oracles import brute_force_delta
 from test_cli import MANIFEST, run_cli
 
@@ -31,29 +32,31 @@ class Audit:
         real = ReasonEngine._try_pair
         audit = self
 
-        def try_pair(engine, agent, moment, content, theta, lam, distance):
-            found = real(engine, agent, moment, content, theta, lam, distance)
-            audit.check(engine, agent, moment, content, theta, lam, found)
+        def try_pair(engine, agent, moment, target, theta, lam, distance):
+            found = real(engine, agent, moment, target, theta, lam, distance)
+            audit.check(engine, agent, moment, target, theta, lam, found)
             return found
 
         monkeypatch.setattr(ReasonEngine, "_try_pair", try_pair)
 
-    def check(self, engine, agent, moment, content, theta, lam, found):
+    def check(self, engine, agent, moment, target, theta, lam, found):
         kb = engine.kb
+        content = target.content
         lam_labels = frozenset(a.label for a in lam)
         theta_forms = tuple(f for _, f in theta)
         frame = engine._frame(agent, moment, lam_labels)
-        if engine._feasibility(frame, lam_labels, theta_forms) != models.CONSISTENT:
+        if engine._feasibility(frame, lam_labels, theta_forms, target) != models.CONSISTENT:
             assert found is None
             return
-        skipped = engine._refuted(frame, content, theta_forms)
-        proof = engine._prove(agent, moment, content, theta_forms, lam_labels)
+        skipped = engine._refuted(frame, target, theta_forms)
+        proof = engine._prove(agent, moment, target, theta_forms, lam_labels)
         extra = tuple(expand_sugar(f) for f in theta_forms)
-        terms = collect_ground_terms(extra + (content,), parents=kb.sig.sorts)
-        premises = frame.head + extra + frame.background
+        premises = frame.head + extra + kb.background()
+        # the cold check's universe is computed from scratch, not read
+        # from the engine
         cold = models.consistent(
             premises + (Not(content),), kb.params.consistency_depth,
-            widen_universe(frame.universe, terms),
+            kb.universe(premises + (content,)),
         )
         modal = _has_modal(premises + (content,))
         goal = f"{agent}@{moment}: {content}"
@@ -174,6 +177,25 @@ def run_corpus(seed: int, count: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# one universe per KB
+
+def test_axioms_and_candidates_name_only_herbrand_terms():
+    # so every frame and every pool addition is checked over one universe,
+    # and only a goal can widen it
+    kbs = [load_kb(scenario_path(name)) for name in sorted(os.listdir(SCENARIOS))]
+    rng = random.Random(1111)
+    kbs += [parse_kb(corpus_kb(rng)[0]) for _ in range(60)]
+    for kb in kbs:
+        herbrand = kb.herbrand()
+        for entry in kb.axioms + kb.candidates:
+            terms = collect_ground_terms((entry.formula,), parents=kb.sig.sorts)
+            for sort, ts in terms.items():
+                assert set(ts) <= set(herbrand.get(sort, ())), (sort, entry.label)
+        stated = tuple(e.formula for e in kb.axioms + kb.candidates)
+        assert kb.universe(stated) is herbrand
+
+
+# ---------------------------------------------------------------------------
 # the agreement audit
 
 def test_refutation_agreement_on_goldens(monkeypatch):
@@ -274,7 +296,7 @@ def test_unknown_refutation_goes_to_the_prover(monkeypatch):
 
 
 def test_goal_term_outside_the_frame_grounds_cold():
-    # 7 is a moment only the goal names; over the frame's universe the
+    # 7 is a moment only the goal names; over the engine's universe the
     # forall candidate would not reach it and the check would refute c1
     kb = parse_kb(
         "(const a Agent)(const now Moment)(const f Fluent)(const g Fluent)"
@@ -283,8 +305,7 @@ def test_goal_term_outside_the_frame_grounds_cold():
     )
     goal = parse_formula("(holds f 7)", kb.sig)
     engine = ReasonEngine(kb)
-    frame = engine._frame("a", "now", frozenset())
-    assert not any(t.name == "7" for t in frame.universe["Moment"])
+    assert not any(t.name == "7" for t in engine._shared().universe["Moment"])
     w = engine.delta("a", "now", goal)
     assert w.theta_labels == ("c1",)
     assert w.distance == brute_force_delta(kb, "a", "now", goal)

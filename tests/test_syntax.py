@@ -72,6 +72,16 @@ def test_parse_rejects_an_ill_sorted_formula(sig, text):
     assert (e.value.line, e.value.col) == (1, 1)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(and (win ticket1) (win now))", "'win' argument has sort Moment, expected Object"),
+    ("(believes ticket1 now (win ticket1))", "modal agent argument has sort Object"),
+])
+def test_ill_sorted_formula_error_carries_the_sort_error(sig, text, message):
+    with pytest.raises(ParseError) as e:
+        parse_formula(text, sig)
+    assert str(e.value) == f"1:1: formula is not well-sorted: {message}"
+
+
 def test_parse_binder_sort_inference(sig):
     f = parse_formula("(exists (t) (win t))", sig)
     assert isinstance(f, Exists)
