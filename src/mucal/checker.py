@@ -35,11 +35,13 @@ def check_proof(proof: Proof, gamma: Iterable[Formula],
 
 
 def _check(proof: Proof, gamma: Iterable[Formula], goal: Formula | None) -> bool:
+    """Replay the proof over its own universe and the moment order the
+    prover used there: `order_from_premises` of the premise set over that
+    universe."""
     gamma = tuple(gamma)  # read twice below: premise keys, then moment order
     gamma_keys = {formula_key(g) for g in gamma}
     universe = {s: tuple(ts) for s, ts in proof.universe}
-    # exact before expansion: sugar adds no term and no top-level `prior`
-    order = order_from_premises(gamma)
+    order = order_from_premises(gamma, universe)
 
     for f in proof.premises_used:
         if formula_key(f) not in gamma_keys:

@@ -13,20 +13,11 @@ event inside the window (or asserts the clipping itself).
 
 from __future__ import annotations
 
-from .errors import KbError, UnknownNameError
+from .errors import KbError
 from .logic import (
     And, App, Atom, Const, Forall, Implies, MomentOrder, Not, Var,
     stated_ground_atoms,
 )
-
-
-def before(kb, t1: str, t2: str) -> bool:
-    """Strict moment comparison against the KB's loaded order."""
-    order = kb.order()
-    for name in (t1, t2):
-        if name not in order.moments:
-            raise UnknownNameError(f"unknown moment {name!r}")
-    return order.lt(t1, t2)
 
 
 def ec_axioms(flavor: str) -> tuple:

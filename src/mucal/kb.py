@@ -27,7 +27,7 @@ from .errors import (
 )
 from .logic import (
     App, Const, Falsum, Formula, MomentOrder, Record, Signature, _join_sorts,
-    collect_ground_terms, formula_key, is_numeral,
+    collect_ground_terms, formula_key, is_numeral, moment_names,
 )
 from .syntax import Node, print_term, read_all, sorted_formula
 
@@ -105,22 +105,12 @@ class KbDocument:
             n for n, s in self.sig.constants.items() if self.sig.sort_le(s, "Agent")
         )
 
-    def moment_names(self) -> list:
-        names = {n for n, s in self.sig.constants.items() if s == "Moment"}
-        for a, b in self.prior_pairs:
-            names.update((a, b))
-        for e in self.prob_entries:
-            names.add(e.moment)
-        names.update(
-            t.name for t in self._stated_terms().get("Moment", ())
-            if isinstance(t, Const)
-        )
-        return sorted(names)
-
     def order(self) -> MomentOrder:
-        """The declared moment order; a cycle is a KbError."""
+        """The closure of the stated `prior` pairs plus numeric order on the
+        numeral moments, over the Herbrand universe's moments; a cycle is
+        a KbError."""
         if self._order is None:
-            order = MomentOrder(self.prior_pairs, self.moment_names())
+            order = MomentOrder(self.prior_pairs, moment_names(self.herbrand()))
             for m in order.moments:
                 if order.lt(m, m):
                     raise KbError(f"moment ordering has a cycle through {m!r}")
@@ -134,19 +124,17 @@ class KbDocument:
             raise UnknownNameError(f"unknown agent {agent!r}")
         if moment not in self.order().moments:
             raise UnknownNameError(f"unknown moment {moment!r}")
-        return Const(agent, self.sig.constants[agent]), Const(moment, "Moment")
+        return (Const(agent, self.sig.constants[agent]),
+                Const(moment, self.sig.constants.get(moment, "Moment")))
 
     # -- term universe ---------------------------------------------------
 
-    def _stated_terms(self) -> dict:
-        """Ground terms of the axioms, candidates and `pr` formulas, each in
-        the bucket of its own sort only."""
-        stated = [e.formula for e in self.axioms + self.candidates + self.prob_entries]
-        return collect_ground_terms(stated, parents={})
-
     def herbrand(self) -> dict:
         """Ground terms per sort, closed under the declared functions; each
-        term is also in the buckets of its ancestor sorts.
+        term is also in the buckets of its ancestor sorts.  The closure
+        starts from the declared constants, the numeral moments of the `pr`
+        entries and `(prior ...)` forms, and the ground terms of the axioms,
+        candidates and `pr` formulas.
 
         The closure is bounded (see ``_close``); when a bound cuts it short
         the KB is flagged not finitely ground (see ``finitely_ground``).
@@ -155,8 +143,11 @@ class KbDocument:
             return self._herbrand
         by_sort: dict = {}
         seeds = [Const(name, self.sig.constants[name]) for name in sorted(self.sig.constants)]
-        seeds += [Const(m, "Moment") for m in self.moment_names() if is_numeral(m)]
-        seeds += [t for terms in self._stated_terms().values() for t in terms]
+        named = [e.moment for e in self.prob_entries]
+        named += [m for pair in self.prior_pairs for m in pair]
+        seeds += [Const(m, "Moment") for m in named if is_numeral(m)]
+        formulas = [e.formula for e in self.axioms + self.candidates + self.prob_entries]
+        seeds += [t for ts in collect_ground_terms(formulas, parents={}).values() for t in ts]
         size = sum(_join_sorts(by_sort, t, self.sig.sorts) for t in seeds)
         self._finite = _close(by_sort, size, self.sig)
         self._herbrand = {

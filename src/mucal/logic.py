@@ -877,13 +877,11 @@ def moment_names(terms: dict) -> set:
     return {t.name for t in terms.get("Moment", ()) if isinstance(t, Const)}
 
 
-def order_from_premises(formulas: Iterable[Formula]) -> MomentOrder:
-    """The moment order a premise set states: its ground `prior` atoms plus
-    numeric order on its numeral moments."""
-    formulas = tuple(formulas)
-    return MomentOrder(
-        stated_prior_pairs(formulas), moment_names(collect_ground_terms(formulas))
-    )
+def order_from_premises(formulas: Iterable[Formula], universe: dict) -> MomentOrder:
+    """The one moment-order rule: the closure of the premise set's stated
+    ground `prior` pairs, plus numeric order on every numeral moment of
+    its term universe."""
+    return MomentOrder(stated_prior_pairs(formulas), moment_names(universe))
 
 
 def held_content(f: Formula, agent: Term, moment: Term, order) -> Formula | None:

@@ -315,13 +315,15 @@ def consistent(
 
 
 def _entailed_belief_keys(g: Grounding, modal_depth: int) -> list:
-    """Grounded belief atoms whose content follows from stated beliefs."""
+    """Grounded belief atoms whose content follows from stated beliefs,
+    held under `order_from_premises` of the premises over the grounding's
+    universe."""
     if modal_depth <= 0:
         return []
     stated = [p for p in g.premises if isinstance(p, (Believes, Perceives))]
     if not stated:
         return []
-    order = order_from_premises(g.premises)
+    order = order_from_premises(g.premises, g.universe)
     out = []
     for key, belief in g.beliefs.items():
         held = [held_content(p, belief.agent, belief.moment, order) for p in stated]

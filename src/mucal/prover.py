@@ -594,18 +594,20 @@ def prove(
 ) -> ProofResult:
     """Search for a proof of the goal from the premise set.
 
-    Returns proved with a replayable proof, refuted (when asked) with a
-    proof of the negated goal, or unknown once the depth budget and the
-    bounded search space are exhausted.
+    The universe defaults to the ground terms of the premises and goal,
+    and the moment order to `order_from_premises` of the premises over
+    that universe; a `prior` atom of the goal orders nothing, since a
+    proof that read it would assume what it proves.  Returns proved with
+    a replayable proof, refuted (when asked) with a proof of the negated
+    goal, or unknown once the depth budget and the bounded search space
+    are exhausted.
     """
-    gamma = tuple(gamma)
-    if order is None:
-        # exact before expansion: sugar adds no term and no top-level `prior`
-        order = order_from_premises(gamma + (goal,))
     gamma = tuple(expand_sugar(g) for g in gamma)
     goal_x = expand_sugar(goal)
     if universe is None:
         universe = collect_ground_terms(gamma + (goal_x,))
+    if order is None:
+        order = order_from_premises(gamma, universe)
     search = _Search(gamma, universe, order)
     env = search.base_env()
     if search.overflow:

@@ -100,19 +100,22 @@ class ReasonablenessVerdict(FrozenRecord):
 class _Shared(Record):
     """What every frame of one KB shares.  `kb.herbrand()` holds every
     ground term of every axiom and candidate, so this universe is that of
-    every frame and every pool addition, and only a goal can widen it."""
+    every frame and every pool addition, and only a goal can widen it.
+    The background's `prior` facts state the closure of `kb.order()`, so
+    that order is the one every frame widens."""
 
-    __slots__ = ("background", "universe", "order")
+    __slots__ = ("background", "universe")
 
-    def __init__(self, background: tuple, universe: dict, order: MomentOrder) -> None:
+    def __init__(self, background: tuple, universe: dict) -> None:
         self.background = background
         self.universe = universe  # the Herbrand universe widened by the background
-        self.order = order        # the moment order the background states
 
 
 class _Frame(Record):
     """What every proof and check at one (agent, moment, removals) frame
-    shares besides the engine's `_Shared`."""
+    shares besides the engine's `_Shared`.  Its order is `kb.order()`
+    widened by the head's stated `prior` pairs; the head names no moment
+    outside the Herbrand universe, so it adds no moment."""
 
     __slots__ = ("head", "order", "modal", "feasible_base", "refute_base")
 
@@ -120,7 +123,7 @@ class _Frame(Record):
                  feasible_base: models.Grounding | None = None,
                  refute_base: models.Grounding | None = None) -> None:
         self.head = head    # the projection's axiom-derived premises
-        self.order = order  # the moment order head + background state and name
+        self.order = order  # kb.order() widened by the head's `prior` pairs
         self.modal = modal  # whether the head has a modal node
         # the premise prefixes of the two per-pair consistency checks, each
         # grounded on its first use: the feasibility check's remaining
@@ -132,12 +135,11 @@ class _Frame(Record):
 class _Goal(Record):
     """What every check and proof of one goal shares."""
 
-    __slots__ = ("content", "universe", "moments", "modal")
+    __slots__ = ("content", "universe", "modal")
 
-    def __init__(self, content: Formula, universe: dict, moments: set, modal: bool) -> None:
+    def __init__(self, content: Formula, universe: dict, modal: bool) -> None:
         self.content = content
         self.universe = universe  # the engine's universe widened by the goal's terms
-        self.moments = moments    # the goal's constant moments
         self.modal = modal        # whether the goal has a modal node
 
 
@@ -165,16 +167,13 @@ class ReasonEngine:
         if self._base is None:
             background = self.kb.background()
             terms = collect_ground_terms(background, parents=self.kb.sig.sorts)
-            self._base = _Shared(
-                background, widen_universe(self.kb.herbrand(), terms),
-                MomentOrder(stated_prior_pairs(background), moment_names(terms)),
-            )
+            self._base = _Shared(background, widen_universe(self.kb.herbrand(), terms))
         return self._base
 
     def _goal(self, content: Formula) -> _Goal:
         terms = collect_ground_terms((content,), parents=self.kb.sig.sorts)
         return _Goal(content, widen_universe(self._shared().universe, terms),
-                     moment_names(terms), _has_modal((content,)))
+                     _has_modal((content,)))
 
     # -- agent-relative derivability ------------------------------------
 
@@ -190,8 +189,7 @@ class ReasonEngine:
         frame = self._frames.get(key)
         if frame is None:
             head = held_axioms(self.kb, agent, moment, exclude=lam_labels)
-            named = moment_names(collect_ground_terms(head, parents=self.kb.sig.sorts))
-            order = self._shared().order.widened(stated_prior_pairs(head), named)
+            order = self.kb.order().widened(stated_prior_pairs(head), ())
             frame = self._frames[key] = _Frame(head, order, _has_modal(head))
         return frame
 
@@ -199,17 +197,17 @@ class ReasonEngine:
                lam_labels: frozenset = frozenset()) -> Proof | None:
         """Prove the goal from the frame's projection with the additions,
         over the universe and moment order a cold `prove(projection(...))`
-        builds: the goal's universe, and the frame's order widened by the
-        `prior` atoms and moments that the additions and the goal state."""
+        over the goal's universe builds: that universe, and the frame's
+        order widened by the `prior` pairs the additions state and by the
+        universe's moments."""
         frame = self._frame(agent, moment, lam_labels)
         extra = tuple(expand_sugar(f) for f in theta_forms)
-        terms = collect_ground_terms(extra, parents=self.kb.sig.sorts) if extra else {}
         res = prove(
             frame.head + extra + self._shared().background, goal.content,
             depth=self.kb.params.proof_depth,
             universe=goal.universe,
             order=frame.order.widened(
-                stated_prior_pairs(extra + (goal.content,)), moment_names(terms) | goal.moments,
+                stated_prior_pairs(extra), moment_names(goal.universe),
             ),
         )
         return res.proof if res.outcome == "proved" else None

@@ -143,6 +143,20 @@ def test_checker_accepts_a_generator_premise_set():
     assert check_proof(result.proof, (g for g in gamma), goal)
 
 
+def test_checker_orders_a_numeral_only_the_goal_names():
+    # the prover orders 3 before 5 over the proof's universe, which holds
+    # the goal's 5; the checker replays over that universe, not gamma's
+    from mucal.kb import parse_kb
+
+    kb = parse_kb("(const a Agent)(func q () Boolean)")
+    gamma = (parse_formula("(perceives a 3 (q))", kb.sig),)
+    goal = parse_formula("(believes a 5 (q))", kb.sig)
+    result = prove(gamma, goal)
+    assert result.outcome == "proved"
+    assert [s.rule for s in result.proof.steps] == ["premise", "r_p"]
+    assert check_proof(result.proof, gamma, goal)
+
+
 def test_checker_rejects_an_agent_of_another_sort():
     # both agents print as `a`; only their sorts tell them apart
     from mucal.kb import parse_kb

@@ -115,6 +115,20 @@ def test_belief_atoms_stay_open():
     assert models.consistent(gamma, universe=kb.herbrand()) == models.CONSISTENT
 
 
+def test_models_and_the_prover_order_a_numeral_only_the_universe_names():
+    # 5 is in the universe through the `pr` entry alone; both order it
+    # after the percept's 3, so the percept forces a belief at 5
+    kb = parse_kb("(const a Agent)(const now Moment)(func q () Boolean)(pr a 5 (q) 1/2)")
+    premises = (
+        parse_formula("(perceives a 3 (q))", kb.sig),
+        parse_formula("(forall (t Moment) (not (believes a t (q))))", kb.sig),
+    )
+    universe = kb.universe(premises)
+    assert [t.name for t in universe["Moment"]] == ["3", "5", "now"]
+    assert models.consistent(premises, universe=universe) == models.INCONSISTENT
+    assert prove(premises, Falsum(), universe=universe).outcome == "proved"
+
+
 def test_random_ground_sets_match_oracle():
     import random
 

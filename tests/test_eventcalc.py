@@ -1,7 +1,7 @@
 import pytest
 
 from mucal.errors import KbError, UnknownNameError
-from mucal.eventcalc import background, before, ec_axioms
+from mucal.eventcalc import background, ec_axioms
 from mucal.kb import parse_kb
 from mucal.logic import Atom, Not, expand_sugar
 from mucal.prover import prove
@@ -29,26 +29,27 @@ CLIPPED_VARIANT = INERTIAL_BASE + """
 def test_transitive_before():
     text = ("(const t0 Moment)(const t1 Moment)(const t3 Moment)"
             "(prior t0 t1)(prior t1 t3)")
-    kb = parse_kb(text)
-    assert before(kb, "t0", "t3")
-    assert not before(kb, "t3", "t0")
+    order = parse_kb(text).order()
+    assert order.lt("t0", "t3")
+    assert not order.lt("t3", "t0")
 
 
 def test_before_irreflexive():
-    kb = parse_kb("(const t0 Moment)(const t1 Moment)(prior t0 t1)")
-    assert not before(kb, "t0", "t0")
+    order = parse_kb("(const t0 Moment)(const t1 Moment)(prior t0 t1)").order()
+    assert not order.lt("t0", "t0")
 
 
 def test_before_numeric():
-    kb = parse_kb("(prior 1 2)")
-    assert before(kb, "1", "2")
-    assert not before(kb, "2", "1")
+    order = parse_kb("(prior 1 2)").order()
+    assert order.lt("1", "2")
+    assert not order.lt("2", "1")
 
 
 def test_before_unknown_moment():
-    kb = parse_kb("(const t0 Moment)")
-    with pytest.raises(UnknownNameError):
-        before(kb, "t0", "never")
+    kb = parse_kb("(const a Agent)(const t0 Moment)")
+    assert kb.frame_terms("a", "t0")[1].name == "t0"
+    with pytest.raises(UnknownNameError, match="unknown moment 'never'"):
+        kb.frame_terms("a", "never")
 
 
 def test_strict_partial_order_exhaustive(murder_kb):

@@ -103,6 +103,20 @@ def test_prior_contradicting_numeric_order():
         parse_kb("(prior 2 1)")
 
 
+def test_the_order_is_over_the_herbrand_moments():
+    # a numeral only a `pr` entry names, and a constant of a subsort of
+    # Moment, are moments; a frame at the subsort moment reads the axioms
+    # that name it
+    kb = parse_kb(
+        "(sort Day Moment)(const d1 Day)(const now Moment)(const a Agent)"
+        "(func p () Boolean)(pr a 5 (p) 1/2)(axiom x (believes a d1 (p)))"
+    )
+    assert kb.order().moments == ["5", "d1", "now"]
+    assert kb.frame_terms("a", "d1")[1] == Const("d1", "Day")
+    from mucal.prover import held_axioms
+    assert [print_term(f.term) for f in held_axioms(kb, "a", "d1")] == ["p"]
+
+
 def test_certain_flag_and_removability():
     kb = parse_kb("(func p () Boolean)(func q () Boolean)"
                   "(axiom fixed :certain (p))(axiom loose (q))")

@@ -487,8 +487,8 @@ def test_collect_ground_terms_joins_ancestor_sorts_and_orders_by_key():
 
 
 def test_prove_on_sugared_premises_matches_prove_on_their_expansion(sig):
-    # the default moment order is taken before sugar expansion; the r_p lift
-    # below needs `prior m1 now`, so a wrong order would change the proof
+    # the default moment order does not depend on sugar expansion; the r_p
+    # lift below needs `prior m1 now`, so a wrong order would change the proof
     gamma = [parse_formula(t, sig) for t in (
         "(xor (win t1) (win t2))", "(prior m1 now)",
         "(perceives a m1 (win t1))", "(withholds a m1 (win t2))",
@@ -498,8 +498,9 @@ def test_prove_on_sugared_premises_matches_prove_on_their_expansion(sig):
     sugared = prove(gamma, goal)
     assert sugared.outcome == "proved"
     assert sugared == prove(expanded, expand_sugar(goal))
-    raw = logic.order_from_premises(gamma + [goal])
-    plain = logic.order_from_premises(expanded + [expand_sugar(goal)])
+    universe = logic.collect_ground_terms(gamma + [goal])
+    raw = logic.order_from_premises(gamma + [goal], universe)
+    plain = logic.order_from_premises(expanded + [expand_sugar(goal)], universe)
     assert (raw.pairs(), raw.moments) == (plain.pairs(), plain.moments)
 
 
@@ -528,7 +529,7 @@ def test_widened_is_the_same_order_when_nothing_is_new():
 
 
 def test_premise_set_cycle_is_kept_but_a_kb_cycle_is_rejected():
-    order = logic.order_from_premises([_prior("t1", "t2"), _prior("t2", "t1")])
+    order = logic.order_from_premises([_prior("t1", "t2"), _prior("t2", "t1")], {})
     assert order.lt("t1", "t1") and order.lt("t2", "t2")
     assert order.moments == ["t1", "t2"]
     from mucal.errors import KbError

@@ -119,6 +119,25 @@ def test_rp_derived_rule(rain_kb):
     assert any(s.rule == "r_p" for s in res.proof.steps)
 
 
+def test_a_goal_prior_atom_does_not_order_its_own_proof():
+    # with t1 < t2 the percept would become a belief at t2 and contradict
+    # the second premise; a model with t1 not before t2 satisfies both
+    # premises and falsifies the goal, so the goal must not order its proof
+    kb = parse_kb("(const a Agent)(const t1 Moment)(const t2 Moment)(func p () Boolean)")
+    gamma = tuple(parse_formula(s, kb.sig)
+                  for s in ("(perceives a t1 (p))", "(not (believes a t2 (p)))"))
+    goal = parse_formula("(prior t1 t2)", kb.sig)
+    from mucal import models
+    assert models.consistent(gamma + (Not(goal),)) == models.CONSISTENT
+    assert prove(gamma, goal).outcome == "unknown"
+    engine = ReasonEngine(parse_kb(
+        "(const a Agent)(const t1 Moment)(const t2 Moment)(func p () Boolean)"
+        "(axiom x :certain (perceives a t1 (p)))"
+        "(axiom y :certain (not (believes a t2 (p))))"
+    ))
+    assert engine.provable("a", "t1", goal) is None
+
+
 def test_rb_derived_rule(rain_kb):
     sig = rain_kb.sig
     b1 = parse_formula("(believes mary t1 (holds raining t1))", sig)

@@ -409,10 +409,11 @@ def test_goal_numeral_moment_extends_the_frame_order():
     "(axiom k :certain (holds f 5))",
     "(candidate c1 (holds f 5))",
 ], ids=["nothing", "head", "addition"])
-def test_a_numeral_moment_is_ordered_only_where_a_premise_names_it(named_by):
-    # 5 is the KB's only numeral.  A proof orders it against the goal's 3,
-    # and so lifts the percept to a belief at 5, only when its premises
-    # name 5, as a cold prove of the same premises does
+def test_every_numeral_moment_of_the_universe_is_ordered(named_by):
+    # 5 is the KB's only numeral, and it is in the universe through the
+    # `pr` entry even where no premise names it.  A proof orders it against
+    # the goal's 3 and so lifts the percept to a belief at 5, as a cold
+    # prove over the same universe does
     kb = parse_kb(
         "(const a Agent)(const now Moment)(const f Fluent)(func q () Boolean)"
         "(pr a 5 (q) 1/2)" + named_by
@@ -422,9 +423,8 @@ def test_a_numeral_moment_is_ordered_only_where_a_premise_names_it(named_by):
     )
     engine = ReasonEngine(kb)
     cold = _cold_proof(kb, "a", "now", goal)
-    assert (cold is not None) == ("axiom" in named_by)
+    assert cold is not None
     assert engine.provable("a", "now", goal) == cold
-    if "candidate" in named_by:
-        w = engine.delta("a", "now", goal)
-        assert w.theta_labels == ("c1",)
-        assert w.proof == _cold_proof(kb, "a", "now", goal, extra=(kb.candidates[0].formula,))
+    w = engine.delta("a", "now", goal)
+    assert w.distance == 0
+    assert w.proof == cold

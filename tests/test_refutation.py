@@ -13,6 +13,7 @@ import random
 import pytest
 
 from mucal import models
+from mucal.checker import check_proof
 from mucal.kb import load_kb, parse_kb
 from mucal.logic import Not, collect_ground_terms, expand_sugar
 from mucal.reasonable import ReasonEngine, _has_modal
@@ -61,6 +62,7 @@ class Audit:
         modal = _has_modal(premises + (content,))
         goal = f"{agent}@{moment}: {content}"
         assert not (proof is not None and skipped), goal
+        assert proof is None or check_proof(proof, premises, content)
         assert (found is not None) == (proof is not None), goal
         if not modal:
             # the reused grounding answers as the cold one does
@@ -213,7 +215,7 @@ def test_refutation_agreement_on_scenarios(monkeypatch):
         kb = load_kb(scenario_path(name))
         engine = ReasonEngine(kb)
         agents = sorted(n for n, s in kb.sig.constants.items() if s == "Agent")
-        moment = "now" if "now" in kb.moment_names() else kb.moment_names()[-1]
+        moment = "now" if "now" in kb.order().moments else kb.order().moments[-1]
         goals = [c.formula for c in kb.candidates] + [
             Not(c.formula) for c in kb.candidates
         ] + [Not(a.formula) for a in kb.axioms]
