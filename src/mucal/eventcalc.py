@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .errors import KbError
 from .logic import (
-    And, App, Atom, Const, Forall, Implies, MomentOrder, Not, Var,
+    And, App, Atom, Forall, Implies, MomentOrder, Not, Var,
     stated_ground_atoms,
 )
 
@@ -46,7 +46,7 @@ def background(kb) -> tuple:
     """Ground moment-order facts plus the selected flavor's theory."""
     order = kb.order()
     facts = [
-        Atom(App("prior", (Const(a, "Moment"), Const(b, "Moment")), "Boolean"))
+        Atom(App("prior", (kb.moment(a), kb.moment(b)), "Boolean"))
         for a, b in order.pairs()
     ]
     out = list(ec_axioms(kb.params.ec_flavor)) + facts
@@ -61,15 +61,14 @@ def _clipping_completion(kb, order: MomentOrder) -> list:
     happens = stated_ground_atoms(axioms, "happens")
     terminates = stated_ground_atoms(axioms, "terminates")
     stated_clipped = stated_ground_atoms(axioms, "clipped")
-    universe = kb.herbrand()
-    fluents = universe.get("Fluent", ())
+    fluents = kb.herbrand().get("Fluent", ())
     out = []
     for fl in fluents:
         for r in order.moments:
             for s in order.moments:
                 if not order.lt(r, s):
                     continue
-                triple = (Const(r, "Moment"), fl, Const(s, "Moment"))
+                triple = (kb.moment(r), fl, kb.moment(s))
                 clipped_here = triple in stated_clipped
                 if not clipped_here:
                     for (ev, tfl, tm) in terminates:
@@ -90,7 +89,7 @@ def _initially_bridge(kb, order: MomentOrder) -> list:
         return []
     f = Var("f", "Fluent")
     t = Var("t", "Moment")
-    start = Const(m0, "Moment")
+    start = kb.moment(m0)
     return [
         Forall(f, Implies(
             Atom(App("initially", (f,), "Boolean")),

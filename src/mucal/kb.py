@@ -27,9 +27,9 @@ from .errors import (
 )
 from .logic import (
     App, Const, Falsum, Formula, MomentOrder, Record, Signature, _join_sorts,
-    collect_ground_terms, formula_key, is_numeral, moment_names,
+    collect_ground_terms, formula_key, is_numeral, moment_names, print_term,
 )
-from .syntax import Node, print_term, read_all, sorted_formula
+from .syntax import Node, read_all, sorted_formula
 
 
 class AxiomEntry(Record):
@@ -96,6 +96,7 @@ class KbDocument:
         self.params = Params()
         self._order: MomentOrder | None = None
         self._herbrand: dict | None = None
+        self._background: tuple | None = None
         self._finite: bool = True
 
     # -- declared names -------------------------------------------------
@@ -124,17 +125,21 @@ class KbDocument:
             raise UnknownNameError(f"unknown agent {agent!r}")
         if moment not in self.order().moments:
             raise UnknownNameError(f"unknown moment {moment!r}")
-        return (Const(agent, self.sig.constants[agent]),
-                Const(moment, self.sig.constants.get(moment, "Moment")))
+        return Const(agent, self.sig.constants[agent]), self.moment(moment)
+
+    def moment(self, name: str) -> Const:
+        """The constant naming a moment, at its declared sort; a numeral
+        is a Moment."""
+        return Const(name, self.sig.constants.get(name, "Moment"))
 
     # -- term universe ---------------------------------------------------
 
     def herbrand(self) -> dict:
-        """Ground terms per sort, closed under the declared functions; each
-        term is also in the buckets of its ancestor sorts.  The closure
-        starts from the declared constants, the numeral moments of the `pr`
-        entries and `(prior ...)` forms, and the ground terms of the axioms,
-        candidates and `pr` formulas.
+        """Ground domain terms per sort, closed under the declared functions,
+        each bucket in print order; each term is also in the buckets of its
+        ancestor sorts.  The closure starts from the declared constants, the
+        numeral moments of the `pr` entries and `(prior ...)` forms, and the
+        ground terms of the axioms, candidates and `pr` formulas.
 
         The closure is bounded (see ``_close``); when a bound cuts it short
         the KB is flagged not finitely ground (see ``finitely_ground``).
@@ -169,7 +174,11 @@ class KbDocument:
     # -- theory views ----------------------------------------------------
 
     def background(self) -> tuple:
-        return eventcalc.background(self)
+        """The event-calculus/moment background, built once; it names no
+        term outside `herbrand()`."""
+        if self._background is None:
+            self._background = eventcalc.background(self)
+        return self._background
 
     def all_premises(self) -> tuple:
         """Every axiom plus the event-calculus/moment background."""

@@ -89,6 +89,9 @@ class Signature:
         for s in arg_sorts + (result,):
             if s not in self.sorts:
                 raise UnknownSymbolError(s, f"unknown sort {s!r}")
+        if "Boolean" in arg_sorts:
+            raise SortError(
+                f"{name!r} takes a Boolean argument; Boolean is the sort of formulas")
         if name in self.functions or name in self.constants:
             raise SortError(f"symbol {name!r} already declared")
         self.functions[name] = (arg_sorts, result)
@@ -256,6 +259,15 @@ def subst_term(t: Term, var: Var, repl: Term) -> Term:
     if isinstance(t, App):
         return App(t.fn, tuple(subst_term(a, var, repl) for a in t.args), t.sort)
     return t
+
+
+def print_term(t: Term) -> str:
+    """A term's surface form; the order of every term-universe bucket."""
+    if isinstance(t, (Var, Const)):
+        return t.name
+    if not t.args:
+        return t.fn
+    return "(" + t.fn + " " + " ".join(print_term(a) for a in t.args) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +629,9 @@ def _check_formula(f: Formula, sig: Signature, env: dict) -> None:
     if isinstance(f, QUANT):
         if f.var.sort not in sig.sorts:
             raise UnknownSymbolError(f.var.sort)
+        if f.var.sort == "Boolean":
+            raise SortError(
+                f"variable {f.var.name!r} is bound at Boolean; Boolean is the sort of formulas")
         inner = dict(env)
         inner[f.var.name] = f.var.sort
         _check_formula(f.body, sig, inner)
@@ -771,10 +786,11 @@ def stated_ground_atoms(formulas: Iterable[Formula], fn: str) -> set:
 
 def _join_sorts(buckets: dict, t: Term, parents: dict) -> bool:
     """Put t in the bucket of its sort and of each of that sort's ancestors
-    in `parents`; True when t was new."""
+    in `parents`, but never in a Boolean bucket: Boolean is the sort of
+    formulas, not of terms.  True when t was new."""
     fresh = False
     cur: str | None = t.sort
-    while cur is not None:
+    while cur not in (None, "Boolean"):
         bucket = buckets.setdefault(cur, {})
         if t not in bucket:
             bucket[t] = None
@@ -786,11 +802,12 @@ def _join_sorts(buckets: dict, t: Term, parents: dict) -> bool:
 def collect_ground_terms(
     formulas: Iterable[Formula], parents: dict | None = None
 ) -> dict:
-    """The ground terms of the formulas' atoms and modal agents and moments,
-    by sort: constants, and applications whose arguments are all ground.
-    Each term also joins the buckets of its ancestor sorts in `parents`
-    (the built-in sort edges by default).  Sorts come in the order the walk
-    first meets them, and each bucket is ordered by term key."""
+    """The ground domain terms of the formulas' atoms and modal agents and
+    moments, by sort: constants, and applications whose arguments are all
+    ground; an atom's own term is not one (see `_join_sorts`).  Each term
+    also joins the buckets of its ancestor sorts in `parents` (the built-in
+    sort edges by default).  Sorts come in the order the walk first meets
+    them, and each bucket is in print order."""
     parents = BUILTIN_SORTS if parents is None else parents
     buckets: dict = {}
     ground: set = set()
@@ -803,10 +820,7 @@ def collect_ground_terms(
             ):
                 ground.add(n)
                 _join_sorts(buckets, n, parents)
-    return {
-        s: tuple(sorted(b, key=lambda t: _term_key(t, {})))
-        for s, b in buckets.items()
-    }
+    return {s: tuple(sorted(b, key=print_term)) for s, b in buckets.items()}
 
 
 def stated_prior_pairs(formulas: Iterable[Formula]) -> set:

@@ -48,6 +48,7 @@ INCONSISTENT = "inconsistent"
 UNKNOWN = "unknown"
 
 _NODE_CAP = 200_000
+_MODAL_DEPTH = 2  # how deep the belief closure nests its own consistency checks
 
 
 class _Overflow(Exception):
@@ -110,11 +111,14 @@ class Grounding:
         g._ground(tuple(expand_sugar(p) for p in premises))
         return g
 
-    def solve(self, modal_depth: int = 2) -> str:
+    def solve(self) -> str:
         """Classify the grounded premises, after the belief closure."""
+        return self._solve(_MODAL_DEPTH)
+
+    def _solve(self, depth: int) -> str:
         if self.overflow:
             return UNKNOWN
-        pins = [(self.atoms[key],) for key in _entailed_belief_keys(self, modal_depth)]
+        pins = [(self.atoms[key],) for key in _entailed_belief_keys(self, depth)]
         return CONSISTENT if _satisfiable(chain(self.clauses, pins)) else INCONSISTENT
 
     def _fresh(self) -> int:
@@ -294,7 +298,6 @@ def consistent(
     premises: Iterable[Formula],
     atom_budget: int = 256,
     universe: dict | None = None,
-    modal_depth: int = 2,
     base: Grounding | None = None,
 ) -> str:
     """Classify a premise set as consistent, inconsistent, or unknown.
@@ -311,14 +314,14 @@ def consistent(
         g = base.extended(premises)
     else:
         g = Grounding(base.premises + tuple(premises), atom_budget, universe)
-    return g.solve(modal_depth)
+    return g.solve()
 
 
-def _entailed_belief_keys(g: Grounding, modal_depth: int) -> list:
+def _entailed_belief_keys(g: Grounding, depth: int) -> list:
     """Grounded belief atoms whose content follows from stated beliefs,
     held under `order_from_premises` of the premises over the grounding's
-    universe."""
-    if modal_depth <= 0:
+    universe; `depth` bounds how deeply those checks nest."""
+    if depth <= 0:
         return []
     stated = [p for p in g.premises if isinstance(p, (Believes, Perceives))]
     if not stated:
@@ -334,12 +337,7 @@ def _entailed_belief_keys(g: Grounding, modal_depth: int) -> list:
         if any(formula_key(c) == body_key for c in contents):
             out.append(key)
             continue
-        sub = consistent(
-            tuple(contents) + (Not(belief.body),),
-            atom_budget=g.atom_budget,
-            universe=g.universe,
-            modal_depth=modal_depth - 1,
-        )
-        if sub == INCONSISTENT:
+        sub = Grounding(tuple(contents) + (Not(belief.body),), g.atom_budget, g.universe)
+        if sub._solve(depth - 1) == INCONSISTENT:
             out.append(key)
     return out

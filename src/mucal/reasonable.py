@@ -21,11 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .kb import widen_universe
 from .logic import (
     MODAL, And, Falsum, Formula, FrozenRecord, MomentOrder, Not, Record, children,
-    collect_ground_terms, expand_sugar, formula_key, is_belief_at,
-    moment_names, negation_of, stated_prior_pairs, weight,
+    expand_sugar, formula_key, is_belief_at, moment_names, negation_of,
+    stated_prior_pairs, weight,
 )
 from .prover import Proof, held_axioms, prove, rho
 from . import models
@@ -97,25 +96,12 @@ class ReasonablenessVerdict(FrozenRecord):
 # ---------------------------------------------------------------------------
 # Engine
 
-class _Shared(Record):
-    """What every frame of one KB shares.  `kb.herbrand()` holds every
-    ground term of every axiom and candidate, so this universe is that of
-    every frame and every pool addition, and only a goal can widen it.
-    The background's `prior` facts state the closure of `kb.order()`, so
-    that order is the one every frame widens."""
-
-    __slots__ = ("background", "universe")
-
-    def __init__(self, background: tuple, universe: dict) -> None:
-        self.background = background
-        self.universe = universe  # the Herbrand universe widened by the background
-
-
 class _Frame(Record):
     """What every proof and check at one (agent, moment, removals) frame
-    shares besides the engine's `_Shared`.  Its order is `kb.order()`
-    widened by the head's stated `prior` pairs; the head names no moment
-    outside the Herbrand universe, so it adds no moment."""
+    shares.  Its universe is `kb.herbrand()`, which only a goal widens, and
+    its order `kb.order()` widened by the head's stated `prior` pairs; the
+    head names no moment outside the Herbrand universe, so it adds no
+    moment."""
 
     __slots__ = ("head", "order", "modal", "feasible_base", "refute_base")
 
@@ -133,13 +119,15 @@ class _Frame(Record):
 
 
 class _Goal(Record):
-    """What every check and proof of one goal shares."""
+    """What every check and proof of one goal shares.  Its universe is
+    `kb.herbrand()` itself unless the goal names a domain term outside it,
+    so a goal that names only new atoms reuses the frames' groundings."""
 
     __slots__ = ("content", "universe", "modal")
 
     def __init__(self, content: Formula, universe: dict, modal: bool) -> None:
         self.content = content
-        self.universe = universe  # the engine's universe widened by the goal's terms
+        self.universe = universe  # kb.herbrand() widened by the goal's terms
         self.modal = modal        # whether the goal has a modal node
 
 
@@ -160,20 +148,9 @@ class ReasonEngine:
         self._feasible: dict = {}
         self._frames: dict = {}
         self._budget_hits: set = set()  # delta keys with budget-skipped pairs
-        self._base: _Shared | None = None
-
-    def _shared(self) -> _Shared:
-        """The KB's `_Shared`, built on first use."""
-        if self._base is None:
-            background = self.kb.background()
-            terms = collect_ground_terms(background, parents=self.kb.sig.sorts)
-            self._base = _Shared(background, widen_universe(self.kb.herbrand(), terms))
-        return self._base
 
     def _goal(self, content: Formula) -> _Goal:
-        terms = collect_ground_terms((content,), parents=self.kb.sig.sorts)
-        return _Goal(content, widen_universe(self._shared().universe, terms),
-                     _has_modal((content,)))
+        return _Goal(content, self.kb.universe((content,)), _has_modal((content,)))
 
     # -- agent-relative derivability ------------------------------------
 
@@ -203,7 +180,7 @@ class ReasonEngine:
         frame = self._frame(agent, moment, lam_labels)
         extra = tuple(expand_sugar(f) for f in theta_forms)
         res = prove(
-            frame.head + extra + self._shared().background, goal.content,
+            frame.head + extra + self.kb.background(), goal.content,
             depth=self.kb.params.proof_depth,
             universe=goal.universe,
             order=frame.order.widened(
@@ -341,22 +318,23 @@ class ReasonEngine:
     def _feasibility(self, frame: _Frame, lam_labels: frozenset, theta_forms: tuple,
                      goal: _Goal) -> str:
         """`models.consistent` on the axioms outside the removals, the
-        additions and the background, over the engine's universe widened by
-        the additions' terms: the goal's universe when the goal is among
-        them, and the engine's otherwise, since the pool adds no term.  The
+        additions and the background, over `kb.herbrand()` widened by the
+        additions' terms: the goal's universe when the goal is among them,
+        and `kb.herbrand()` otherwise, since the pool adds no term.  The
         axioms and background are grounded once per frame."""
         budget = self.kb.params.consistency_depth
-        shared = self._shared()
+        herbrand = self.kb.herbrand()
         if frame.feasible_base is None:
             kept = tuple(a.formula for a in self.kb.axioms if a.label not in lam_labels)
-            frame.feasible_base = models.Grounding(kept + shared.background, budget, shared.universe)
-        universe = goal.universe if goal.content in theta_forms else shared.universe
+            frame.feasible_base = models.Grounding(kept + self.kb.background(), budget, herbrand)
+        universe = goal.universe if goal.content in theta_forms else herbrand
         return models.consistent(theta_forms, budget, universe, base=frame.feasible_base)
 
     def _refuted(self, frame: _Frame, goal: _Goal, theta_forms: tuple) -> bool:
         """Whether the proof premises of the pair (the frame's head, the
         additions and the background) have a ground model, over the goal's
-        universe (the proof's own), in which the goal is false.
+        universe (the proof's own), in which the goal is false.  The head
+        and background are grounded once per frame, over `kb.herbrand()`.
 
         Then a prover that is sound for `models`' semantics cannot derive
         the goal, so no proof search is needed.  The prover is sound for
@@ -365,7 +343,7 @@ class ReasonEngine:
         perception node anywhere in the premises or the goal turns the
         check off, because the prover's belief closure (`r_b`) reads every
         belief it holds, derived ones included, and to any depth, while
-        `models` pins only what stated beliefs entail, to `modal_depth`.
+        `models` pins only what stated beliefs entail, to depth 2.
         Only `consistent` refutes: an `unknown` check leaves the pair to
         the prover.
         """
@@ -374,8 +352,8 @@ class ReasonEngine:
             return False
         if frame.refute_base is None:
             frame.refute_base = models.Grounding(
-                frame.head + self._shared().background,
-                self.kb.params.consistency_depth, self._shared().universe,
+                frame.head + self.kb.background(),
+                self.kb.params.consistency_depth, self.kb.herbrand(),
             )
         return models.consistent(
             extra + (Not(goal.content),), self.kb.params.consistency_depth,

@@ -22,7 +22,7 @@ from .errors import ParseError, SortError, UnknownSymbolError
 from .logic import (
     And, App, Atom, Believes, Const, Exists, Falsum, Forall, Formula, Iff,
     Implies, Not, Or, Perceives, Record, Signature, Term, Var, Withholds,
-    Xor, _check_formula, _nodes, is_numeral,
+    Xor, _check_formula, _nodes, is_numeral, print_term,
 )
 
 KEYWORDS = {
@@ -310,14 +310,6 @@ def parse_formula(text: str, sig: Signature) -> Formula:
 
 # ---------------------------------------------------------------------------
 # Printing
-
-def print_term(t: Term) -> str:
-    if isinstance(t, (Var, Const)):
-        return t.name
-    if not t.args:
-        return t.fn
-    return "(" + t.fn + " " + " ".join(print_term(a) for a in t.args) + ")"
-
 
 def print_formula(f: Formula) -> str:
     """Deterministic surface form; ``parse_formula`` inverts it.

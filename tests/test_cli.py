@@ -114,6 +114,19 @@ def test_exit_code_unknown_name_in_an_irreflexive_compare(frame, message, capsys
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "(axiom x (forall (p Boolean) p))",
+    "(func f (Boolean) Object)",
+], ids=["binder", "func-argument"])
+def test_check_kb_rejects_a_boolean_term_sort(tmp_path, capsys, text):
+    kb = tmp_path / "boolean.kb"
+    kb.write_text(text)
+    rc, out = run_cli(["check-kb", "--kb", str(kb)])
+    assert rc == 64
+    assert out == ""
+    assert "Boolean is the sort of formulas" in capsys.readouterr().err
+
+
 def test_exit_code_missing_kb():
     rc, _ = run_cli(["prove", "--kb", "scenarios/missing.kb", "(p)"])
     assert rc == 64

@@ -1,9 +1,9 @@
 import pytest
 
-from mucal.errors import KbError, UnknownNameError
+from mucal.errors import UnknownNameError
 from mucal.eventcalc import background, ec_axioms
 from mucal.kb import parse_kb
-from mucal.logic import Atom, Not, expand_sugar
+from mucal.logic import Not
 from mucal.prover import prove
 from mucal.syntax import parse_formula, print_formula
 from mucal import models

@@ -1,11 +1,13 @@
+import os
 from fractions import Fraction
 
 import pytest
 
 from mucal.errors import KbError, ParseError
 from mucal.kb import _HERBRAND_CAP, parse_kb, widen_universe
-from mucal.logic import Const
+from mucal.logic import Const, Signature, well_sorted
 from mucal.syntax import parse_formula, print_term
+from conftest import SCENARIOS, scenario_path
 
 LOTTERY_SNIPPET = """
 (const a Agent)
@@ -178,6 +180,50 @@ def test_widen_universe_with_a_new_term_gives_a_new_dict_in_print_order():
     assert wider is not u and u == before
     assert [print_term(t) for t in wider["Object"]] == [f"ticket{i}" for i in range(6)]
     assert wider["Moment"] == u["Moment"]
+
+
+# a moment declared at a subsort of Moment, with the inertial background
+SUBSORT_MOMENT_KB = ("(sort Instant Moment)(const i0 Instant)(const a Agent)"
+                     "(const f0 Fluent)(param ec-flavor inertial)")
+
+
+def _scenario_text(name):
+    with open(scenario_path(name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("text", [
+    *(pytest.param(_scenario_text(n), id=n)
+      for n in sorted(os.listdir(SCENARIOS)) if n.endswith(".kb")),
+    pytest.param(SUBSORT_MOMENT_KB, id="subsort-moment"),
+])
+def test_the_background_is_well_sorted_and_adds_no_term_to_the_universe(text):
+    kb = parse_kb(text)
+    assert all(well_sorted(f, kb.sig) for f in kb.background())
+    assert kb.universe(kb.background()) is kb.herbrand()
+    assert "Boolean" not in kb.herbrand()
+    assert kb.background() is kb.background()  # built once
+
+
+def test_a_subsort_moment_keeps_its_declared_sort():
+    kb = parse_kb(SUBSORT_MOMENT_KB)
+    i0 = Const("i0", "Instant")
+    assert kb.herbrand()["Moment"] == (i0,)
+    assert kb.moment("i0") is i0 and kb.frame_terms("a", "i0")[1] is i0
+
+
+@pytest.mark.parametrize("text", [
+    "(axiom x (forall (p Boolean) p))",
+    "(func f (Boolean) Object)",
+], ids=["binder", "func-argument"])
+def test_boolean_is_the_sort_of_formulas_not_of_terms(text):
+    with pytest.raises(ParseError, match="Boolean is the sort of formulas"):
+        parse_kb(text)
+
+
+def test_a_boolean_binder_is_a_parse_error_on_its_own():
+    with pytest.raises(ParseError, match="'p' is bound at Boolean; Boolean is the sort of formulas"):
+        parse_formula("(forall (p Boolean) p)", Signature())
 
 
 def test_candidate_formulas_validated():

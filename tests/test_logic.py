@@ -2,7 +2,6 @@ import itertools
 import random
 import sys
 import threading
-from fractions import Fraction
 
 import pytest
 
@@ -15,7 +14,7 @@ from mucal.logic import (
     substitute_unchecked, weight, well_sorted,
 )
 from mucal.prover import prove
-from mucal.syntax import parse_formula, print_formula
+from mucal.syntax import parse_formula
 from conftest import DESK_SCENARIOS, scenario_path
 from mucal.kb import load_kb
 from test_syntax import random_formula
@@ -458,11 +457,11 @@ def test_symbols_count_bound_variable_names_and_constant_symbols_do_not(sig):
 def test_collect_ground_terms_walks_atoms_agents_and_moments():
     later = App("next", (NOW,), "Moment")
     got = logic.collect_ground_terms((Believes(A, later, win(T1)),))
-    # sorts in the order the walk first meets them, never in set order
-    assert list(got) == ["Agent", "Moment", "Object", "Boolean"]
+    # sorts in the order the walk first meets them, never in set order; a
+    # ground atom is a formula, not a term, so there is no Boolean bucket
+    assert list(got) == ["Agent", "Moment", "Object"]
     assert got["Agent"] == (A,)
-    assert got["Moment"] == (NOW, later)
-    assert got["Boolean"] == (win(T1).term,)  # a ground atom is a Boolean term
+    assert got["Moment"] == (later, NOW)  # print order: "(next now)" < "now"
 
 
 def test_collect_ground_terms_skips_open_terms_but_keeps_their_ground_parts():
@@ -472,7 +471,7 @@ def test_collect_ground_terms_skips_open_terms_but_keeps_their_ground_parts():
     assert got == {"Object": (c,)}
 
 
-def test_collect_ground_terms_joins_ancestor_sorts_and_orders_by_key():
+def test_collect_ground_terms_joins_ancestor_sorts_and_orders_by_print_form():
     me = Const("me", "Self")
     assert logic.collect_ground_terms((Believes(me, NOW, P),))["Agent"] == (me,)
     sub = Const("s", "Sub")
@@ -480,7 +479,7 @@ def test_collect_ground_terms_joins_ancestor_sorts_and_orders_by_key():
     f = And((win(T2), Atom(App("q", (sub,), "Boolean")), win(T1)))
     got = logic.collect_ground_terms((f,), parents)
     assert got["Sub"] == (sub,)
-    assert got["Object"] == (sub, T1, T2)  # "c:s" < "c:t1" < "c:t2"
+    assert got["Object"] == (sub, T1, T2)  # "s" < "t1" < "t2"
     assert logic.collect_ground_terms((f,), {})["Object"] == (T1, T2)
     b = App("b", (), "Object")
     assert logic.collect_ground_terms((Atom(App("r", (T1, b), "Boolean")),))["Object"] == (b, T1)

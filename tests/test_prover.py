@@ -6,13 +6,10 @@ import pytest
 from mucal import prover
 from mucal.errors import UnknownNameError
 from mucal.kb import load_kb, parse_kb
-from mucal.logic import (
-    And, App, Atom, Believes, Const, Falsum, Implies, Not, Or, Perceives,
-    expand_sugar, formula_key,
-)
+from mucal.logic import And, App, Atom, Falsum, Implies, Not, Or, formula_key
 from mucal.prover import prove, rho
 from mucal.reasonable import ReasonEngine
-from mucal.syntax import parse_formula, print_formula
+from mucal.syntax import parse_formula
 from conftest import scenario_path
 from oracles import truth_table_consistent, truth_table_entails
 

@@ -1,13 +1,11 @@
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 
 import mucal.reasonable as reasonable
 from mucal.kb import parse_kb
-from mucal.logic import (
-    App, Atom, Believes, Const, Falsum, Not, Withholds, weight,
-)
+from mucal.logic import Falsum, weight
 from mucal.prover import projection, prove
 from mucal.reasonable import ProbTable, ReasonEngine, pr_lookup
 from mucal.syntax import parse_formula

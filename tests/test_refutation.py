@@ -298,7 +298,7 @@ def test_unknown_refutation_goes_to_the_prover(monkeypatch):
 
 
 def test_goal_term_outside_the_frame_grounds_cold():
-    # 7 is a moment only the goal names; over the engine's universe the
+    # 7 is a moment only the goal names; over the frames' universe the
     # forall candidate would not reach it and the check would refute c1
     kb = parse_kb(
         "(const a Agent)(const now Moment)(const f Fluent)(const g Fluent)"
@@ -307,10 +307,27 @@ def test_goal_term_outside_the_frame_grounds_cold():
     )
     goal = parse_formula("(holds f 7)", kb.sig)
     engine = ReasonEngine(kb)
-    assert not any(t.name == "7" for t in engine._shared().universe["Moment"])
+    assert not any(t.name == "7" for t in kb.herbrand()["Moment"])
     w = engine.delta("a", "now", goal)
     assert w.theta_labels == ("c1",)
     assert w.distance == brute_force_delta(kb, "a", "now", goal)
+
+
+def test_a_goal_naming_only_new_atoms_reuses_the_frame_groundings(murder_kb, monkeypatch):
+    # (owns bob) and t2 are in the Herbrand universe, so the goal's universe
+    # is the frames' and every check extends a frame's grounding
+    built = []
+    init = models.Grounding.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(models.Grounding, "__init__", counting)
+    goal = parse_formula("(holds (owns bob) t2)", murder_kb.sig)
+    w = ReasonEngine(murder_kb).delta("s", "now", goal)
+    assert (w.theta_labels, w.lam_labels, w.distance) == (("+goal",), (), 4)
+    assert len(built) == 2
 
 
 def test_addition_term_outside_the_frame_grounds_cold():
