@@ -27,21 +27,24 @@ def check_proof(proof: Proof, gamma: Iterable[Formula],
                 goal: Formula | None = None) -> bool:
     """Replay the proof against the premise set; True or CheckError."""
     try:
-        return _check(proof, gamma, goal)
+        return _check(proof, gamma, goal, None)
     except CheckError:
         raise
     except Exception as e:  # corrupted objects must be rejected, not crash
         raise CheckError(f"malformed proof object: {type(e).__name__}: {e}")
 
 
-def _check(proof: Proof, gamma: Iterable[Formula], goal: Formula | None) -> bool:
+def _check(proof: Proof, gamma: Iterable[Formula], goal: Formula | None,
+           order) -> bool:
     """Replay the proof over its own universe and the moment order the
-    prover used there: `order_from_premises` of the premise set over that
-    universe."""
+    prover used there: `order` when the proof is an `r_b` subproof, which
+    is the order of the proof it is nested in, and otherwise
+    `order_from_premises` of the premise set over that universe."""
     gamma = tuple(gamma)  # read twice below: premise keys, then moment order
     gamma_keys = {formula_key(g) for g in gamma}
     universe = {s: tuple(ts) for s, ts in proof.universe}
-    order = order_from_premises(gamma, universe)
+    if order is None:
+        order = order_from_premises(gamma, universe)
 
     for f in proof.premises_used:
         if formula_key(f) not in gamma_keys:
@@ -300,6 +303,6 @@ def _check_step(i: int, step: Step, steps: tuple, gamma_keys: set,
         for p in sub.premises_used:
             if formula_key(p) not in content_keys:
                 fail("subproof uses a premise outside the believed contents")
-        check_proof(sub, contents)
+        _check(sub, contents, None, order)
     else:
         fail("unknown rule")

@@ -232,6 +232,14 @@ def _sym(node: Node, what: str) -> str:
     return node.token.text
 
 
+def _moment_sym(node: Node, sig: Signature) -> str:
+    """A numeral or a constant declared at Moment or a subsort of it."""
+    m = _sym(node, "moment")
+    if not (is_numeral(m) or sig.sort_le(sig.constants.get(m, ""), "Moment")):
+        raise ParseError(f"{m!r} is not a declared moment", node.line, node.col)
+    return m
+
+
 def parse_rational(text: str, node: Node) -> Fraction:
     try:
         return Fraction(text)
@@ -294,13 +302,11 @@ def parse_kb(text: str) -> KbDocument:
         elif head == "pr":
             _require(len(rest) == 4, "(pr <agent> <moment> <formula> <rational>)", form)
             agent = _sym(rest[0], "agent")
-            moment = _sym(rest[1], "moment")
             if agent not in kb.sig.constants or not kb.sig.sort_le(
                 kb.sig.constants[agent], "Agent"
             ):
                 raise ParseError(f"{agent!r} is not a declared agent", rest[0].line, rest[0].col)
-            if not is_numeral(moment) and kb.sig.constants.get(moment) != "Moment":
-                raise ParseError(f"{moment!r} is not a declared moment", rest[1].line, rest[1].col)
+            moment = _moment_sym(rest[1], kb.sig)
             formula = sorted_formula(rest[2], kb.sig)
             key = formula_key(formula)
             if key == formula_key(Falsum()):
@@ -317,13 +323,7 @@ def parse_kb(text: str) -> KbDocument:
             kb.prob_entries.append(ProbEntry(agent, moment, formula, value))
         elif head == "prior":
             _require(len(rest) == 2, "(prior <moment> <moment>)", form)
-            pair = []
-            for item in rest:
-                m = _sym(item, "moment")
-                if not is_numeral(m) and kb.sig.constants.get(m) != "Moment":
-                    raise ParseError(f"{m!r} is not a declared moment", item.line, item.col)
-                pair.append(m)
-            kb.prior_pairs.append((pair[0], pair[1]))
+            kb.prior_pairs.append((_moment_sym(rest[0], kb.sig), _moment_sym(rest[1], kb.sig)))
         elif head == "param":
             _require(len(rest) == 2, "(param <name> <value>)", form)
             name = _sym(rest[0], "param name")

@@ -149,11 +149,7 @@ class _Node:
     def __init_subclass__(cls) -> None:
         cls._interned = {}
 
-    def __new__(cls, *args, **kwargs):
-        if kwargs:  # fields by name
-            args += tuple(kwargs.pop(n) for n in cls.__slots__[len(args):] if n in kwargs)
-            if kwargs:
-                raise TypeError(f"{cls.__name__}() got unexpected arguments {sorted(kwargs)}")
+    def __new__(cls, *args):
         node = cls._interned.get(args)
         if node is None:
             if len(args) != len(cls.__slots__):
@@ -842,11 +838,11 @@ class MomentOrder:
     """
 
     def __init__(self, pairs: Iterable[tuple] = (), moments: Iterable[str] = ()):
-        self._stated = frozenset(pairs)
-        self.moments = sorted(set(moments).union(*self._stated))
+        pairs = frozenset(pairs)
+        self.moments = sorted(set(moments).union(*pairs))
         numerals = sorted((m for m in self.moments if is_numeral(m)), key=int)
         succ: dict = {}
-        for a, b in itertools.chain(self._stated, zip(numerals, numerals[1:])):
+        for a, b in itertools.chain(pairs, zip(numerals, numerals[1:])):
             succ.setdefault(a, set()).add(b)
         closure = set()
         for a, direct in succ.items():
@@ -875,15 +871,6 @@ class MomentOrder:
         if len(minima) == 1:
             return minima[0]
         return None
-
-    def widened(self, pairs: Iterable[tuple], moments: Iterable[str]) -> "MomentOrder":
-        """This order with more stated pairs and moments; the order itself
-        when none of them is new."""
-        pairs = frozenset(pairs)
-        moments = set(moments)
-        if pairs <= self._stated and moments.issubset(self.moments):
-            return self
-        return MomentOrder(self._stated | pairs, moments.union(self.moments))
 
 
 def moment_names(terms: dict) -> set:

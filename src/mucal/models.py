@@ -113,12 +113,12 @@ class Grounding:
 
     def solve(self) -> str:
         """Classify the grounded premises, after the belief closure."""
-        return self._solve(_MODAL_DEPTH)
+        return self._solve(_MODAL_DEPTH, None)
 
-    def _solve(self, depth: int) -> str:
+    def _solve(self, depth: int, order) -> str:
         if self.overflow:
             return UNKNOWN
-        pins = [(self.atoms[key],) for key in _entailed_belief_keys(self, depth)]
+        pins = [(self.atoms[key],) for key in _entailed_belief_keys(self, depth, order)]
         return CONSISTENT if _satisfiable(chain(self.clauses, pins)) else INCONSISTENT
 
     def _fresh(self) -> int:
@@ -317,16 +317,19 @@ def consistent(
     return g.solve()
 
 
-def _entailed_belief_keys(g: Grounding, depth: int) -> list:
+def _entailed_belief_keys(g: Grounding, depth: int, order) -> list:
     """Grounded belief atoms whose content follows from stated beliefs,
-    held under `order_from_premises` of the premises over the grounding's
-    universe; `depth` bounds how deeply those checks nest."""
+    held under `order`: for a top-level solve, `order_from_premises` of the
+    premises over the grounding's universe, built once and passed to every
+    nested closure check, as the prover passes its order to a nested
+    belief proof.  `depth` bounds how deeply those checks nest."""
     if depth <= 0:
         return []
     stated = [p for p in g.premises if isinstance(p, (Believes, Perceives))]
     if not stated:
         return []
-    order = order_from_premises(g.premises, g.universe)
+    if order is None:
+        order = order_from_premises(g.premises, g.universe)
     out = []
     for key, belief in g.beliefs.items():
         held = [held_content(p, belief.agent, belief.moment, order) for p in stated]
@@ -338,6 +341,6 @@ def _entailed_belief_keys(g: Grounding, depth: int) -> list:
             out.append(key)
             continue
         sub = Grounding(tuple(contents) + (Not(belief.body),), g.atom_budget, g.universe)
-        if sub._solve(depth - 1) == INCONSISTENT:
+        if sub._solve(depth - 1, order) == INCONSISTENT:
             out.append(key)
     return out

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .logic import (
     And, Atom, Believes, Const, Exists, Falsum, Forall, Formula, FrozenRecord, Iff,
     Implies, Not, Or, Perceives, collect_ground_terms, expand_sugar,
-    formula_key, held_content, moment_names, negation_of, order_from_premises,
+    formula_key, held_content, negation_of, order_from_premises,
     substitute_unchecked, symbols,
 )
 
@@ -214,10 +214,18 @@ class _Search:
     def __init__(self, gamma: tuple, universe: dict, order):
         self.gamma = gamma
         self.universe = universe
-        self.order = order
-        self.moments = sorted(moment_names(universe))
+        self._order = order
         self.overflow = False
         self.fails: dict = {}
+
+    @property
+    def order(self):
+        """The proof's moment order, built on first read: the order the
+        caller passed, else `order_from_premises` of the premises over the
+        universe.  Only the percept and belief rules read it."""
+        if self._order is None:
+            self._order = order_from_premises(self.gamma, self.universe)
+        return self._order
 
     # -- forward saturation ------------------------------------------------
 
@@ -359,10 +367,10 @@ class _Search:
         if not isinstance(f.moment, Const):
             return
         t1 = f.moment.name
-        for m in self.moments:
-            if self.order.lt(t1, m):
-                add(_Node("r_p", (n,), Believes(f.agent, Const(m, "Moment"), f.body),
-                          extra=((t1, m),)))
+        for m in self.universe.get("Moment", ()):
+            if isinstance(m, Const) and self.order.lt(t1, m.name):
+                add(_Node("r_p", (n,), Believes(f.agent, m, f.body),
+                          extra=((t1, m.name),)))
 
     # -- backward search -----------------------------------------------------
 
@@ -596,18 +604,18 @@ def prove(
 
     The universe defaults to the ground terms of the premises and goal,
     and the moment order to `order_from_premises` of the premises over
-    that universe; a `prior` atom of the goal orders nothing, since a
-    proof that read it would assume what it proves.  Returns proved with
-    a replayable proof, refuted (when asked) with a proof of the negated
-    goal, or unknown once the depth budget and the bounded search space
-    are exhausted.
+    that universe, built only when a percept or belief rule first reads
+    it; a `prior` atom of the goal orders nothing, since a proof that
+    read it would assume what it proves.  A belief proof passes its order
+    to the sub-search it nests, so both read one order.  Returns proved
+    with a replayable proof, refuted (when asked) with a proof of the
+    negated goal, or unknown once the depth budget and the bounded search
+    space are exhausted.
     """
     gamma = tuple(expand_sugar(g) for g in gamma)
     goal_x = expand_sugar(goal)
     if universe is None:
         universe = collect_ground_terms(gamma + (goal_x,))
-    if order is None:
-        order = order_from_premises(gamma, universe)
     search = _Search(gamma, universe, order)
     env = search.base_env()
     if search.overflow:
@@ -620,7 +628,7 @@ def prove(
             return ProofResult("unknown")
     if refute:
         neg = prove(gamma, negation_of(goal_x), depth=depth,
-                    universe=universe, order=order)
+                    universe=universe, order=search._order)
         if neg.outcome == "proved":
             return ProofResult("refuted", neg.proof)
     return ProofResult("unknown")

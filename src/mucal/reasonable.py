@@ -22,9 +22,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .logic import (
-    MODAL, And, Falsum, Formula, FrozenRecord, MomentOrder, Not, Record, children,
-    expand_sugar, formula_key, is_belief_at, moment_names, negation_of,
-    stated_prior_pairs, weight,
+    MODAL, And, Falsum, Formula, FrozenRecord, Not, Record, children,
+    expand_sugar, formula_key, is_belief_at, negation_of, weight,
 )
 from .prover import Proof, held_axioms, prove, rho
 from . import models
@@ -98,18 +97,16 @@ class ReasonablenessVerdict(FrozenRecord):
 
 class _Frame(Record):
     """What every proof and check at one (agent, moment, removals) frame
-    shares.  Its universe is `kb.herbrand()`, which only a goal widens, and
-    its order `kb.order()` widened by the head's stated `prior` pairs; the
-    head names no moment outside the Herbrand universe, so it adds no
-    moment."""
+    shares: the projection's head and its two consistency prefixes.  The
+    frame keeps no universe and no moment order; each proof builds its
+    order from its own premises when a rule reads it."""
 
-    __slots__ = ("head", "order", "modal", "feasible_base", "refute_base")
+    __slots__ = ("head", "modal", "feasible_base", "refute_base")
 
-    def __init__(self, head: tuple, order: MomentOrder, modal: bool,
+    def __init__(self, head: tuple, modal: bool,
                  feasible_base: models.Grounding | None = None,
                  refute_base: models.Grounding | None = None) -> None:
         self.head = head    # the projection's axiom-derived premises
-        self.order = order  # kb.order() widened by the head's `prior` pairs
         self.modal = modal  # whether the head has a modal node
         # the premise prefixes of the two per-pair consistency checks, each
         # grounded on its first use: the feasibility check's remaining
@@ -166,26 +163,20 @@ class ReasonEngine:
         frame = self._frames.get(key)
         if frame is None:
             head = held_axioms(self.kb, agent, moment, exclude=lam_labels)
-            order = self.kb.order().widened(stated_prior_pairs(head), ())
-            frame = self._frames[key] = _Frame(head, order, _has_modal(head))
+            frame = self._frames[key] = _Frame(head, _has_modal(head))
         return frame
 
     def _prove(self, agent: str, moment: str, goal: _Goal, theta_forms: tuple = (),
                lam_labels: frozenset = frozenset()) -> Proof | None:
-        """Prove the goal from the frame's projection with the additions,
-        over the universe and moment order a cold `prove(projection(...))`
-        over the goal's universe builds: that universe, and the frame's
-        order widened by the `prior` pairs the additions state and by the
-        universe's moments."""
+        """Prove the goal from the frame's projection with the additions
+        over the goal's universe; `prove` builds the moment order from
+        those premises if a rule reads it."""
         frame = self._frame(agent, moment, lam_labels)
         extra = tuple(expand_sugar(f) for f in theta_forms)
         res = prove(
             frame.head + extra + self.kb.background(), goal.content,
             depth=self.kb.params.proof_depth,
             universe=goal.universe,
-            order=frame.order.widened(
-                stated_prior_pairs(extra), moment_names(goal.universe),
-            ),
         )
         return res.proof if res.outcome == "proved" else None
 

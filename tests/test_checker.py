@@ -5,7 +5,7 @@ import pytest
 from mucal.checker import check_proof
 from mucal.errors import CheckError
 from mucal.logic import App, Atom, Believes, Const, Falsum, Not, collect_ground_terms
-from mucal.prover import Proof, prove, projection
+from mucal.prover import Proof, Step, prove, projection
 from mucal.syntax import parse_formula
 
 P = Atom(App("p", (), "Boolean"))
@@ -180,3 +180,53 @@ def test_checker_rejects_an_agent_of_another_sort():
     forged = replace(proof, goal=other, steps=steps, universe=tuple(universe.items()))
     with pytest.raises(CheckError, match="agent mismatch"):
         check_proof(forged, gamma, other)
+
+
+# a KB ordering t1 < t2 < now, in which b believes things about a
+_NESTED_KB = (
+    "(const a Agent)(const b Agent)(const t1 Moment)(const t2 Moment)(const now Moment)"
+    "(prior t1 t2)(prior t2 now)(func p () Boolean)"
+)
+
+
+def _nested_gamma(axioms):
+    from mucal.kb import parse_kb
+
+    kb = parse_kb(_NESTED_KB + axioms)
+    return kb, tuple(ax.formula for ax in kb.axioms) + kb.background()
+
+
+def test_checker_replays_a_nested_belief_proof_under_the_outer_order():
+    # the sub-search lifts a's percept at t1 to t2 under the KB's order;
+    # b's believed content alone does not order t1 before t2
+    kb, gamma = _nested_gamma("(axiom x :certain (believes b now (perceives a t1 (p))))")
+    goal = parse_formula("(believes b now (believes a t2 (p)))", kb.sig)
+    result = prove(gamma, goal)
+    assert result.outcome == "proved"
+    (r_b,) = [s for s in result.proof.steps if s.rule == "r_b"]
+    assert [s.rule for s in r_b.extra[0].steps] == ["premise", "r_p"]
+    assert check_proof(result.proof, gamma, goal)
+
+
+def test_checker_rejects_a_nested_lift_ordered_by_believed_content():
+    # b believes that t2 precedes t1; the KB orders t1 < t2, so lifting a's
+    # percept at t2 to t1 inside b's belief is not a step of the calculus
+    kb, gamma = _nested_gamma(
+        "(axiom x :certain (believes b now (and (prior t2 t1) (perceives a t2 (p)))))")
+    (held,) = [f for f in gamma if isinstance(f, Believes)]
+    content = held.body
+    percept = content.args[1]
+    lifted = Believes(percept.agent, Const("t1", "Moment"), percept.body)
+    goal = Believes(held.agent, held.moment, lifted)
+    universe = tuple(collect_ground_terms(gamma + (goal,)).items())
+    sub = Proof(goal=lifted, premises_used=(content,), steps=(
+        Step("premise", (), content, (), ()),
+        Step("and_elim", (0,), percept, (), (1,)),
+        Step("r_p", (1,), lifted, (), (("t2", "t1"),)),
+    ), depth=0, universe=universe)
+    forged = Proof(goal=goal, premises_used=(held,), steps=(
+        Step("premise", (), held, (), ()),
+        Step("r_b", (0,), goal, (), (sub,)),
+    ), depth=0, universe=universe)
+    with pytest.raises(CheckError, match="perception moment is not strictly earlier"):
+        check_proof(forged, gamma, goal)

@@ -127,6 +127,19 @@ def test_check_kb_rejects_a_boolean_term_sort(tmp_path, capsys, text):
     assert "Boolean is the sort of formulas" in capsys.readouterr().err
 
 
+def test_check_kb_lists_subsort_moments_and_rejects_other_sorts(tmp_path, capsys):
+    kb = tmp_path / "instant.kb"
+    kb.write_text("(sort Instant Moment)(const i0 Instant)(const i1 Instant)(prior i0 i1)")
+    rc, out = run_cli(["check-kb", "--kb", str(kb)])
+    assert rc == 0
+    assert "moments: ['i0', 'i1']" in out.splitlines()
+    kb.write_text("(const o Object)(const i1 Moment)(prior o i1)")
+    rc, out = run_cli(["check-kb", "--kb", str(kb)])
+    assert rc == 64
+    assert out == ""
+    assert "'o' is not a declared moment" in capsys.readouterr().err
+
+
 def test_exit_code_missing_kb():
     rc, _ = run_cli(["prove", "--kb", "scenarios/missing.kb", "(p)"])
     assert rc == 64

@@ -351,3 +351,17 @@ def test_a_wider_universe_or_another_budget_grounds_cold():
     assert models.consistent((not_c3,), universe=narrow, base=base) == models.CONSISTENT
     assert models.consistent((not_c3,), universe=wide, base=base) == models.INCONSISTENT
     assert models.consistent((not_c3,), 1, narrow, base=base) == models.UNKNOWN
+
+
+def test_nested_belief_closure_reads_the_outer_order():
+    # b believes a perceived p at t1, so b believes a believes p at t2 > t1
+    # under the KB's order, which b's believed content does not state
+    kb = parse_kb(
+        "(const a Agent)(const b Agent)(const t1 Moment)(const t2 Moment)(const now Moment)"
+        "(prior t1 t2)(prior t2 now)(func p () Boolean)"
+        "(axiom x (believes b now (perceives a t1 (p))))"
+        "(axiom y (not (believes b now (believes a t2 (p)))))"
+    )
+    gamma = tuple(a.formula for a in kb.axioms) + kb.background()
+    assert prove(gamma, Falsum()).outcome == "proved"
+    assert models.consistent(gamma, universe=kb.herbrand()) == models.INCONSISTENT

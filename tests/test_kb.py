@@ -119,6 +119,16 @@ def test_the_order_is_over_the_herbrand_moments():
     assert [print_term(f.term) for f in held_axioms(kb, "a", "d1")] == ["p"]
 
 
+@pytest.mark.parametrize("text", [
+    "(sort Instant Moment)(const i0 Instant)(const i1 Instant)(prior i0 i1)",
+    "(sort Instant Moment)(const i0 Instant)(const a Agent)(func p () Boolean)"
+    "(pr a i0 (p) 1/2)",
+], ids=["prior", "pr"])
+def test_a_subsort_moment_is_a_moment_in_prior_and_pr_forms(text):
+    kb = parse_kb(text)
+    assert "i0" in kb.order().moments
+
+
 def test_certain_flag_and_removability():
     kb = parse_kb("(func p () Boolean)(func q () Boolean)"
                   "(axiom fixed :certain (p))(axiom loose (q))")

@@ -516,17 +516,6 @@ def _prior(a, b):
     return Atom(App("prior", (Const(a, "Moment"), Const(b, "Moment")), "Boolean"))
 
 
-def test_widened_is_the_same_order_when_nothing_is_new():
-    order = logic.MomentOrder([("t1", "t2")], ["now", "3"])
-    assert order.widened([("t1", "t2")], ["3", "t1"]) is order
-    assert order.widened([], []) is order
-    wider = order.widened([("t2", "now")], [])
-    assert wider is not order
-    assert wider.lt("t1", "now") and not order.lt("t1", "now")
-    numeral = order.widened([], ["5"])
-    assert numeral.lt("3", "5") and numeral.moments == ["3", "5", "now", "t1", "t2"]
-
-
 def test_premise_set_cycle_is_kept_but_a_kb_cycle_is_rejected():
     order = logic.order_from_premises([_prior("t1", "t2"), _prior("t2", "t1")], {})
     assert order.lt("t1", "t1") and order.lt("t2", "t2")

@@ -6,7 +6,7 @@ import pytest
 from mucal import prover
 from mucal.errors import UnknownNameError
 from mucal.kb import load_kb, parse_kb
-from mucal.logic import And, App, Atom, Falsum, Implies, Not, Or, formula_key
+from mucal.logic import And, App, Atom, Falsum, Implies, Not, Or, formula_key, well_sorted
 from mucal.prover import prove, rho
 from mucal.reasonable import ReasonEngine
 from mucal.syntax import parse_formula
@@ -398,3 +398,34 @@ def test_eighty_ticket_lottery_branches_share_the_base(monkeypatch):
     for _, env in made:
         assert env.base is base
         assert len(env.own) <= 4
+
+
+def test_a_lift_to_a_subsort_moment_is_well_sorted():
+    kb = parse_kb(
+        "(sort Instant Moment)(const i0 Instant)(const i1 Instant)(const a Agent)"
+        "(func p () Boolean)(axiom x :certain (perceives a i0 (p)))"
+        "(axiom o :certain (prior i0 i1))"
+    )
+    gamma = tuple(ax.formula for ax in kb.axioms)
+    goal = parse_formula("(believes a i1 (p))", kb.sig)
+    res = prove(gamma, goal, universe=kb.universe(gamma + (goal,)))
+    assert res.outcome == "proved"
+    assert [s.rule for s in res.proof.steps] == ["premise", "r_p"]
+    assert all(well_sorted(s.formula, kb.sig) for s in res.proof.steps)
+
+
+def test_the_moment_order_is_built_only_where_a_rule_reads_it(monkeypatch,
+                                                             lottery_kb, murder_kb):
+    def unread(*args):
+        raise AssertionError("the moment order was built")
+
+    monkeypatch.setattr(prover, "order_from_premises", unread)
+    assert _prove_goal(lottery_kb, "(exists (t) (win t))").outcome == "proved"
+    w = ReasonEngine(murder_kb).delta(
+        "s", "now", parse_formula("(murderer alice)", murder_kb.sig))
+    assert (w.theta_labels, w.distance) == (("theta1",), 9)
+    # a percept lift reads it
+    kb = parse_kb("(const a Agent)(func q () Boolean)")
+    with pytest.raises(AssertionError, match="the moment order was built"):
+        prove((parse_formula("(perceives a 3 (q))", kb.sig),),
+              parse_formula("(believes a 5 (q))", kb.sig))
