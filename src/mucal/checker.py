@@ -2,8 +2,8 @@
 
 The checker recomputes every rule application and the assumption
 bookkeeping from scratch; it shares only the AST and the formula identity
-(`logic.formula_key`) with the search.  Any structural defect raises
-CheckError.
+(`logic.formula_key`) with the search, and reads sorts from the caller's
+signature.  Any structural defect raises CheckError.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from collections.abc import Iterable
 from .errors import CheckError
 from .logic import (
     And, Believes, Const, Exists, Falsum, Forall, Formula, Iff, Implies,
-    Not, Or, Perceives, collect_ground_terms, expand_sugar, formula_key,
-    order_from_premises, substitute_unchecked,
+    Not, Or, Perceives, Signature, collect_ground_terms, expand_sugar,
+    formula_key, order_from_premises, substitute_unchecked,
 )
 from .prover import Proof, Step
 
@@ -24,10 +24,11 @@ def _eq(a: Formula, b: Formula) -> bool:
 
 
 def check_proof(proof: Proof, gamma: Iterable[Formula],
-                goal: Formula | None = None) -> bool:
-    """Replay the proof against the premise set; True or CheckError."""
+                goal: Formula | None = None, *, sig: Signature) -> bool:
+    """Replay the proof against the premise set under the signature of the
+    KB it was proved in (`kb.sig`); True or CheckError."""
     try:
-        return _check(proof, gamma, goal, None)
+        return _check(proof, gamma, goal, None, sig)
     except CheckError:
         raise
     except Exception as e:  # corrupted objects must be rejected, not crash
@@ -35,12 +36,14 @@ def check_proof(proof: Proof, gamma: Iterable[Formula],
 
 
 def _check(proof: Proof, gamma: Iterable[Formula], goal: Formula | None,
-           order) -> bool:
+           order, sig: Signature) -> bool:
     """Replay the proof over its own universe and the moment order the
     prover used there: `order` when the proof is an `r_b` subproof, which
     is the order of the proof it is nested in, and otherwise
-    `order_from_premises` of the premise set over that universe."""
-    gamma = tuple(gamma)  # read twice below: premise keys, then moment order
+    `order_from_premises` of the premise set over that universe.  That
+    universe must hold each ground term of the goal and of every premise,
+    used or not, in each bucket `sig` puts it in."""
+    gamma = tuple(gamma)  # read three times below: keys, order, terms
     gamma_keys = {formula_key(g) for g in gamma}
     universe = {s: tuple(ts) for s, ts in proof.universe}
     if order is None:
@@ -49,7 +52,7 @@ def _check(proof: Proof, gamma: Iterable[Formula], goal: Formula | None,
     for f in proof.premises_used:
         if formula_key(f) not in gamma_keys:
             raise CheckError(f"premise not in the premise set: {f}")
-    needed = collect_ground_terms(tuple(proof.premises_used) + (proof.goal,))
+    needed = collect_ground_terms(gamma + (proof.goal,), sig.sorts)
     for s, ts in needed.items():
         have = set(universe.get(s, ()))
         for t in ts:
@@ -62,7 +65,7 @@ def _check(proof: Proof, gamma: Iterable[Formula], goal: Formula | None,
     for i, step in enumerate(steps):
         if any(j >= i or j < 0 for j in step.inputs):
             raise CheckError(f"step {i}: forward or negative reference")
-        _check_step(i, step, steps, gamma_keys, universe, order)
+        _check_step(i, step, steps, gamma_keys, universe, order, sig)
         expected = _assumptions(i, step, steps)
         if tuple(sorted(expected)) != tuple(step.assumptions):
             raise CheckError(f"step {i}: assumption bookkeeping mismatch")
@@ -102,7 +105,7 @@ def _assumptions(i: int, step: Step, steps: tuple) -> set:
 
 
 def _check_step(i: int, step: Step, steps: tuple, gamma_keys: set,
-                universe: dict, order) -> None:
+                universe: dict, order, sig: Signature) -> None:
     rule = step.rule
     ins = [steps[j] for j in step.inputs]
     f = step.formula
@@ -303,6 +306,6 @@ def _check_step(i: int, step: Step, steps: tuple, gamma_keys: set,
         for p in sub.premises_used:
             if formula_key(p) not in content_keys:
                 fail("subproof uses a premise outside the believed contents")
-        _check(sub, contents, None, order)
+        _check(sub, contents, None, order, sig)
     else:
         fail("unknown rule")

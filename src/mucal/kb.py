@@ -152,6 +152,8 @@ class KbDocument:
         named += [m for pair in self.prior_pairs for m in pair]
         seeds += [Const(m, "Moment") for m in named if is_numeral(m)]
         formulas = [e.formula for e in self.axioms + self.candidates + self.prob_entries]
+        # collected without sort edges: `_join_sorts` below puts each seed
+        # in its ancestors' buckets under `sig.sorts`
         seeds += [t for ts in collect_ground_terms(formulas, parents={}).values() for t in ts]
         size = sum(_join_sorts(by_sort, t, self.sig.sorts) for t in seeds)
         self._finite = _close(by_sort, size, self.sig)

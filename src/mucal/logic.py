@@ -106,10 +106,6 @@ class Signature:
         return False
 
 
-# the built-in sorts alone, for sort checks made without a KB
-_BUILTIN_SIGNATURE = Signature()
-
-
 # ---------------------------------------------------------------------------
 # Interned nodes and records
 #
@@ -468,13 +464,10 @@ def weight(f: Formula) -> int:
     return sum(not isinstance(n, Atom) for n in _nodes(f, []))
 
 
-def substitute(f: Formula, var: Var, t: Term, sig: Signature | None = None) -> Formula:
-    """Replace free occurrences of var by t, capture-avoiding.
-
-    The replacement's sort must be a subsort of the variable's sort in
-    `sig`, or among the built-in sorts when no signature is supplied.
-    """
-    if not (sig or _BUILTIN_SIGNATURE).sort_le(t.sort, var.sort):
+def substitute(f: Formula, var: Var, t: Term, sig: Signature) -> Formula:
+    """Replace free occurrences of var by t, capture-avoiding; t's sort must
+    be var's sort or a subsort of it in `sig`."""
+    if not sig.sort_le(t.sort, var.sort):
         raise SortError(
             f"cannot substitute {t.sort} term for {var.sort} variable {var.name!r}"
         )
@@ -795,16 +788,13 @@ def _join_sorts(buckets: dict, t: Term, parents: dict) -> bool:
     return fresh
 
 
-def collect_ground_terms(
-    formulas: Iterable[Formula], parents: dict | None = None
-) -> dict:
+def collect_ground_terms(formulas: Iterable[Formula], parents: dict) -> dict:
     """The ground domain terms of the formulas' atoms and modal agents and
     moments, by sort: constants, and applications whose arguments are all
     ground; an atom's own term is not one (see `_join_sorts`).  Each term
-    also joins the buckets of its ancestor sorts in `parents` (the built-in
-    sort edges by default).  Sorts come in the order the walk first meets
-    them, and each bucket is in print order."""
-    parents = BUILTIN_SORTS if parents is None else parents
+    also joins the buckets of its ancestor sorts in `parents`, a
+    signature's sort edges (`Signature.sorts`).  Sorts come in the order
+    the walk first meets them, and each bucket is in print order."""
     buckets: dict = {}
     ground: set = set()
     for f in formulas:

@@ -39,7 +39,7 @@ from operator import neg
 
 from .logic import (
     And, Atom, Believes, Exists, Falsum, Forall, Formula, Iff, Implies, Not,
-    Or, Perceives, collect_ground_terms, expand_sugar, formula_key,
+    Or, Perceives, expand_sugar, formula_key,
     held_content, order_from_premises, quote_modal, substitute_unchecked,
 )
 
@@ -57,7 +57,7 @@ class _Overflow(Exception):
 
 class Grounding:
     """A premise set grounded straight into polarity-aware clauses (Plaisted
-    & Greenbaum, J. Symbolic Computation, 1986), in one pass.
+    & Greenbaum, J. Symbolic Computation, 1986), in one pass over `universe`.
 
     Each node visited under a sign takes one shape step (`_shape`): a
     negation flips the sign; an atom or a belief or perception becomes a
@@ -78,11 +78,10 @@ class Grounding:
     extended.
     """
 
-    def __init__(self, premises: Iterable[Formula], atom_budget: int = 256,
-                 universe: dict | None = None):
+    def __init__(self, premises: Iterable[Formula], atom_budget: int, universe: dict):
         prems = tuple(expand_sugar(p) for p in premises)
         self.premises: tuple = ()
-        self.universe = collect_ground_terms(prems) if universe is None else universe
+        self.universe = universe
         self.atom_budget = atom_budget
         self.atoms: dict = {}  # atom key -> its variable
         self.beliefs: dict = {}  # atom key -> the ground belief it stands for
@@ -296,21 +295,22 @@ def _satisfiable(clauses: Iterable[tuple]) -> bool:
 
 def consistent(
     premises: Iterable[Formula],
-    atom_budget: int = 256,
-    universe: dict | None = None,
+    atom_budget: int,
+    universe: dict,
     base: Grounding | None = None,
 ) -> str:
-    """Classify a premise set as consistent, inconsistent, or unknown.
+    """Classify a premise set over `universe` (a KB's `kb.universe(...)`) as
+    consistent, inconsistent, or unknown.
 
     With `base`, the premise set is base's premises followed by
-    `premises`, over `universe` (base's when omitted).  When that universe
-    equals base's and the atom budget is base's, only `premises` are
-    grounded, into a copy of base; any other universe or budget grounds
-    the whole set cold.
+    `premises`.  When `universe` is or equals base's and the atom budget
+    is base's, only `premises` are grounded, into a copy of base; any
+    other universe or budget grounds the whole set cold.
     """
     if base is None:
         g = Grounding(premises, atom_budget, universe)
-    elif universe in (None, base.universe) and atom_budget == base.atom_budget:
+    elif ((universe is base.universe or universe == base.universe)
+          and atom_budget == base.atom_budget):
         g = base.extended(premises)
     else:
         g = Grounding(base.premises + tuple(premises), atom_budget, universe)

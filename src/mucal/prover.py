@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .logic import (
     And, Atom, Believes, Const, Exists, Falsum, Forall, Formula, FrozenRecord, Iff,
-    Implies, Not, Or, Perceives, collect_ground_terms, expand_sugar,
+    Implies, Not, Or, Perceives, expand_sugar,
     formula_key, held_content, negation_of, order_from_premises,
     substitute_unchecked, symbols,
 )
@@ -595,17 +595,17 @@ def _assemble(root: _Node, goal: Formula, universe: dict) -> Proof:
 def prove(
     gamma,
     goal: Formula,
-    depth: int = 3,
-    universe: dict | None = None,
+    depth: int,
+    universe: dict,
     order=None,
     refute: bool = False,
 ) -> ProofResult:
-    """Search for a proof of the goal from the premise set.
+    """Search for a proof of the goal from the premise set, with
+    quantifiers ranging over `universe` (a KB's `kb.universe(...)`).
 
-    The universe defaults to the ground terms of the premises and goal,
-    and the moment order to `order_from_premises` of the premises over
-    that universe, built only when a percept or belief rule first reads
-    it; a `prior` atom of the goal orders nothing, since a proof that
+    The moment order defaults to `order_from_premises` of the premises
+    over the universe, built only when a percept or belief rule first
+    reads it; a `prior` atom of the goal orders nothing, since a proof that
     read it would assume what it proves.  A belief proof passes its order
     to the sub-search it nests, so both read one order.  Returns proved
     with a replayable proof, refuted (when asked) with a proof of the
@@ -614,8 +614,6 @@ def prove(
     """
     gamma = tuple(expand_sugar(g) for g in gamma)
     goal_x = expand_sugar(goal)
-    if universe is None:
-        universe = collect_ground_terms(gamma + (goal_x,))
     search = _Search(gamma, universe, order)
     env = search.base_env()
     if search.overflow:

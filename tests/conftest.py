@@ -6,12 +6,19 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from mucal.kb import load_kb
+from mucal.logic import BUILTIN_SORTS, collect_ground_terms, expand_sugar
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def scenario_path(name: str) -> str:
     return os.path.normpath(os.path.join(SCENARIOS, name))
+
+
+def builtin_universe(formulas) -> dict:
+    """The ground terms of the formulas, each joined under the built-in sort
+    edges: a universe for formulas built without a KB."""
+    return collect_ground_terms([expand_sugar(f) for f in formulas], BUILTIN_SORTS)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from itertools import permutations
 from mucal.checker import check_proof
 from mucal.errors import CheckError
 from mucal.kb import load_kb, parse_kb
-from mucal.logic import Falsum, formula_key
+from mucal.logic import Falsum, Signature, formula_key
 from mucal.reasonable import ReasonEngine
 from mucal.strength import StrengthEngine, check_subsumption
 from mucal.syntax import parse_formula
@@ -328,7 +328,7 @@ def test_acceptance_6_checker_soundness(lottery_kb, murder_kb, rain_kb):
     triples = corpus_proofs(lottery_kb, murder_kb, rain_kb)
     assert all(p is not None for p, _, _ in triples)
     for proof, gamma, goal in triples:
-        assert check_proof(proof, gamma, goal)
+        assert check_proof(proof, gamma, goal, sig=Signature())
 
     rng = random.Random(606)
     rejected = attempts = 0
@@ -339,7 +339,7 @@ def test_acceptance_6_checker_soundness(lottery_kb, murder_kb, rain_kb):
                 continue
             attempts += 1
             try:
-                check_proof(mutant, gamma, goal)
+                check_proof(mutant, gamma, goal, sig=Signature())
             except CheckError:
                 rejected += 1
     assert attempts >= 100

@@ -6,6 +6,7 @@ from mucal.logic import And
 from mucal.prover import Proof, Step, rho
 from mucal.reasonable import ReasonEngine
 from mucal.syntax import parse_formula
+from conftest import builtin_universe
 from oracles import pi
 
 
@@ -73,5 +74,7 @@ def test_witness_distance_equals_pi(murder_kb):
 
 def test_consistent_on_axiom_sets():
     kb = parse_kb("(func p () Boolean)(axiom one (p))(axiom two (not (p)))")
-    assert models.consistent([a.formula for a in kb.axioms]) == "inconsistent"
-    assert models.consistent([kb.axioms[0].formula]) == "consistent"
+    both = [a.formula for a in kb.axioms]
+    assert models.consistent(both, 256, builtin_universe(both)) == "inconsistent"
+    one = [kb.axioms[0].formula]
+    assert models.consistent(one, 256, builtin_universe(one)) == "consistent"

@@ -11,6 +11,7 @@ from mucal.logic import (
 from mucal import models
 from mucal.prover import prove
 from mucal.syntax import parse_formula
+from conftest import builtin_universe
 from oracles import truth_table_consistent
 
 P = Atom(App("p", (), "Boolean"))
@@ -18,15 +19,17 @@ Q = Atom(App("q", (), "Boolean"))
 
 
 def test_direct_contradiction():
-    assert models.consistent((P, Not(P))) == models.INCONSISTENT
+    gamma = (P, Not(P))
+    assert models.consistent(gamma, 256, builtin_universe(gamma)) == models.INCONSISTENT
 
 
 def test_single_atom():
-    assert models.consistent((P,)) == models.CONSISTENT
+    assert models.consistent((P,), 256, builtin_universe((P,))) == models.CONSISTENT
 
 
 def test_falsum_inconsistent():
-    assert models.consistent((Falsum(),)) == models.INCONSISTENT
+    gamma = (Falsum(),)
+    assert models.consistent(gamma, 256, builtin_universe(gamma)) == models.INCONSISTENT
 
 
 def test_murder_with_theta1_consistent(murder_kb):
@@ -34,7 +37,7 @@ def test_murder_with_theta1_consistent(murder_kb):
     theta1 = murder_kb.candidates[0].formula
     check = gamma + (theta1,) + murder_kb.background()
     assert models.consistent(
-        check, universe=murder_kb.herbrand()
+        check, 256, universe=murder_kb.herbrand()
     ) == models.CONSISTENT
     # oracle: ground-model enumeration over the murder Herbrand base
     assert truth_table_consistent(check, murder_kb.herbrand(), atom_cap=24) is True
@@ -45,14 +48,14 @@ def test_murder_with_both_thetas_inconsistent(murder_kb):
     extra = tuple(c.formula for c in murder_kb.candidates)
     check = gamma + extra + murder_kb.background()
     assert models.consistent(
-        check, universe=murder_kb.herbrand()
+        check, 256, universe=murder_kb.herbrand()
     ) == models.INCONSISTENT
     assert truth_table_consistent(check, murder_kb.herbrand(), atom_cap=24) is False
 
 
 def test_lottery_axiom_consistent(lottery_kb):
     gamma = tuple(a.formula for a in lottery_kb.axioms)
-    assert models.consistent(gamma, universe=lottery_kb.herbrand()) == models.CONSISTENT
+    assert models.consistent(gamma, 256, universe=lottery_kb.herbrand()) == models.CONSISTENT
     assert truth_table_consistent(gamma, lottery_kb.herbrand()) is True
 
 
@@ -61,13 +64,14 @@ def test_lottery_with_all_negations(lottery_kb):
     gamma = tuple(a.formula for a in lottery_kb.axioms) + tuple(
         parse_formula(f"(not (win ticket{i}))", sig) for i in range(1, 6)
     )
-    assert models.consistent(gamma, universe=lottery_kb.herbrand()) == models.INCONSISTENT
+    assert models.consistent(gamma, 256, universe=lottery_kb.herbrand()) == models.INCONSISTENT
     assert truth_table_consistent(gamma, lottery_kb.herbrand()) is False
 
 
 def test_budget_exhaustion_is_unknown(lottery_kb):
     gamma = tuple(a.formula for a in lottery_kb.axioms)
-    assert models.consistent(gamma, atom_budget=2) == models.UNKNOWN
+    universe = builtin_universe(gamma)
+    assert models.consistent(gamma, atom_budget=2, universe=universe) == models.UNKNOWN
 
 
 @pytest.mark.parametrize("n, want", [
@@ -79,7 +83,7 @@ def test_node_cap_is_unknown(n, want):
     f = Forall(x, Forall(y, P))
     universe = {"S": tuple(Const(f"c{i}", "S") for i in range(n))}
     assert models._NODE_CAP == 200_000
-    assert models.consistent((f,), universe=universe) == want
+    assert models.consistent((f,), 256, universe=universe) == want
 
 
 def test_quantified_consistency():
@@ -89,7 +93,7 @@ def test_quantified_consistency():
         "(axiom neg (not (r c1)))"
     )
     gamma = tuple(a.formula for a in kb.axioms)
-    assert models.consistent(gamma, universe=kb.herbrand()) == models.INCONSISTENT
+    assert models.consistent(gamma, 256, universe=kb.herbrand()) == models.INCONSISTENT
     assert truth_table_consistent(gamma, kb.herbrand()) is False
 
 
@@ -101,7 +105,7 @@ def test_belief_closure_forces_inconsistency():
     )
     gamma = tuple(a.formula for a in kb.axioms)
     # believing the conjunction forces the conjunct belief by closure
-    assert models.consistent(gamma, universe=kb.herbrand()) == models.INCONSISTENT
+    assert models.consistent(gamma, 256, universe=kb.herbrand()) == models.INCONSISTENT
 
 
 def test_belief_atoms_stay_open():
@@ -112,7 +116,7 @@ def test_belief_atoms_stay_open():
     )
     gamma = tuple(a.formula for a in kb.axioms)
     # a fact being true does not force the agent to believe it
-    assert models.consistent(gamma, universe=kb.herbrand()) == models.CONSISTENT
+    assert models.consistent(gamma, 256, universe=kb.herbrand()) == models.CONSISTENT
 
 
 def test_models_and_the_prover_order_a_numeral_only_the_universe_names():
@@ -125,8 +129,8 @@ def test_models_and_the_prover_order_a_numeral_only_the_universe_names():
     )
     universe = kb.universe(premises)
     assert [t.name for t in universe["Moment"]] == ["3", "5", "now"]
-    assert models.consistent(premises, universe=universe) == models.INCONSISTENT
-    assert prove(premises, Falsum(), universe=universe).outcome == "proved"
+    assert models.consistent(premises, 256, universe=universe) == models.INCONSISTENT
+    assert prove(premises, Falsum(), 3, universe=universe).outcome == "proved"
 
 
 def test_random_ground_sets_match_oracle():
@@ -149,7 +153,7 @@ def test_random_ground_sets_match_oracle():
 
     for _ in range(120):
         gamma = tuple(rand_formula(2) for _ in range(rng.randrange(1, 5)))
-        got = models.consistent(gamma)
+        got = models.consistent(gamma, 256, builtin_universe(gamma))
         want = truth_table_consistent(gamma, {})
         assert (got == models.CONSISTENT) == want
 
@@ -165,9 +169,9 @@ def test_belief_closure_reaches_quantifier_instances():
     hand = gamma[:1] + (parse_formula("(not (believes a now (or (p c) (q c))))", kb.sig),)
     # the belief in (or (p c) (q c)) exists only as an instance of the
     # quantifier; closure must still pin it, as it does when stated by hand
-    assert models.consistent(hand, universe=kb.herbrand()) == models.INCONSISTENT
-    assert prove(gamma, Falsum()).outcome == "proved"
-    assert models.consistent(gamma, universe=kb.herbrand()) == models.INCONSISTENT
+    assert models.consistent(hand, 256, universe=kb.herbrand()) == models.INCONSISTENT
+    assert prove(gamma, Falsum(), 3, builtin_universe(gamma + (Falsum(),))).outcome == "proved"
+    assert models.consistent(gamma, 256, universe=kb.herbrand()) == models.INCONSISTENT
 
 
 def brute_force_satisfiable(clauses) -> bool:
@@ -270,7 +274,7 @@ def test_random_encodings_match_oracle():
     for _ in range(400):
         gamma = tuple(random_premise(rng) for _ in range(rng.randrange(1, 5)))
         kinds.update(type(f.body).__name__ for f in gamma if isinstance(f, Not))
-        got = models.consistent(gamma, universe=universe)
+        got = models.consistent(gamma, 256, universe=universe)
         want = truth_table_consistent(gamma, universe)
         assert (got == models.CONSISTENT) == want, gamma
     assert {"And", "Or"} <= kinds
@@ -289,7 +293,7 @@ def test_random_encodings_match_oracle():
 ])
 def test_empty_sort_and_negated_connectives(text, want):
     f = parse_formula(text, ENCODING_KB.sig)
-    assert models.consistent((f,), universe=ENCODING_KB.herbrand()) == want
+    assert models.consistent((f,), 256, universe=ENCODING_KB.herbrand()) == want
     assert truth_table_consistent((f,), ENCODING_KB.herbrand()) is (want == models.CONSISTENT)
 
 
@@ -331,9 +335,9 @@ def test_belief_closure_spans_prefix_and_extension():
     not_p = parse_formula("(not (believes a now (p)))", kb.sig)
     universe = kb.herbrand()
     for first, then in ((both, not_p), (not_p, both)):
-        base = models.Grounding((first,), universe=universe)
+        base = models.Grounding((first,), 256, universe=universe)
         before = list(base.clauses)
-        assert models.consistent((then,), universe=universe, base=base) == models.INCONSISTENT
+        assert models.consistent((then,), 256, universe=universe, base=base) == models.INCONSISTENT
         assert base.solve() == models.CONSISTENT
         # the pinned beliefs were not added to the prefix
         assert base.clauses == before
@@ -346,10 +350,10 @@ def test_a_wider_universe_or_another_budget_grounds_cold():
     assert [t.name for t in wide["Few"]] == ["c1", "c2", "c3"]
     every = parse_formula("(forall (y Few) (g y))", ENCODING_KB.sig)
     not_c3 = parse_formula("(not (g c3))", ENCODING_KB.sig)
-    base = models.Grounding((every,), universe=narrow)
-    assert models.consistent((not_c3,), base=base) == models.CONSISTENT
-    assert models.consistent((not_c3,), universe=narrow, base=base) == models.CONSISTENT
-    assert models.consistent((not_c3,), universe=wide, base=base) == models.INCONSISTENT
+    base = models.Grounding((every,), 256, universe=narrow)
+    assert models.consistent((not_c3,), 256, base.universe, base=base) == models.CONSISTENT
+    assert models.consistent((not_c3,), 256, universe=narrow, base=base) == models.CONSISTENT
+    assert models.consistent((not_c3,), 256, universe=wide, base=base) == models.INCONSISTENT
     assert models.consistent((not_c3,), 1, narrow, base=base) == models.UNKNOWN
 
 
@@ -363,5 +367,5 @@ def test_nested_belief_closure_reads_the_outer_order():
         "(axiom y (not (believes b now (believes a t2 (p)))))"
     )
     gamma = tuple(a.formula for a in kb.axioms) + kb.background()
-    assert prove(gamma, Falsum()).outcome == "proved"
-    assert models.consistent(gamma, universe=kb.herbrand()) == models.INCONSISTENT
+    assert prove(gamma, Falsum(), 3, builtin_universe(gamma + (Falsum(),))).outcome == "proved"
+    assert models.consistent(gamma, 256, universe=kb.herbrand()) == models.INCONSISTENT

@@ -7,6 +7,7 @@ from mucal.logic import Not
 from mucal.prover import prove
 from mucal.syntax import parse_formula, print_formula
 from mucal import models
+from conftest import builtin_universe
 
 INERTIAL_BASE = """
 (param ec-flavor inertial)
@@ -74,14 +75,16 @@ def test_minimal_flavor_has_no_clipped_schema():
 def test_inertial_holds_derivable():
     kb = parse_kb(INERTIAL_BASE)
     goal = parse_formula("(holds fl t2)", kb.sig)
-    res = prove(kb.all_premises(), goal, depth=kb.params.proof_depth)
+    res = prove(kb.all_premises(), goal, depth=kb.params.proof_depth,
+                universe=builtin_universe(kb.all_premises() + (goal,)))
     assert res.outcome == "proved"
 
 
 def test_inertial_clipping_blocks():
     kb = parse_kb(CLIPPED_VARIANT)
     goal = parse_formula("(holds fl t2)", kb.sig)
-    res = prove(kb.all_premises(), goal, depth=kb.params.proof_depth)
+    res = prove(kb.all_premises(), goal, depth=kb.params.proof_depth,
+                universe=builtin_universe(kb.all_premises() + (goal,)))
     assert res.outcome == "unknown"
 
 
@@ -98,7 +101,8 @@ def test_inertial_clipping_blocks_oracle():
 
 def test_inertial_consistent_standalone():
     kb = parse_kb("(param ec-flavor inertial)(const t1 Moment)")
-    assert models.consistent(kb.all_premises()) != models.INCONSISTENT
+    premises = kb.all_premises()
+    assert models.consistent(premises, 256, builtin_universe(premises)) != models.INCONSISTENT
 
 
 def test_initially_bridge():
@@ -111,8 +115,9 @@ def test_initially_bridge():
 (axiom start (initially fl))
 """
     kb = parse_kb(text)
-    res = prove(kb.all_premises(), parse_formula("(holds fl t1)", kb.sig),
-                depth=kb.params.proof_depth)
+    goal = parse_formula("(holds fl t1)", kb.sig)
+    res = prove(kb.all_premises(), goal, depth=kb.params.proof_depth,
+                universe=builtin_universe(kb.all_premises() + (goal,)))
     assert res.outcome == "proved"
 
 

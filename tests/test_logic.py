@@ -8,15 +8,15 @@ import pytest
 from mucal import logic
 from mucal.errors import SortError, UnknownSymbolError
 from mucal.logic import (
-    And, App, Atom, Believes, Const, Exists, Falsum, Forall, Iff, Implies,
-    Not, Or, Perceives, Signature, StrengthLevel, Var, Withholds, Xor,
+    BUILTIN_SORTS, And, App, Atom, Believes, Const, Exists, Falsum, Forall, Iff,
+    Implies, Not, Or, Perceives, Signature, StrengthLevel, Var, Withholds, Xor,
     expand_sugar, formula_key, free_vars, substitute,
     substitute_unchecked, weight, well_sorted,
 )
 from mucal.prover import prove
 from mucal.syntax import parse_formula
-from conftest import DESK_SCENARIOS, scenario_path
-from mucal.kb import load_kb
+from conftest import DESK_SCENARIOS, builtin_universe, scenario_path
+from mucal.kb import load_kb, parse_kb
 from test_syntax import random_formula
 
 
@@ -73,12 +73,12 @@ def test_free_vars_falsum_and_bound():
 
 
 def test_substitute_single_occurrence():
-    assert substitute(win(X), X, T1) == win(T1)
+    assert substitute(win(X), X, T1, Signature()) == win(T1)
 
 
 def test_substitute_bound_unchanged():
     f = Exists(X, win(X))
-    assert substitute(f, X, T1) == f
+    assert substitute(f, X, T1, Signature()) == f
 
 
 def test_substitute_under_modality(sig):
@@ -99,6 +99,13 @@ def test_substitute_subsort_allowed(sig):
     f = Believes(v, Const("now", "Moment"), win(T1))
     out = substitute(f, v, Const("me", "Self"), sig)
     assert out.agent == Const("me", "Self")
+    # a subsort of Moment that the KB declares
+    kb = parse_kb("(sort Instant Moment)(const i1 Instant)(const a Agent)"
+                  "(const t1 Object)(func win (Object) Boolean)")
+    t = Var("t", "Moment")
+    i1 = Const("i1", "Instant")
+    out = substitute(Believes(Const("a", "Agent"), t, win(T1)), t, i1, kb.sig)
+    assert out.moment == i1
 
 
 def test_substitute_preserves_binder_multiset(sig):
@@ -116,7 +123,7 @@ def test_substitute_preserves_binder_multiset(sig):
         return out
 
     before = sorted(binders(f))
-    after = sorted(binders(substitute(f, Var("z", "Object"), T1)))
+    after = sorted(binders(substitute(f, Var("z", "Object"), T1, Signature())))
     assert before == after
 
 
@@ -456,7 +463,7 @@ def test_symbols_count_bound_variable_names_and_constant_symbols_do_not(sig):
 
 def test_collect_ground_terms_walks_atoms_agents_and_moments():
     later = App("next", (NOW,), "Moment")
-    got = logic.collect_ground_terms((Believes(A, later, win(T1)),))
+    got = logic.collect_ground_terms((Believes(A, later, win(T1)),), BUILTIN_SORTS)
     # sorts in the order the walk first meets them, never in set order; a
     # ground atom is a formula, not a term, so there is no Boolean bucket
     assert list(got) == ["Agent", "Moment", "Object"]
@@ -467,13 +474,13 @@ def test_collect_ground_terms_walks_atoms_agents_and_moments():
 def test_collect_ground_terms_skips_open_terms_but_keeps_their_ground_parts():
     c = Const("c", "Object")
     open_term = App("f", (c, App("g", (X,), "Object")), "Object")
-    got = logic.collect_ground_terms((Atom(App("r", (open_term,), "Boolean")),))
+    got = logic.collect_ground_terms((Atom(App("r", (open_term,), "Boolean")),), BUILTIN_SORTS)
     assert got == {"Object": (c,)}
 
 
 def test_collect_ground_terms_joins_ancestor_sorts_and_orders_by_print_form():
     me = Const("me", "Self")
-    assert logic.collect_ground_terms((Believes(me, NOW, P),))["Agent"] == (me,)
+    assert logic.collect_ground_terms((Believes(me, NOW, P),), BUILTIN_SORTS)["Agent"] == (me,)
     sub = Const("s", "Sub")
     parents = {"Sub": "Object", "Object": None}
     f = And((win(T2), Atom(App("q", (sub,), "Boolean")), win(T1)))
@@ -482,7 +489,8 @@ def test_collect_ground_terms_joins_ancestor_sorts_and_orders_by_print_form():
     assert got["Object"] == (sub, T1, T2)  # "s" < "t1" < "t2"
     assert logic.collect_ground_terms((f,), {})["Object"] == (T1, T2)
     b = App("b", (), "Object")
-    assert logic.collect_ground_terms((Atom(App("r", (T1, b), "Boolean")),))["Object"] == (b, T1)
+    got = logic.collect_ground_terms((Atom(App("r", (T1, b), "Boolean")),), BUILTIN_SORTS)
+    assert got["Object"] == (b, T1)
 
 
 def test_prove_on_sugared_premises_matches_prove_on_their_expansion(sig):
@@ -494,10 +502,11 @@ def test_prove_on_sugared_premises_matches_prove_on_their_expansion(sig):
     )]
     goal = parse_formula("(believes a now (or (win t1) (win t2)))", sig)
     expanded = [expand_sugar(g) for g in gamma]
-    sugared = prove(gamma, goal)
+    sugared = prove(gamma, goal, 3, builtin_universe(gamma + [goal]))
     assert sugared.outcome == "proved"
-    assert sugared == prove(expanded, expand_sugar(goal))
-    universe = logic.collect_ground_terms(gamma + [goal])
+    assert sugared == prove(expanded, expand_sugar(goal), 3,
+                            builtin_universe(expanded + [expand_sugar(goal)]))
+    universe = logic.collect_ground_terms(gamma + [goal], BUILTIN_SORTS)
     raw = logic.order_from_premises(gamma + [goal], universe)
     plain = logic.order_from_premises(expanded + [expand_sugar(goal)], universe)
     assert (raw.pairs(), raw.moments) == (plain.pairs(), plain.moments)

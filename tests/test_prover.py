@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 
 from mucal import prover
+from mucal.checker import check_proof
 from mucal.errors import UnknownNameError
 from mucal.kb import load_kb, parse_kb
-from mucal.logic import And, App, Atom, Falsum, Implies, Not, Or, formula_key, well_sorted
+from mucal.logic import (
+    And, App, Atom, Const, Falsum, Implies, Not, Or, formula_key, well_sorted,
+)
 from mucal.prover import prove, rho
 from mucal.reasonable import ReasonEngine
 from mucal.syntax import parse_formula
-from conftest import scenario_path
+from conftest import builtin_universe, scenario_path
 from oracles import truth_table_consistent, truth_table_entails
 
 P = Atom(App("p", (), "Boolean"))
@@ -30,13 +33,14 @@ def test_belief_in_a_conjunction_supports_each_conjunct(rain_kb):
         "(believes john now (and (holds raining t1) (holds raining now)))", sig
     )
     goal = parse_formula("(believes john now (holds raining t1))", sig)
-    res = prove((f,), goal, depth=2)
+    res = prove((f,), goal, depth=2, universe=builtin_universe((f, goal)))
     assert res.outcome == "proved"
 
 
 def test_prove_lottery_existential(lottery_kb):
     goal = parse_formula("(exists (t) (win t))", lottery_kb.sig)
-    res = prove(_lottery_axiom(lottery_kb), goal, depth=3)
+    gamma = _lottery_axiom(lottery_kb)
+    res = prove(gamma, goal, depth=3, universe=builtin_universe([*gamma, goal]))
     assert res.outcome == "proved"
     # oracle: semantic entailment over the ticket universe
     assert truth_table_entails(
@@ -44,8 +48,37 @@ def test_prove_lottery_existential(lottery_kb):
     )
 
 
+_ENTRY_KB = "(const c Object)(func r (Object) Boolean)(axiom x :certain (r c))"
+
+
+@pytest.mark.parametrize("entry", [
+    "prove", "Grounding", "consistent", "check_proof", "substitute", "collect_ground_terms",
+])
+def test_every_entry_point_needs_the_kbs_universe_or_signature(entry):
+    # no entry point falls back to the built-in sorts or the premises' terms
+    from mucal import logic, models
+
+    kb = parse_kb(_ENTRY_KB)
+    gamma = kb.all_premises()
+    goal = parse_formula("(exists (x Object) (r x))", kb.sig)
+    universe = kb.universe(gamma + (goal,))
+    proof = prove(gamma, goal, kb.params.proof_depth, universe).proof
+    assert check_proof(proof, gamma, goal, sig=kb.sig)
+    budget = kb.params.consistency_depth
+    calls = {
+        "prove": lambda: prove(gamma, goal, kb.params.proof_depth),
+        "Grounding": lambda: models.Grounding(gamma, budget),
+        "consistent": lambda: models.consistent(gamma, budget),
+        "check_proof": lambda: check_proof(proof, gamma, goal),
+        "substitute": lambda: logic.substitute(goal.body, goal.var, Const("c", "Object")),
+        "collect_ground_terms": lambda: logic.collect_ground_terms(gamma),
+    }
+    with pytest.raises(TypeError, match="universe|sig|parents"):
+        calls[entry]()
+
+
 def test_prove_nothing_from_empty():
-    res = prove((), P, depth=3)
+    res = prove((), P, depth=3, universe=builtin_universe((P,)))
     assert res.outcome == "unknown"
 
 
@@ -53,7 +86,7 @@ def test_prove_negations_inconsistent_with_lottery(lottery_kb):
     sig = lottery_kb.sig
     negs = [parse_formula(f"(not (win ticket{i}))", sig) for i in range(1, 6)]
     gamma = _lottery_axiom(lottery_kb) + negs
-    res = prove(gamma, Falsum(), depth=3)
+    res = prove(gamma, Falsum(), depth=3, universe=builtin_universe([*gamma, Falsum()]))
     assert res.outcome == "proved"
     assert truth_table_consistent(gamma, lottery_kb.herbrand()) is False
 
@@ -63,7 +96,7 @@ def test_prove_for_agent_murder_with_theta1(murder_kb):
     theta1 = murder_kb.candidates[0].formula
     from mucal.prover import projection
     prems = projection(murder_kb, "s", "now", extra=(theta1,))
-    res = prove(prems, goal, depth=3)
+    res = prove(prems, goal, depth=3, universe=builtin_universe(prems + (goal,)))
     assert res.outcome == "proved"
 
 
@@ -92,13 +125,13 @@ def test_prove_for_agent_unknown_names(murder_kb):
 
 def test_prove_refutation_direction():
     gamma = (Not(P),)
-    res = prove(gamma, P, depth=2, refute=True)
+    res = prove(gamma, P, depth=2, universe=builtin_universe(gamma + (P,)), refute=True)
     assert res.outcome == "refuted"
     assert formula_key(res.proof.goal) == formula_key(Not(P))
 
 
 def test_prove_explosion():
-    res = prove((P, Not(P)), Q, depth=2)
+    res = prove((P, Not(P)), Q, depth=2, universe=builtin_universe((P, Not(P), Q)))
     assert res.outcome == "proved"
 
 
@@ -111,7 +144,7 @@ def test_rp_derived_rule(rain_kb):
     )
     prior = parse_formula("(prior t1 now)", rain_kb.sig)
     goal = parse_formula("(believes mary now (holds raining t1))", rain_kb.sig)
-    res = prove((f, prior), goal, depth=2)
+    res = prove((f, prior), goal, depth=2, universe=builtin_universe((f, prior, goal)))
     assert res.outcome == "proved"
     assert any(s.rule == "r_p" for s in res.proof.steps)
 
@@ -125,8 +158,9 @@ def test_a_goal_prior_atom_does_not_order_its_own_proof():
                   for s in ("(perceives a t1 (p))", "(not (believes a t2 (p)))"))
     goal = parse_formula("(prior t1 t2)", kb.sig)
     from mucal import models
-    assert models.consistent(gamma + (Not(goal),)) == models.CONSISTENT
-    assert prove(gamma, goal).outcome == "unknown"
+    check = gamma + (Not(goal),)
+    assert models.consistent(check, 256, builtin_universe(check)) == models.CONSISTENT
+    assert prove(gamma, goal, 3, builtin_universe(gamma + (goal,))).outcome == "unknown"
     engine = ReasonEngine(parse_kb(
         "(const a Agent)(const t1 Moment)(const t2 Moment)(func p () Boolean)"
         "(axiom x :certain (perceives a t1 (p)))"
@@ -142,7 +176,7 @@ def test_rb_derived_rule(rain_kb):
     goal = parse_formula(
         "(believes mary now (exists (t) (holds raining t)))", sig
     )
-    res = prove((b1, prior), goal, depth=2)
+    res = prove((b1, prior), goal, depth=2, universe=builtin_universe((b1, prior, goal)))
     assert res.outcome == "proved"
     assert any(s.rule == "r_b" for s in res.proof.steps)
 
@@ -153,15 +187,18 @@ def test_rb_derived_rule(rain_kb):
 def test_monotonicity_on_lottery(lottery_kb):
     goal = parse_formula("(exists (t) (win t))", lottery_kb.sig)
     base = _lottery_axiom(lottery_kb)
-    assert prove(base, goal, depth=3).outcome == "proved"
+    assert prove(base, goal, depth=3,
+                 universe=builtin_universe([*base, goal])).outcome == "proved"
     extra = parse_formula("(not (win ticket1))", lottery_kb.sig)
-    assert prove(base + [extra], goal, depth=3).outcome == "proved"
+    assert prove(base + [extra], goal, depth=3,
+                 universe=builtin_universe([*base, extra, goal])).outcome == "proved"
 
 
 def test_determinism_byte_identical(lottery_kb):
     goal = parse_formula("(exists (t) (win t))", lottery_kb.sig)
-    r1 = prove(_lottery_axiom(lottery_kb), goal, depth=3)
-    r2 = prove(_lottery_axiom(lottery_kb), goal, depth=3)
+    universe = builtin_universe([*_lottery_axiom(lottery_kb), goal])
+    r1 = prove(_lottery_axiom(lottery_kb), goal, depth=3, universe=universe)
+    r2 = prove(_lottery_axiom(lottery_kb), goal, depth=3, universe=universe)
     assert r1.proof == r2.proof
 
 
@@ -177,7 +214,8 @@ def test_rho_single_premise_proof(murder_kb):
 
 def test_rho_monotone_in_steps(lottery_kb):
     goal = parse_formula("(exists (t) (win t))", lottery_kb.sig)
-    res = prove(_lottery_axiom(lottery_kb), goal, depth=3)
+    gamma = _lottery_axiom(lottery_kb)
+    res = prove(gamma, goal, depth=3, universe=builtin_universe([*gamma, goal]))
     n = len(res.proof.steps)
     assert rho(res.proof) > n - 1
     assert rho(res.proof) < n + 1
@@ -340,7 +378,7 @@ def test_falsum_step_uses_a_negated_conjunction_present_as_a_whole():
          Implies(bc, Implies(de, Falsum()))),
     ]
     for gamma, goal in cases:
-        res = prove(gamma, goal, depth=3)
+        res = prove(gamma, goal, depth=3, universe=builtin_universe(gamma + (goal,)))
         assert res.outcome == "proved"
         assert "neg_elim" in [s.rule for s in res.proof.steps]
 
@@ -408,10 +446,13 @@ def test_a_lift_to_a_subsort_moment_is_well_sorted():
     )
     gamma = tuple(ax.formula for ax in kb.axioms)
     goal = parse_formula("(believes a i1 (p))", kb.sig)
-    res = prove(gamma, goal, universe=kb.universe(gamma + (goal,)))
+    res = prove(gamma, goal, 3, universe=kb.universe(gamma + (goal,)))
     assert res.outcome == "proved"
     assert [s.rule for s in res.proof.steps] == ["premise", "r_p"]
     assert all(well_sorted(s.formula, kb.sig) for s in res.proof.steps)
+    # the checker joins i0 and i1 to the Moment bucket under the KB's sort
+    # edges, as the KB's universe does
+    assert check_proof(res.proof, gamma, goal, sig=kb.sig)
 
 
 def test_the_moment_order_is_built_only_where_a_rule_reads_it(monkeypatch,
@@ -426,6 +467,7 @@ def test_the_moment_order_is_built_only_where_a_rule_reads_it(monkeypatch,
     assert (w.theta_labels, w.distance) == (("theta1",), 9)
     # a percept lift reads it
     kb = parse_kb("(const a Agent)(func q () Boolean)")
+    gamma = (parse_formula("(perceives a 3 (q))", kb.sig),)
+    goal = parse_formula("(believes a 5 (q))", kb.sig)
     with pytest.raises(AssertionError, match="the moment order was built"):
-        prove((parse_formula("(perceives a 3 (q))", kb.sig),),
-              parse_formula("(believes a 5 (q))", kb.sig))
+        prove(gamma, goal, 3, builtin_universe(gamma + (goal,)))

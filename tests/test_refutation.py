@@ -15,7 +15,7 @@ import pytest
 from mucal import models
 from mucal.checker import check_proof
 from mucal.kb import load_kb, parse_kb
-from mucal.logic import Not, collect_ground_terms, expand_sugar
+from mucal.logic import Not, Signature, collect_ground_terms, expand_sugar
 from mucal.reasonable import ReasonEngine, _has_modal
 from mucal.syntax import parse_formula
 from conftest import DESK_SCENARIOS, SCENARIOS, scenario_path
@@ -62,7 +62,7 @@ class Audit:
         modal = _has_modal(premises + (content,))
         goal = f"{agent}@{moment}: {content}"
         assert not (proof is not None and skipped), goal
-        assert proof is None or check_proof(proof, premises, content)
+        assert proof is None or check_proof(proof, premises, content, sig=Signature())
         assert (found is not None) == (proof is not None), goal
         if not modal:
             # the reused grounding answers as the cold one does
