@@ -26,8 +26,8 @@ from .errors import (
     KbError, ParseError, SortError, UnknownNameError, UnknownSymbolError,
 )
 from .logic import (
-    App, Const, Falsum, Formula, MomentOrder, Record, Signature, _join_sorts,
-    collect_ground_terms, formula_key, is_numeral, moment_names, print_term,
+    App, Atom, Const, Falsum, Formula, MomentOrder, Record, Signature, _join_sorts,
+    collect_ground_terms, formula_key, is_numeral, order_from_premises, print_term,
 )
 from .syntax import Node, read_all, sorted_formula
 
@@ -92,7 +92,7 @@ class KbDocument:
         self.axioms: list = []
         self.prob_entries: list = []
         self.candidates: list = []
-        self.prior_pairs: list = []
+        self.prior_atoms: list = []
         self.params = Params()
         self._order: MomentOrder | None = None
         self._herbrand: dict | None = None
@@ -107,11 +107,14 @@ class KbDocument:
         )
 
     def order(self) -> MomentOrder:
-        """The closure of the stated `prior` pairs plus numeric order on the
-        numeral moments, over the Herbrand universe's moments; a cycle is
-        a KbError."""
+        """The moment order of what every agent holds (`order_from_premises`):
+        the `(prior ...)` forms and the certain axioms, over the Herbrand
+        universe's moments; a cycle is a KbError."""
         if self._order is None:
-            order = MomentOrder(self.prior_pairs, moment_names(self.herbrand()))
+            order = order_from_premises(
+                self.prior_atoms + [a.formula for a in self.certain_axioms()],
+                self.herbrand(),
+            )
             for m in order.moments:
                 if order.lt(m, m):
                     raise KbError(f"moment ordering has a cycle through {m!r}")
@@ -138,8 +141,8 @@ class KbDocument:
         """Ground domain terms per sort, closed under the declared functions,
         each bucket in print order; each term is also in the buckets of its
         ancestor sorts.  The closure starts from the declared constants, the
-        numeral moments of the `pr` entries and `(prior ...)` forms, and the
-        ground terms of the axioms, candidates and `pr` formulas.
+        numeral moments of the `pr` entries, and the ground terms of the
+        axioms, candidates, `pr` formulas and `(prior ...)` forms.
 
         The closure is bounded (see ``_close``); when a bound cuts it short
         the KB is flagged not finitely ground (see ``finitely_ground``).
@@ -148,10 +151,9 @@ class KbDocument:
             return self._herbrand
         by_sort: dict = {}
         seeds = [Const(name, self.sig.constants[name]) for name in sorted(self.sig.constants)]
-        named = [e.moment for e in self.prob_entries]
-        named += [m for pair in self.prior_pairs for m in pair]
-        seeds += [Const(m, "Moment") for m in named if is_numeral(m)]
+        seeds += [Const(e.moment, "Moment") for e in self.prob_entries if is_numeral(e.moment)]
         formulas = [e.formula for e in self.axioms + self.candidates + self.prob_entries]
+        formulas += self.prior_atoms
         # collected without sort edges: `_join_sorts` below puts each seed
         # in its ancestors' buckets under `sig.sorts`
         seeds += [t for ts in collect_ground_terms(formulas, parents={}).values() for t in ts]
@@ -325,7 +327,8 @@ def parse_kb(text: str) -> KbDocument:
             kb.prob_entries.append(ProbEntry(agent, moment, formula, value))
         elif head == "prior":
             _require(len(rest) == 2, "(prior <moment> <moment>)", form)
-            kb.prior_pairs.append((_moment_sym(rest[0], kb.sig), _moment_sym(rest[1], kb.sig)))
+            moments = (kb.moment(_moment_sym(m, kb.sig)) for m in rest)
+            kb.prior_atoms.append(Atom(App("prior", tuple(moments), "Boolean")))
         elif head == "param":
             _require(len(rest) == 2, "(param <name> <value>)", form)
             name = _sym(rest[0], "param name")

@@ -140,7 +140,7 @@ class _Node:
     """Base of the interned term and formula classes: read-only, equal
     only to itself, and rebuilt by pickle and copy as the interned node."""
 
-    __slots__ = ("_hash", "_fkey", "_plain", "_ops")
+    __slots__ = ("_hash", "_fkey", "_plain")
 
     def __init_subclass__(cls) -> None:
         cls._interned = {}
@@ -157,7 +157,6 @@ class _Node:
             _set(node, "_hash", hash(args))
             _set(node, "_fkey", None)
             _set(node, "_plain", None)
-            _set(node, "_ops", None)
             # publish the finished node; a thread that built an equal node
             # first wins, so equal fields still give one object
             node = cls._interned.setdefault(args, node)
@@ -680,10 +679,7 @@ def _key(f: Formula, depth: dict, level: int) -> str:
 def _run(f: And | Or, depth: dict, level: int) -> tuple:
     """The flattened and/or run rooted at f as (connective, sorted operand
     keys).  A run of one operand is that operand: its own run when it is an
-    and/or node, else (None, (its key,)).  Stored on the node outside every
-    binder, so nested runs are keyed once."""
-    if not depth and f._ops is not None:
-        return f._ops
+    and/or node, else (None, (its key,))."""
     kind = type(f)
     keys: list = []
     sole = None  # the run of the last and/or operand kept as one key
@@ -703,13 +699,9 @@ def _run(f: And | Or, depth: dict, level: int) -> tuple:
             keys.append(_key(a, depth, level))
             sole = None
     if len(keys) == 1:
-        got = sole or (None, tuple(keys))
-    else:
-        keys.sort()
-        got = (kind, tuple(keys))
-    if not depth:
-        _set(f, "_ops", got)
-    return got
+        return sole or (None, tuple(keys))
+    keys.sort()
+    return kind, tuple(keys)
 
 
 def _run_key(kind: type | None, keys: tuple) -> str:

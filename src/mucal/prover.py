@@ -146,10 +146,9 @@ class _Env:
 
     `imps` lists the implication nodes in insertion order.  `splits()`,
     `beliefs()` and `unblocked()` merge the base's sorted indexes with the
-    own layer's few entries; `unblocked()` is built once, on the
-    environment's first falsum query."""
+    own layer's few entries."""
 
-    __slots__ = ("base", "own", "key", "memo", "imps", "_unblocked")
+    __slots__ = ("base", "own", "key", "memo", "imps")
 
     def __init__(self, base: _Base, own: dict, imps: list):
         self.base = base
@@ -157,7 +156,6 @@ class _Env:
         self.key = frozenset(own)
         self.memo: dict = {}
         self.imps = imps
-        self._unblocked: list | None = None
 
     def get(self, key: str) -> _Node | None:
         return self.own.get(key) or self.base.nodes.get(key)
@@ -176,14 +174,12 @@ class _Env:
 
     def unblocked(self) -> list:
         """The sorted keys of the negations that can close falsum at budget 0."""
-        if self._unblocked is None:
-            keys, waiting = self.base.falsum_index()
-            base, own = self.base.nodes, self.own
-            negs = {n for k in own for n in waiting.get(k, ())}
-            negs.update(n for n in own.values() if isinstance(n.formula, Not))
-            self._unblocked = self._merged(keys, sorted(
-                n.key for n in negs if not _absent_needs(n.formula.body, base, own)))
-        return self._unblocked
+        keys, waiting = self.base.falsum_index()
+        base, own = self.base.nodes, self.own
+        negs = {n for k in own for n in waiting.get(k, ())}
+        negs.update(n for n in own.values() if isinstance(n.formula, Not))
+        return self._merged(keys, sorted(
+            n.key for n in negs if not _absent_needs(n.formula.body, base, own)))
 
     @staticmethod
     def _merged(keys: list, own: list) -> list:

@@ -5,6 +5,8 @@ A strength judgment for (agent, moment, formula) combines two routes:
 * the definition cascade - acceptable, presumption-in-favor, beyond
   reasonable doubt, evident and certain are evaluated independently
   through the reasonableness comparison, each with its evidence trail;
+  evident and certain compare against a pool of other beliefs, so only
+  `classify` grades them;
 * the propagation store - perceptions seed certainty, and the
   strength-propagating closure rule derives new judgments at the minimum
   premise level, guarded by the maximum level spread u.
@@ -157,8 +159,9 @@ class StrengthEngine:
                         self.infer_rsp(f, t2)
 
     def seed_candidates(self, agent: str, moment: str) -> None:
-        """Classify declared candidates and stated beliefs at the frame and
-        store what the cascade grades positively.
+        """Grade declared candidates and stated beliefs at the frame on the
+        pool-free levels 1-3 and store those that reach one.  Levels 4
+        and 5 need a comparison pool, which only `classify` has.
 
         Contents already derivable from the agent's projection are skipped:
         their grade arrives through the propagation rule from the beliefs
@@ -177,9 +180,12 @@ class StrengthEngine:
         for content in todo:
             if self.reason.provable(agent, moment, content) is not None:
                 continue
-            j = self._classify_cascade(agent, moment, content)
-            if j.level != StrengthLevel.NONE:
-                self.store.add(j)
+            satisfied, trail = self._pool_free_levels(agent, moment, content)
+            if satisfied:
+                self.store.add(StrengthJudgment(
+                    agent, moment, content, StrengthLevel(max(satisfied)),
+                    frozenset(satisfied), tuple(trail),
+                ))
 
     # -- inference schemata ----------------------------------------------
 
@@ -389,16 +395,50 @@ class StrengthEngine:
     def classify(self, agent: str, moment: str, f: Formula,
                  pool: list | None = None) -> StrengthJudgment:
         """Grade a formula through the definition cascade merged with the
-        propagation store, with the full evidence trail."""
-        self.kb.frame_terms(agent, moment)
+        propagation store, with the full evidence trail.  Levels 4 and 5
+        compare believing it with believing each member of `pool` (by
+        default `default_pool`), so only this method grades them."""
+        a_t, m_t = self.kb.frame_terms(agent, moment)
         if pool is None:
             pool = self.default_pool(agent, moment, f)
-        j = self._classify_cascade(agent, moment, f, pool)
-        stored = self.store.get(agent, moment, formula_key(f))
-        satisfied = set(j.satisfied_levels)
-        trail = list(j.trail)
+        satisfied, trail = self._pool_free_levels(agent, moment, f)
+        if 3 in satisfied:
+            rivals = list(self._rivals(agent, moment, f, pool))
+            if not rivals:
+                satisfied |= {4, 5}
+                trail.append(TrailEntry(
+                    "cascade",
+                    f"level 5 (certain): no competitor in the pool of "
+                    f"{len(pool)} beats believing it",
+                    5,
+                ))
+            else:
+                names = ", ".join(print_formula(c) for c in rivals[:4])
+                trail.append(TrailEntry(
+                    "cascade",
+                    f"level 5 fails: more reasonable beliefs exist ({names})",
+                    None,
+                ))
+                # a rival is certain when it is beyond reasonable doubt and
+                # has no rival of its own
+                evident = all(
+                    self.reason.more_reasonable(
+                        agent, moment, Believes(a_t, m_t, c), Withholds(a_t, m_t, c)
+                    ).holds and next(self._rivals(agent, moment, c, pool), None) is None
+                    for c in rivals
+                )
+                if evident:
+                    satisfied.add(4)
+                trail.append(TrailEntry(
+                    "cascade",
+                    "level 4 (evident): every more reasonable belief is itself certain"
+                    if evident else
+                    "level 4 fails: some more reasonable belief is not certain",
+                    4 if evident else None,
+                ))
         listing = ", ".join(print_formula(p) for p in pool) or "(empty)"
         trail.append(TrailEntry("pool", f"comparison pool: {listing}"))
+        stored = self.store.get(agent, moment, formula_key(f))
         if stored is not None:
             satisfied |= set(range(1, int(stored.level) + 1))
             trail.append(TrailEntry(
@@ -420,106 +460,52 @@ class StrengthEngine:
             )
         return out
 
-    def _classify_cascade(self, agent: str, moment: str, f: Formula,
-                          pool: list | None = None) -> StrengthJudgment:
+    def _pool_free_levels(self, agent: str, moment: str, f: Formula) -> tuple:
+        """Levels 1-3 of f, one comparison each (`_POOL_FREE_LEVELS`): the
+        set of satisfied levels and their trail entries."""
         a_t, m_t = self.kb.frame_terms(agent, moment)
-        bel = Believes(a_t, m_t, f)
-        bel_neg = Believes(a_t, m_t, negation_of(f))
-        withhold = Withholds(a_t, m_t, f)
-        cmp = self.reason.more_reasonable
-
+        sides = {
+            "believe": Believes(a_t, m_t, f),
+            "believe-negation": Believes(a_t, m_t, negation_of(f)),
+            "withhold": Withholds(a_t, m_t, f),
+        }
         satisfied: set = set()
         trail: list = []
+        for level, left, right, wanted, text in _POOL_FREE_LEVELS:
+            v = self.reason.more_reasonable(agent, moment, sides[left], sides[right])
+            ok = v.holds == wanted
+            if ok:
+                satisfied.add(level)
+            trail.append(TrailEntry("cascade", text, level if ok else None, v))
+        return satisfied, trail
 
-        v_w_over_b = cmp(agent, moment, withhold, bel)
-        if not v_w_over_b.holds:
-            satisfied.add(1)
-        trail.append(TrailEntry(
-            "cascade",
-            "level 1 (acceptable) holds iff withholding is not more reasonable "
-            "than believing",
-            1 if 1 in satisfied else None,
-            v_w_over_b,
-        ))
-
-        v_b2 = cmp(agent, moment, bel, bel_neg)
-        if v_b2.holds:
-            satisfied.add(2)
-        trail.append(TrailEntry(
-            "cascade",
-            "level 2 (some presumption in favor) holds iff believing beats "
-            "believing the negation",
-            2 if 2 in satisfied else None,
-            v_b2,
-        ))
-
-        v_b3 = cmp(agent, moment, bel, withhold)
-        if v_b3.holds:
-            satisfied.add(3)
-        trail.append(TrailEntry(
-            "cascade",
-            "level 3 (beyond reasonable doubt) holds iff believing beats "
-            "withholding",
-            3 if 3 in satisfied else None,
-            v_b3,
-        ))
-
-        if 3 in satisfied:
-            competitors = []
-            pool = pool if pool is not None else []
-            for psi in pool:
-                v = cmp(agent, moment, Believes(a_t, m_t, psi), bel)
-                if v.holds:
-                    competitors.append((psi, v))
-            if not competitors:
-                satisfied.add(5)
-                satisfied.add(4)
-                trail.append(TrailEntry(
-                    "cascade",
-                    f"level 5 (certain): no competitor in the pool of "
-                    f"{len(pool)} beats believing it",
-                    5,
-                ))
-            else:
-                names = ", ".join(print_formula(c) for c, _ in competitors[:4])
-                trail.append(TrailEntry(
-                    "cascade",
-                    f"level 5 fails: more reasonable beliefs exist ({names})",
-                    None,
-                ))
-                if all(self._b5_holds(agent, moment, c, pool) for c, _ in competitors):
-                    satisfied.add(4)
-                    trail.append(TrailEntry(
-                        "cascade",
-                        "level 4 (evident): every more reasonable belief is "
-                        "itself certain",
-                        4,
-                    ))
-                else:
-                    trail.append(TrailEntry(
-                        "cascade",
-                        "level 4 fails: some more reasonable belief is not "
-                        "certain",
-                        None,
-                    ))
-
-        level = StrengthLevel(max(satisfied)) if satisfied else StrengthLevel.NONE
-        return StrengthJudgment(agent, moment, f, level, frozenset(satisfied), tuple(trail))
-
-    def _b5_holds(self, agent: str, moment: str, psi: Formula, pool: list) -> bool:
+    def _rivals(self, agent: str, moment: str, f: Formula, pool: list):
+        """The members of `pool` other than f that are more reasonable to
+        believe than f, in pool order; f is certain when it is beyond
+        reasonable doubt and this yields nothing."""
         a_t, m_t = self.kb.frame_terms(agent, moment)
-        bel = Believes(a_t, m_t, psi)
-        if not self.reason.more_reasonable(agent, moment, bel,
-                                           Withholds(a_t, m_t, psi)).holds:
-            return False
-        for other in pool:
-            if formula_key(other) == formula_key(psi):
-                continue
-            if self.reason.more_reasonable(
-                agent, moment, Believes(a_t, m_t, other), bel
+        bel = Believes(a_t, m_t, f)
+        skip = formula_key(f)
+        for psi in pool:
+            if formula_key(psi) != skip and self.reason.more_reasonable(
+                agent, moment, Believes(a_t, m_t, psi), bel
             ).holds:
-                return False
-        return True
+                yield psi
+
+
+# Levels 1-3 as (level, left side, right side, the `holds` of "left is
+# more reasonable than right" that satisfies the level, trail text).
+_POOL_FREE_LEVELS = (
+    (1, "withhold", "believe", False,
+     "level 1 (acceptable) holds iff withholding is not more reasonable "
+     "than believing"),
+    (2, "believe", "believe-negation", True,
+     "level 2 (some presumption in favor) holds iff believing beats "
+     "believing the negation"),
+    (3, "believe", "withhold", True,
+     "level 3 (beyond reasonable doubt) holds iff believing beats "
+     "withholding"),
+)
 
 
 # ---------------------------------------------------------------------------

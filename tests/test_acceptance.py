@@ -180,6 +180,11 @@ def test_acceptance_3_subsumption_suite():
     for kb, rng in random_kbs(seed=1108, count=200):
         engine = StrengthEngine(kb)
         engine.saturate(2, agent="a", moment="now")
+        # levels 4 and 5 need a pool, which only classify has
+        assert all(
+            int(j.level) <= 3 for j in engine.store.judged.values()
+            if all(t.kind == "cascade" for t in j.trail)
+        )
         local = random.Random(rng.randrange(2**32))
         targets = []
         for _ in range(2):

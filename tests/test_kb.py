@@ -6,6 +6,7 @@ import pytest
 from mucal.errors import KbError, ParseError
 from mucal.kb import _HERBRAND_CAP, parse_kb, widen_universe
 from mucal.logic import Const, Signature, well_sorted
+from mucal.reasonable import ReasonEngine
 from mucal.syntax import parse_formula, print_term
 from conftest import SCENARIOS, scenario_path
 
@@ -94,10 +95,21 @@ def test_unknown_param_rejected():
 
 
 def test_moment_cycle_rejected():
-    text = ("(const t1 Moment)(const t2 Moment)"
-            "(prior t1 t2)(prior t2 t1)")
-    with pytest.raises(KbError):
-        parse_kb(text)
+    for cycle in ("(prior t1 t2)(prior t2 t1)",
+                  "(axiom c :certain (and (prior t1 t2) (prior t2 t1)))"):
+        with pytest.raises(KbError):
+            parse_kb("(const t1 Moment)(const t2 Moment)" + cycle)
+
+
+@pytest.mark.parametrize("stated", ["(prior t1 t2)", "(axiom o :certain (prior t1 t2))"])
+def test_the_order_reads_prior_forms_and_certain_axioms(stated):
+    # every agent holds the certain axioms, so a belief at t1 is held at t2
+    kb = parse_kb(
+        "(const a Agent)(const t1 Moment)(const t2 Moment)(func p () Boolean)"
+        + stated + "(axiom b (believes a t1 (p)))"
+    )
+    assert kb.order().lt("t1", "t2")
+    assert ReasonEngine(kb).delta("a", "t2", parse_formula("(p)", kb.sig)).distance == 0
 
 
 def test_prior_contradicting_numeric_order():

@@ -100,6 +100,23 @@ def test_pool_growth_never_upgrades_to_certain(lottery_kb):
         assert 5 not in j_big.satisfied_levels
 
 
+def test_seeding_stores_no_level_above_beyond_reasonable_doubt():
+    # (p) reaches level 3 only through its declared probability; the
+    # certain (q) is more reasonable to believe, so (p) is evident, not
+    # certain, and seeding (which has no pool) stores level 3 only
+    kb = parse_kb(
+        "(const a Agent)(const now Moment)(func p () Boolean)(func q () Boolean)"
+        "(axiom aq :certain (q))(pr a now (p) 1)(candidate c (p))"
+    )
+    engine = StrengthEngine(kb)
+    engine.saturate(3, agent="a", moment="now")
+    p = parse_formula("(p)", kb.sig)
+    assert int(engine.store.get("a", "now", formula_key(p)).level) == 3
+    j = engine.classify("a", "now", p)
+    assert int(j.level) == 4
+    assert j.satisfied_levels == frozenset({1, 2, 3, 4})
+
+
 # ---------------------------------------------------------------------------
 # perception lifting
 
