@@ -21,6 +21,16 @@ to its own and under the same atom budget, and the atom budget and
 `_NODE_CAP` compare totals, which do not depend on the order premises
 are grounded in, so an overflowing prefix means an overflowing whole.
 
+A solve that finds a model keeps it (`Grounding.model`).  A prefix built
+with `keep_models` also keeps the last `_KEPT` models found for it or for
+its consistent extensions, and `Grounding.kept_model_satisfies` evaluates
+a new premise set in them: one model that makes every premise true shows
+the prefix and those premises have a ground model, with no grounding and
+no SAT call.  That is a certificate for `consistent` only; where the
+grounding would overflow, the full check answers `unknown` instead, so
+only a caller whose `consistent` skips a search that would fail anyway
+(the refutation checks of `reasonable` and `strength`) may read it.
+
 Belief and perception subformulas become opaque ground atoms, named by
 their quoted form (`logic.quote_modal`).  The only coupling back to the
 logic is a conservative closure: every ground belief the grounding met,
@@ -49,10 +59,15 @@ UNKNOWN = "unknown"
 
 _NODE_CAP = 200_000
 _MODAL_DEPTH = 2  # how deep the belief closure nests its own consistency checks
+_KEPT = 4  # models a `keep_models` prefix keeps, its own and its extensions'
 
 
 class _Overflow(Exception):
     pass
+
+
+class _Open(Exception):
+    """Evaluation met a node a kept model does not decide."""
 
 
 class Grounding:
@@ -76,9 +91,15 @@ class Grounding:
     its two implications and so its operands once per direction.  A
     grounding that passed either bound is `overflow`, and stays so when
     extended.
+
+    `model` is the satisfying assignment of the last solve, if it found
+    one.  With `keep_models`, `kept` holds up to `_KEPT` models, newest
+    first: this grounding's own, and those of the extensions that
+    `consistent` found consistent, for `kept_model_satisfies`.
     """
 
-    def __init__(self, premises: Iterable[Formula], atom_budget: int, universe: dict):
+    def __init__(self, premises: Iterable[Formula], atom_budget: int, universe: dict,
+                 keep_models: bool = False):
         prems = tuple(expand_sugar(p) for p in premises)
         self.premises: tuple = ()
         self.universe = universe
@@ -89,6 +110,8 @@ class Grounding:
         self.top = 0  # the highest variable in use
         self.nodes = 0
         self.overflow = False
+        self.model: list | None = None
+        self.kept: list | None = [] if keep_models else None
         self._ground(prems)
 
     def _ground(self, prems: tuple) -> None:
@@ -107,6 +130,7 @@ class Grounding:
         g.atoms = dict(self.atoms)
         g.beliefs = dict(self.beliefs)
         g.clauses = list(self.clauses)
+        g.model = g.kept = None
         g._ground(tuple(expand_sugar(p) for p in premises))
         return g
 
@@ -118,7 +142,49 @@ class Grounding:
         if self.overflow:
             return UNKNOWN
         pins = [(self.atoms[key],) for key in _entailed_belief_keys(self, depth, order)]
-        return CONSISTENT if _satisfiable(chain(self.clauses, pins)) else INCONSISTENT
+        self.model = _satisfiable(chain(self.clauses, pins))
+        if self.model is None:
+            return INCONSISTENT
+        self._keep(self)
+        return CONSISTENT
+
+    def _keep(self, g: "Grounding") -> None:
+        """Keep the model of g, this grounding or a consistent extension of
+        it, with an empty memo of the premises evaluated in it.  A model
+        with belief atoms is not kept: the closure may pin more of them
+        once premises are added."""
+        if self.kept is not None and not g.beliefs:
+            self.kept.insert(0, (g.atoms, g.model, {}))
+            del self.kept[_KEPT:]
+
+    def kept_model_satisfies(self, premises: Iterable[Formula], universe: dict) -> bool:
+        """Whether a kept model makes every premise true over `universe`.
+
+        Each kept model satisfies this grounding's clauses, so its atoms
+        are a ground model of this grounding's premises; if it also makes
+        `premises` true, the whole set has a ground model.  The answer is
+        False, and the caller runs the full check, when the universe is
+        not this grounding's, or when no model decides every premise: a
+        modal node, an atom the model's grounding does not name, or one
+        the model leaves open.  Each model memoizes the premises evaluated
+        in it, since a search checks the same goal and additions against
+        it many times.
+        """
+        if not self.kept or not (universe is self.universe or universe == self.universe):
+            return False
+        prems = tuple(expand_sugar(p) for p in premises)
+        for atoms, model, memo in self.kept:
+            for p in prems:
+                if p not in memo:
+                    try:
+                        memo[p] = _holds(p, atoms, model, universe)
+                    except _Open:
+                        memo[p] = False
+                if not memo[p]:
+                    break
+            else:
+                return True
+        return False
 
     def _fresh(self) -> int:
         self.top += 1
@@ -195,14 +261,51 @@ class Grounding:
         return v
 
 
-def _satisfiable(clauses: Iterable[tuple]) -> bool:
-    """Complete DPLL over integer-literal clauses, without clause learning.
+def _holds(f: Formula, atoms: dict, model: list, universe: dict) -> bool:
+    """The truth of a modal-free, sugar-free formula under a model of a
+    grounding whose atom variables are `atoms`, with quantifiers ranging
+    over `universe`; raises `_Open` where the model does not decide it."""
+    if isinstance(f, Atom):
+        v = atoms.get(formula_key(f))
+        if v is None or 2 * v >= len(model) or not model[v]:
+            raise _Open()
+        return model[v] > 0
+    if isinstance(f, Not):
+        return not _holds(f.body, atoms, model, universe)
+    if isinstance(f, Falsum):
+        return False
+    if isinstance(f, And):
+        return all(_holds(a, atoms, model, universe) for a in f.args)
+    if isinstance(f, Or):
+        return any(_holds(a, atoms, model, universe) for a in f.args)
+    if isinstance(f, Implies):
+        return (not _holds(f.left, atoms, model, universe)
+                or _holds(f.right, atoms, model, universe))
+    if isinstance(f, Iff):
+        return (_holds(f.left, atoms, model, universe)
+                == _holds(f.right, atoms, model, universe))
+    if isinstance(f, (Forall, Exists)):
+        instances = (
+            _holds(substitute_unchecked(f.body, f.var, t), atoms, model, universe)
+            for t in universe.get(f.var.sort, ())
+        )
+        return all(instances) if isinstance(f, Forall) else any(instances)
+    raise _Open()  # a belief or perception node
+
+
+def _satisfiable(clauses: Iterable[tuple]) -> list | None:
+    """Complete DPLL over integer-literal clauses, without clause learning:
+    a satisfying assignment, or None when there is none.
 
     Two watched literals per clause (Moskewicz et al., "Chaff", DAC 2001):
     unit propagation visits only the clauses watching the literal just made
     false, and backtracking unassigns the trail, so no clause list or
     assignment is copied.  The search branches on the lowest open
-    variable, true first.
+    variable, true first.  The assignment is a list indexed by literal, as
+    the search keeps it: 1 true, -1 false, 0 open.  It covers the variables
+    up to the highest one in a clause the search must satisfy; only a
+    variable that occurs in no clause, or only in clauses holding both its
+    literals, is open or beyond it.
     """
     units: list = []
     watched: list = []
@@ -214,7 +317,7 @@ def _satisfiable(clauses: Iterable[tuple]) -> bool:
         elif lits:
             units.append(c[0])
         else:
-            return False
+            return None
     order = sorted(set(map(abs, chain.from_iterable(watched))))
     top = max(order[-1:] + [abs(l) for l in units], default=0)
     # value[l] is 1 when literal l is true, -1 when false, 0 when open; a
@@ -227,7 +330,7 @@ def _satisfiable(clauses: Iterable[tuple]) -> bool:
     trail: list = []
     for l in units:
         if value[l] < 0:
-            return False
+            return None
         if value[l] == 0:
             value[l], value[-l] = 1, -1
             trail.append(l)
@@ -272,7 +375,7 @@ def _satisfiable(clauses: Iterable[tuple]) -> bool:
             while decisions and decisions[-1][2]:
                 decisions.pop()
             if not decisions:
-                return False
+                return None
             pos, idx, _ = decisions.pop()
             for l in trail[pos:]:
                 value[l] = value[-l] = 0
@@ -286,7 +389,7 @@ def _satisfiable(clauses: Iterable[tuple]) -> bool:
         while nxt < len(order) and value[order[nxt]]:
             nxt += 1
         if nxt == len(order):
-            return True
+            return value
         v = order[nxt]
         decisions.append((len(trail), nxt, False))
         value[v], value[-v] = 1, -1
@@ -304,17 +407,20 @@ def consistent(
 
     With `base`, the premise set is base's premises followed by
     `premises`.  When `universe` is or equals base's and the atom budget
-    is base's, only `premises` are grounded, into a copy of base; any
-    other universe or budget grounds the whole set cold.
+    is base's, only `premises` are grounded, into a copy of base, and a
+    base built with `keep_models` keeps the copy's model if it has one;
+    any other universe or budget grounds the whole set cold.
     """
     if base is None:
-        g = Grounding(premises, atom_budget, universe)
-    elif ((universe is base.universe or universe == base.universe)
-          and atom_budget == base.atom_budget):
+        return Grounding(premises, atom_budget, universe).solve()
+    if ((universe is base.universe or universe == base.universe)
+            and atom_budget == base.atom_budget):
         g = base.extended(premises)
-    else:
-        g = Grounding(base.premises + tuple(premises), atom_budget, universe)
-    return g.solve()
+        out = g.solve()
+        if out == CONSISTENT:
+            base._keep(g)
+        return out
+    return Grounding(base.premises + tuple(premises), atom_budget, universe).solve()
 
 
 def _entailed_belief_keys(g: Grounding, depth: int, order) -> list:

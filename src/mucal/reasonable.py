@@ -152,10 +152,15 @@ class ReasonEngine:
     # -- agent-relative derivability ------------------------------------
 
     def provable(self, agent: str, moment: str, f: Formula) -> Proof | None:
+        """A proof of f's content from the agent's projection at the moment,
+        or None.  A goal that `_refuted` refutes on the frame with no
+        removals gets None without a proof search, which would fail."""
         content = self._strip_frame(f, agent, moment)
         key = (agent, moment, formula_key(content))
         if key not in self._provable:
-            self._provable[key] = self._prove(agent, moment, self._goal(content))
+            goal = self._goal(content)
+            refuted = self._refuted(self._frame(agent, moment, frozenset()), goal, ())
+            self._provable[key] = None if refuted else self._prove(agent, moment, goal)
         return self._provable[key]
 
     def _frame(self, agent: str, moment: str, lam_labels: frozenset) -> _Frame:
@@ -337,6 +342,15 @@ class ReasonEngine:
         `models` pins only what stated beliefs entail, to depth 2.
         Only `consistent` refutes: an `unknown` check leaves the pair to
         the prover.
+
+        Before grounding anything, the check evaluates the additions and
+        the negated goal in the models the frame's prefix kept from its
+        earlier consistent checks (`Grounding.kept_model_satisfies`); one
+        that makes them all true refutes.  Where the full check would
+        overflow to `unknown` instead, the prover would run and fail, so
+        the answer is the same.  The feasibility check never reuses a
+        model: there a reused model could answer `consistent` where the
+        full check answers `unknown`, and change which pairs are feasible.
         """
         extra = tuple(expand_sugar(f) for f in theta_forms)
         if frame.modal or goal.modal or _has_modal(extra):
@@ -345,16 +359,24 @@ class ReasonEngine:
             frame.refute_base = models.Grounding(
                 frame.head + self.kb.background(),
                 self.kb.params.consistency_depth, self.kb.herbrand(),
+                keep_models=True,
             )
+        checked = extra + (Not(goal.content),)
+        if frame.refute_base.kept_model_satisfies(checked, goal.universe):
+            return True
         return models.consistent(
-            extra + (Not(goal.content),), self.kb.params.consistency_depth,
+            checked, self.kb.params.consistency_depth,
             goal.universe, base=frame.refute_base,
         ) == models.CONSISTENT
 
     # -- the cascade -------------------------------------------------------
 
     def more_reasonable(self, agent: str, moment: str, f: Formula,
-                        g: Formula) -> ReasonablenessVerdict:
+                        g: Formula, *, verdict_only: bool = False) -> ReasonablenessVerdict:
+        """Whether believing f is more reasonable than believing g for the
+        agent at the moment, with the deciding clause and its evidence.
+        With `verdict_only`, only `.holds` is meaningful: see
+        `_compare_contents`."""
         self.kb.frame_terms(agent, moment)  # an undeclared name is an error first
         fx = expand_sugar(f)
         gx = expand_sugar(g)
@@ -365,7 +387,8 @@ class ReasonEngine:
 
         if fa[0] == "W" or ga[0] == "W":
             return self._with_withholding(agent, moment, fa, ga)
-        return self._compare_contents(agent, moment, fa[1], ga[1])
+        return self._compare_contents(agent, moment, fa[1], ga[1],
+                                      verdict_only=verdict_only)
 
     def _attitude(self, f: Formula, agent: str, moment: str):
         if is_belief_at(f, agent, moment):
@@ -445,7 +468,17 @@ class ReasonEngine:
             note="belief-vs-withholding at the zero-revision grade",
         )
 
-    def _compare_contents(self, agent, moment, x: Formula, y: Formula) -> ReasonablenessVerdict:
+    def _compare_contents(self, agent, moment, x: Formula, y: Formula, *,
+                          verdict_only: bool = False) -> ReasonablenessVerdict:
+        """Clause I, else II, else III of the cascade for contents x and y.
+
+        With `verdict_only`, a caller that reads only `.holds` (the rival
+        test, `StrengthEngine._rivals`) skips the revision search when
+        clause III cannot hold: y is provable, so its distance is 0 and no
+        distance of x undercuts it.  That verdict carries no evidence, and
+        the skipped `delta(x)` fills neither the `_delta` cache nor
+        `_budget_hits`.
+        """
         if formula_key(x) == formula_key(y):
             return ReasonablenessVerdict(False, "inapplicable", note="irreflexive")
         # falsum never enters the probability or proof-cost clauses: it has
@@ -467,6 +500,10 @@ class ReasonEngine:
                 cx < cy, "II",
                 evidence={"rho_left": cx, "rho_right": cy,
                           "proof_left": proof_x, "proof_right": proof_y},
+            )
+        if verdict_only and proof_y is not None:
+            return ReasonablenessVerdict(
+                False, "III", note="the right side is provable: no distance is below 0"
             )
         wx = self.delta(agent, moment, x)
         wy = self.delta(agent, moment, y)

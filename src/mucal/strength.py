@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from .errors import OrderingError, ProofError, UnknownNameError
 from .logic import (
-    And, Believes, Const, Falsum, Formula, FrozenRecord, Perceives, StrengthLevel,
-    Withholds, constant_symbols, expand_sugar, formula_key, is_belief_at,
-    negation_of,
+    And, Believes, Const, Falsum, Formula, FrozenRecord, Not, Perceives,
+    StrengthLevel, Withholds, constant_symbols, expand_sugar, formula_key,
+    is_belief_at, negation_of,
 )
 from .prover import Proof, prove
-from .reasonable import ReasonEngine, ReasonablenessVerdict
+from .reasonable import ReasonEngine, ReasonablenessVerdict, _has_modal
 from .syntax import print_formula
 from . import models
 
@@ -303,6 +303,13 @@ class StrengthEngine:
         through conjunction judgments when the proof used more.  Windows
         whose contents are jointly inconsistent only ever fire falsum,
         which the store rejects with a diagnostic.
+
+        Each window's contents are grounded once (`models.Grounding`).  Its
+        solve decides whether the union is consistent; that check never
+        reads a kept model.  A conclusion the window refutes
+        (`_window_refutes`) gets no proof search, which would fail: the
+        prover is sound for `models`' semantics on modal-free input, as in
+        `ReasonEngine._refuted`.
         """
         pool: dict = {}
         for j in self._held(agent, moment):
@@ -329,11 +336,11 @@ class StrengthEngine:
             have = set()
             for c in contents:
                 have |= constant_symbols(c)
-            union_ok = models.consistent(
-                contents,
-                atom_budget=self.kb.params.consistency_depth,
-                universe=self.kb.universe(contents),
-            ) == models.CONSISTENT
+            window = models.Grounding(
+                contents, self.kb.params.consistency_depth, self.kb.universe(contents),
+                keep_models=True,
+            )
+            union_ok = window.solve() == models.CONSISTENT
             for conc in conclusions:
                 if isinstance(conc, Falsum):
                     if union_ok:
@@ -343,6 +350,8 @@ class StrengthEngine:
                 ckey = (agent, moment, formula_key(conc))
                 existing = self.store.judged.get(ckey)
                 if existing is not None and int(existing.level) >= max_level:
+                    continue
+                if self._window_refutes(window, contents, conc):
                     continue
                 proof = self._entail(list(contents), conc)
                 if proof is None:
@@ -354,6 +363,21 @@ class StrengthEngine:
                 if self._fire_chain(used, conc, moment):
                     added = True
         return added
+
+    def _window_refutes(self, window: models.Grounding, contents: tuple,
+                        conc: Formula) -> bool:
+        """Whether the window's contents, grounded in `window`, have a
+        ground model over the entailment's universe in which the
+        conclusion is false: a model the window kept, or else
+        `models.consistent` of its negation on the window as base.  Falsum
+        and modal input are never refuted, as in `ReasonEngine._refuted`."""
+        if isinstance(conc, Falsum) or _has_modal(contents + (conc,)):
+            return False
+        negated = (Not(conc),)
+        universe = self.kb.universe(contents + (conc,))
+        return window.kept_model_satisfies(negated, universe) or models.consistent(
+            negated, window.atom_budget, universe, base=window,
+        ) == models.CONSISTENT
 
     def _fire_chain(self, used: list, conc: Formula, moment: str) -> bool:
         """Apply the propagation rule over at most three premises at a time,
@@ -444,7 +468,7 @@ class StrengthEngine:
             trail.append(TrailEntry(
                 "store",
                 f"propagation holds it at level {int(stored.level)}: "
-                + "; ".join(t.detail for t in stored.trail),
+                + "; ".join(t.detail for t in stored.trail if t.level is not None),
                 int(stored.level),
             ))
         level = StrengthLevel(max(satisfied)) if satisfied else StrengthLevel.NONE
@@ -482,13 +506,15 @@ class StrengthEngine:
     def _rivals(self, agent: str, moment: str, f: Formula, pool: list):
         """The members of `pool` other than f that are more reasonable to
         believe than f, in pool order; f is certain when it is beyond
-        reasonable doubt and this yields nothing."""
+        reasonable doubt and this yields nothing.  Only each comparison's
+        `.holds` is read, so it asks for the verdict alone: when f is
+        provable, clause III cannot hold and no revision search runs."""
         a_t, m_t = self.kb.frame_terms(agent, moment)
         bel = Believes(a_t, m_t, f)
         skip = formula_key(f)
         for psi in pool:
             if formula_key(psi) != skip and self.reason.more_reasonable(
-                agent, moment, Believes(a_t, m_t, psi), bel
+                agent, moment, Believes(a_t, m_t, psi), bel, verdict_only=True,
             ).holds:
                 yield psi
 

@@ -199,8 +199,19 @@ def brute_force_satisfiable(clauses) -> bool:
         "conflicting-units-apart", "duplicate-literals", "duplicate-units",
         "tautology", "tautology-among-others", "sparse-chain", "sparse-unsat"])
 def test_solver_edge_cases(clauses, want):
-    assert models._satisfiable(clauses) is want
+    model = models._satisfiable(clauses)
+    assert (model is not None) is want
     assert brute_force_satisfiable(clauses) is want
+    assert model is None or satisfies(model, clauses)
+
+
+def satisfies(model, clauses) -> bool:
+    """Whether the solver's assignment makes every clause true at a literal
+    it assigns; only a clause holding both literals of a variable may rest
+    on one it leaves open."""
+    def value(l):
+        return model[l] if 2 * abs(l) < len(model) else 0
+    return all(any(value(l) == 1 for l in c) or any(-l in c for l in c) for c in clauses)
 
 
 def test_solver_matches_brute_force_on_random_cnfs():
@@ -217,7 +228,9 @@ def test_solver_matches_brute_force_on_random_cnfs():
                   for _ in range(rng.choice((0, 1, 1, 2, 2, 3, 3, 3, 4, 5))))
             for _ in range(rng.randint(0, 16))
         ]
-        assert models._satisfiable(clauses) == brute_force_satisfiable(clauses), clauses
+        model = models._satisfiable(clauses)
+        assert (model is not None) == brute_force_satisfiable(clauses), clauses
+        assert model is None or satisfies(model, clauses), clauses
 
 
 ENCODING_KB = parse_kb(

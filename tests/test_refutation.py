@@ -5,18 +5,29 @@ That skip is exact only if the prover never proves what the models check
 refutes.  The agreement audit runs both on every consistent (additions,
 removals) pair that the golden commands, the scenario knowledge bases and
 a generated corpus reach, and checks that no skipped pair has a proof.
+
+The same refutation gates `ReasonEngine.provable` and the propagation
+pass (`StrengthEngine._window_refutes`), a model kept from an earlier
+check can answer a refutation, and the rival test asks only for its
+verdict.  The skip audit checks each of those against the work it skips.
 """
 
+import importlib.util
 import os
 import random
+import sys
 
 import pytest
 
 from mucal import models
 from mucal.checker import check_proof
 from mucal.kb import load_kb, parse_kb
-from mucal.logic import Not, Signature, collect_ground_terms, expand_sugar
+from mucal.logic import (
+    Not, Signature, StrengthLevel, collect_ground_terms, expand_sugar, formula_key,
+)
+from mucal.prover import prove
 from mucal.reasonable import ReasonEngine, _has_modal
+from mucal.strength import StrengthEngine
 from mucal.syntax import parse_formula
 from conftest import DESK_SCENARIOS, SCENARIOS, scenario_path
 from oracles import brute_force_delta
@@ -291,7 +302,9 @@ def test_unknown_refutation_goes_to_the_prover(monkeypatch):
     # c1 ranks first and fails to prove; c2 proves
     assert (w.theta_labels, w.lam_labels) == (("c2",), ())
     assert w.distance == brute_force_delta(kb, "a", "now", goal)
-    assert refutations == [models.UNKNOWN] * 2
+    # one check per pair, and one for the direct `provable` check that
+    # refutes first
+    assert refutations == [models.UNKNOWN] * 3
     # the unknown checks leave no budget note: no pair was skipped on them
     v = engine.more_reasonable("a", "now", goal, parse_formula("(s)", kb.sig))
     assert v.note == ""
@@ -342,3 +355,185 @@ def test_addition_term_outside_the_frame_grounds_cold():
     w = ReasonEngine(kb).delta("a", "now", goal)
     assert (w.theta_labels, w.lam_labels) == (("+goal",), ("never",))
     assert w.distance == brute_force_delta(kb, "a", "now", goal)
+
+
+# ---------------------------------------------------------------------------
+# the skip audit: provable, the propagation pass, kept models, verdicts
+
+class SkipAudit:
+    """Wraps every gate that skips work on a countermodel or a verdict.
+    Each refutation is checked against the proof search it skips, each
+    check a kept model answers against the same check grounded cold, and
+    each verdict-only comparison against the full verdict of a second
+    engine on the same KB, so that the audit leaves the audited engine's
+    caches as they are."""
+
+    def __init__(self, monkeypatch):
+        self.provable = 0  # provable goals refuted
+        self.windows = 0   # propagation conclusions refuted
+        self.reused = 0    # checks a kept model answered
+        self.verdicts = []  # the holds of each verdict-only comparison
+        audit = self
+        shadows = {}
+        refuted = ReasonEngine._refuted
+        window_refutes = StrengthEngine._window_refutes
+        kept = models.Grounding.kept_model_satisfies
+        more_reasonable = ReasonEngine.more_reasonable
+
+        def audited_refuted(engine, frame, goal, theta_forms):
+            out = refuted(engine, frame, goal, theta_forms)
+            if out and not theta_forms:  # the `provable` check
+                kb = engine.kb
+                res = prove(frame.head + kb.background(), goal.content,
+                            depth=kb.params.proof_depth, universe=goal.universe)
+                assert res.outcome != "proved", goal.content
+                audit.provable += 1
+            return out
+
+        def audited_window(engine, window, contents, conc):
+            out = window_refutes(engine, window, contents, conc)
+            if out:
+                kb = engine.kb
+                res = prove(contents, conc, depth=kb.params.proof_depth,
+                            universe=kb.universe(contents + (conc,)))
+                assert res.outcome != "proved", (contents, conc)
+                audit.windows += 1
+            return out
+
+        def audited_kept(g, premises, universe):
+            out = kept(g, premises, universe)
+            if out:
+                cold = models.consistent(g.premises + tuple(premises), g.atom_budget, universe)
+                assert cold != models.INCONSISTENT, premises
+                audit.reused += 1
+            return out
+
+        def audited_more_reasonable(engine, agent, moment, f, g, *, verdict_only=False):
+            out = more_reasonable(engine, agent, moment, f, g, verdict_only=verdict_only)
+            if verdict_only:
+                if engine not in shadows:
+                    shadows[engine] = ReasonEngine(engine.kb)
+                full = more_reasonable(shadows[engine], agent, moment, f, g)
+                assert out.holds == full.holds, (f, g)
+                audit.verdicts.append(full.holds)
+            return out
+
+        monkeypatch.setattr(ReasonEngine, "_refuted", audited_refuted)
+        monkeypatch.setattr(StrengthEngine, "_window_refutes", audited_window)
+        monkeypatch.setattr(models.Grounding, "kept_model_satisfies", audited_kept)
+        monkeypatch.setattr(ReasonEngine, "more_reasonable", audited_more_reasonable)
+
+
+def saturate_and_classify(kb, goals, moment="now") -> None:
+    """Two propagation rounds for each agent at the moment, then the
+    classification of each goal for each agent."""
+    engine = StrengthEngine(kb)
+    agents = sorted(n for n, s in kb.sig.constants.items() if s == "Agent")
+    for agent in agents:
+        engine.saturate(2, agent, moment)
+    for agent in agents:
+        for g in goals:
+            engine.classify(agent, moment, g)
+
+
+def test_skips_agree_on_goldens_and_scenarios(monkeypatch):
+    audit = SkipAudit(monkeypatch)
+    for case in MANIFEST:
+        run_cli(case["argv"])
+    # every scenario with an agent, except lottery_stress, whose xor
+    # expansion alone takes seconds
+    for name in DESK_SCENARIOS:
+        kb = load_kb(scenario_path(name))
+        moment = "now" if "now" in kb.order().moments else kb.order().moments[-1]
+        goals = [c.formula for c in kb.candidates] + [Not(c.formula) for c in kb.candidates]
+        saturate_and_classify(kb, goals, moment)
+    assert audit.provable and audit.windows and audit.reused and audit.verdicts
+
+
+def test_skips_agree_on_generated_kbs(monkeypatch):
+    audit = SkipAudit(monkeypatch)
+    rng = random.Random(1111)
+    for _ in range(60):
+        text, goals = corpus_kb(rng)
+        kb = parse_kb(text)
+        saturate_and_classify(kb, [parse_formula(g, kb.sig) for g in goals])
+    assert audit.provable >= 50 and audit.windows and audit.reused and audit.verdicts
+
+
+def bench_workloads():
+    """`bench/workloads.py`, which writes the benchmark's KBs and commands."""
+    path = os.path.join(os.path.dirname(__file__), "..", "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault("workloads", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, sizes", [("lottery", (5, 7, 9)), ("timeline", (10, 20))])
+def test_skips_agree_on_benchmark_kbs(name, sizes, tmp_path, monkeypatch):
+    audit = SkipAudit(monkeypatch)
+    w = bench_workloads().build(name, seed=1, sizes=sizes)
+    for kb, text in w.kbs.items():
+        (tmp_path / kb).write_text(text)
+    for c in w.commands:
+        rc, out = run_cli(c.mucal_args(str(tmp_path / c.kb)))
+        assert rc == c.ref.exit and c.ref.line in out, c.label
+    assert audit.provable and audit.reused
+    if name == "lottery":
+        assert audit.windows and audit.verdicts
+
+
+def test_verdict_only_rival_test_when_the_belief_is_not_provable(monkeypatch):
+    # (p) is beyond reasonable doubt by its probability alone, so the rival
+    # test runs on a belief that is not provable: there (s), provable, beats
+    # it on clause III, and the verdict-only comparison must say so; (s)
+    # has no rival in the pool, so (p) is evident
+    audit = SkipAudit(monkeypatch)
+    kb = parse_kb(
+        "(const a Agent)(const now Moment)(func p () Boolean)(func s () Boolean)"
+        "(axiom given :certain (s))(pr a now (p) 1)(candidate c1 (p))"
+    )
+    p = parse_formula("(p)", kb.sig)
+    j = StrengthEngine(kb).classify("a", "now", p, pool=[parse_formula("(s)", kb.sig)])
+    assert j.level == StrengthLevel.EVIDENT
+    assert audit.verdicts == [True]
+
+
+def test_propagation_gate_keeps_proofs_that_read_unstated_beliefs(monkeypatch):
+    # the belief in the certain axiom sits inside a conjunction, so `models`
+    # pins nothing and has a model of the window without the conclusion,
+    # while the prover reaches the conclusion by and-elimination and r_b
+    audit = SkipAudit(monkeypatch)
+    kb = parse_kb(
+        CORPUS_SIG + "(axiom given :certain (and (believes b now (p)) (q)))"
+        "(candidate c1 (believes b now (or (p) (q))))"
+    )
+    store = StrengthEngine(kb).saturate(2, "a", "now")
+    c1 = parse_formula("(believes b now (or (p) (q)))", kb.sig)
+    assert store.get("a", "now", formula_key(c1)).level == StrengthLevel.CERTAIN
+    assert audit.windows == 0
+
+
+NODE_CAP_KB = "(const a Agent)(const now Moment)" + "".join(
+    f"(const o{i} Object)" for i in range(1, 9)
+) + """
+(func r (Object) Boolean)(func p () Boolean)(func q () Boolean)
+(axiom names :certain (forall (x Object) (r x)))
+(candidate c0 (p))
+(candidate c1 (forall (w Object) (forall (x Object) (forall (y Object)
+  (forall (z Object) (forall (v Object) (forall (u Object)
+    (or (r w) (r x) (r y) (r z) (r v) (r u)))))))))
+"""
+
+
+def test_a_feasibility_check_that_overflows_reuses_no_model():
+    # c1 grounds past the node cap, so its feasibility check is unknown
+    # and leaves a budget note; every model of c0's pair makes c1 true,
+    # so reading a kept model there would answer consistent instead
+    kb = parse_kb(NODE_CAP_KB)
+    engine = ReasonEngine(kb)
+    q = parse_formula("(q)", kb.sig)
+    v = engine.more_reasonable("a", "now", q, parse_formula("(p)", kb.sig))
+    assert v.evidence["delta_left"].theta_labels == ("+goal",)
+    assert v.note == "some revision pairs were skipped on a budget-exhausted check"
