@@ -17,7 +17,8 @@ but check-kb, --u and --rounds on strength and explain, --trace on prove,
 strength and counterfactual.  Rationals print as exact fractions.
 MUCAL_DEPTH overrides the default proof depth; --depth overrides both.
 Budgets (--depth, --u, --rounds and MUCAL_DEPTH) are non-negative
-integers; anything else exits 64.
+integers in ASCII decimal digits, as a KB's (param ...) values are;
+anything else exits 64.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 from fractions import Fraction
 
 from .errors import MucalError
-from .kb import KbDocument, load_kb
+from .kb import KbDocument, load_kb, parse_natural
 from .logic import StrengthLevel
 from .prover import Proof, prove, rho
 from .reasonable import ReasonEngine, ReasonablenessVerdict, RevisionWitness
@@ -95,13 +96,11 @@ def _verdict_dict(v: ReasonablenessVerdict) -> dict:
 
 
 def _natural(text: str) -> int:
-    """A budget value: a non-negative integer."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    """A budget value, as `parse_natural` reads it."""
+    n = parse_natural(text)
+    if n is None:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
 
 
 def _load(args) -> KbDocument:

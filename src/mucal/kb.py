@@ -244,6 +244,12 @@ def _moment_sym(node: Node, sig: Signature) -> str:
     return m
 
 
+def parse_natural(text: str) -> int | None:
+    """A budget's value, `text` in ASCII decimal digits only, or None: no
+    sign, space, underscore or other script's digit."""
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def parse_rational(text: str, node: Node) -> Fraction:
     try:
         return Fraction(text)
@@ -340,9 +346,10 @@ def parse_kb(text: str) -> KbDocument:
                     raise ParseError("ec-flavor is minimal|inertial", rest[1].line, rest[1].col)
                 kb.params.ec_flavor = value
             else:
-                if not (value.isascii() and value.isdigit()):
+                n = parse_natural(value)
+                if n is None:
                     raise ParseError(f"param {name!r} expects a natural", rest[1].line, rest[1].col)
-                setattr(kb.params, _PARAM_NAMES[name], int(value))
+                setattr(kb.params, _PARAM_NAMES[name], n)
         else:
             raise ParseError(f"unknown form {head!r}", form.line, form.col)
 

@@ -17,19 +17,19 @@ holds its clauses, and `consistent(more, ..., base=grounding)` grounds
 only `more`, into a copy.  The copy shares the prefix's clause tuples,
 which the solver never mutates.  The answer is the one a cold grounding
 of the whole set gives: the prefix is reused only over a universe equal
-to its own and under the same atom budget, and the atom budget and
-`_NODE_CAP` compare totals, which do not depend on the order premises
-are grounded in, so an overflowing prefix means an overflowing whole.
+to its own and under the same atom budget (`Grounding._over`), and the
+atom budget and `_NODE_CAP` compare totals, which do not depend on the
+order premises are grounded in, so an overflowing prefix means an
+overflowing whole.
 
-A solve that finds a model keeps it (`Grounding.model`).  A prefix built
-with `keep_models` also keeps the last `_KEPT` models found for it or for
-its consistent extensions, and `Grounding.kept_model_satisfies` evaluates
-a new premise set in them: one model that makes every premise true shows
-the prefix and those premises have a ground model, with no grounding and
-no SAT call.  That is a certificate for `consistent` only; where the
-grounding would overflow, the full check answers `unknown` instead, so
-only a caller whose `consistent` skips a search that would fail anyway
-(the refutation checks of `reasonable` and `strength`) may read it.
+`Grounding.refutes(additions, goal, universe)` looks for a countermodel:
+a ground model of the prefix and the additions in which the goal is
+false, which shows that a proof search for the goal would fail (semantic
+filtering, as in SCOTT: Slaney, Lusk & McCune, CADE 1994).  It first
+tries the last `_KEPT` models found for the prefix or its consistent
+extensions, with no grounding and no SAT call.  A kept model may refute
+where the full check would overflow to `unknown`, so `consistent` never
+reads one.
 
 Belief and perception subformulas become opaque ground atoms, named by
 their quoted form (`logic.quote_modal`).  The only coupling back to the
@@ -41,16 +41,16 @@ stated beliefs (earlier or equal moments, percepts lifted).
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from collections.abc import Iterable
 from copy import copy
 from itertools import chain
 from operator import neg
 
 from .logic import (
-    And, Atom, Believes, Exists, Falsum, Forall, Formula, Iff, Implies, Not,
-    Or, Perceives, expand_sugar, formula_key,
-    held_content, order_from_premises, quote_modal, substitute_unchecked,
+    MODAL, And, Atom, Believes, Exists, Falsum, Forall, Formula, Iff, Implies,
+    Not, Or, Perceives, children, expand_sugar, formula_key, held_content,
+    order_from_premises, quote_modal, substitute_unchecked,
 )
 
 CONSISTENT = "consistent"
@@ -59,7 +59,7 @@ UNKNOWN = "unknown"
 
 _NODE_CAP = 200_000
 _MODAL_DEPTH = 2  # how deep the belief closure nests its own consistency checks
-_KEPT = 4  # models a `keep_models` prefix keeps, its own and its extensions'
+_KEPT = 4  # models a grounding keeps, its own and its extensions'
 
 
 class _Overflow(Exception):
@@ -92,14 +92,12 @@ class Grounding:
     grounding that passed either bound is `overflow`, and stays so when
     extended.
 
-    `model` is the satisfying assignment of the last solve, if it found
-    one.  With `keep_models`, `kept` holds up to `_KEPT` models, newest
-    first: this grounding's own, and those of the extensions that
-    `consistent` found consistent, for `kept_model_satisfies`.
+    `kept` holds up to `_KEPT` models, newest first, each with a memo of
+    the premises evaluated in it: the satisfying assignment of each solve
+    that found one, and those of the extensions `refutes` found consistent.
     """
 
-    def __init__(self, premises: Iterable[Formula], atom_budget: int, universe: dict,
-                 keep_models: bool = False):
+    def __init__(self, premises: Iterable[Formula], atom_budget: int, universe: dict):
         prems = tuple(expand_sugar(p) for p in premises)
         self.premises: tuple = ()
         self.universe = universe
@@ -110,8 +108,8 @@ class Grounding:
         self.top = 0  # the highest variable in use
         self.nodes = 0
         self.overflow = False
-        self.model: list | None = None
-        self.kept: list | None = [] if keep_models else None
+        self.modal: bool | None = None  # a premise has a modal node; None until `refutes` asks
+        self.kept: deque = deque(maxlen=_KEPT)
         self._ground(prems)
 
     def _ground(self, prems: tuple) -> None:
@@ -130,7 +128,7 @@ class Grounding:
         g.atoms = dict(self.atoms)
         g.beliefs = dict(self.beliefs)
         g.clauses = list(self.clauses)
-        g.model = g.kept = None
+        g.kept, g.modal = deque(maxlen=_KEPT), None
         g._ground(tuple(expand_sugar(p) for p in premises))
         return g
 
@@ -142,42 +140,64 @@ class Grounding:
         if self.overflow:
             return UNKNOWN
         pins = [(self.atoms[key],) for key in _entailed_belief_keys(self, depth, order)]
-        self.model = _satisfiable(chain(self.clauses, pins))
-        if self.model is None:
+        model = _satisfiable(chain(self.clauses, pins))
+        if model is None:
             return INCONSISTENT
-        self._keep(self)
+        self.kept.appendleft((self.atoms, model, {}))
         return CONSISTENT
 
-    def _keep(self, g: "Grounding") -> None:
-        """Keep the model of g, this grounding or a consistent extension of
-        it, with an empty memo of the premises evaluated in it.  A model
-        with belief atoms is not kept: the closure may pin more of them
-        once premises are added."""
-        if self.kept is not None and not g.beliefs:
-            self.kept.insert(0, (g.atoms, g.model, {}))
-            del self.kept[_KEPT:]
+    def _over(self, atom_budget: int, universe: dict) -> "Grounding":
+        """These premises grounded over `universe` under `atom_budget`: this
+        grounding itself when both are its own, else a cold grounding."""
+        if ((universe is self.universe or universe == self.universe)
+                and atom_budget == self.atom_budget):
+            return self
+        return Grounding(self.premises, atom_budget, universe)
 
-    def kept_model_satisfies(self, premises: Iterable[Formula], universe: dict) -> bool:
-        """Whether a kept model makes every premise true over `universe`.
+    def refutes(self, additions: Iterable[Formula], goal: Formula, universe: dict) -> bool:
+        """Whether these premises and `additions` have a ground model over
+        `universe` in which `goal` is false, under this atom budget.
+
+        False on a belief, perception or withholding node anywhere, where
+        the prover's belief closure reads more than the model search pins
+        (the premises are walked for one on the first call only), and
+        where the full check is inconsistent or unknown.  A kept model
+        that makes the additions and the negated goal true answers first,
+        over this grounding's own universe only; otherwise they are
+        grounded into an extension (or, over another universe, the whole
+        set cold) and solved, and the extension's model is kept.
+        """
+        checked = tuple(expand_sugar(f) for f in additions) + (Not(expand_sugar(goal)),)
+        if self.modal is None:
+            self.modal = _has_modal(self.premises)
+        if self.modal or _has_modal(checked):
+            return False
+        base = self._over(self.atom_budget, universe)
+        if base is self and self._kept_model_satisfies(checked):
+            return True
+        g = base.extended(checked)
+        if g.solve() != CONSISTENT:
+            return False
+        if base is self:
+            self.kept.appendleft(g.kept[0])
+        return True
+
+    def _kept_model_satisfies(self, premises: tuple) -> bool:
+        """Whether a kept model makes every sugar-free premise true.
 
         Each kept model satisfies this grounding's clauses, so its atoms
-        are a ground model of this grounding's premises; if it also makes
-        `premises` true, the whole set has a ground model.  The answer is
-        False, and the caller runs the full check, when the universe is
-        not this grounding's, or when no model decides every premise: a
-        modal node, an atom the model's grounding does not name, or one
-        the model leaves open.  Each model memoizes the premises evaluated
-        in it, since a search checks the same goal and additions against
-        it many times.
+        are a ground model of these premises over this universe; if it
+        also makes `premises` true, the whole set has a ground model.  A
+        model does not decide a modal node, an atom its grounding does not
+        name, or one it leaves open.  Each model memoizes the premises
+        evaluated in it, since a search checks the same goal and additions
+        against it many times.
         """
-        if not self.kept or not (universe is self.universe or universe == self.universe):
-            return False
-        prems = tuple(expand_sugar(p) for p in premises)
         for atoms, model, memo in self.kept:
-            for p in prems:
+            for p in premises:
                 if p not in memo:
                     try:
-                        memo[p] = _holds(p, atoms, model, universe)
+                        memo[p] = _holds(p, atoms, model, self.universe)
                     except _Open:
                         memo[p] = False
                 if not memo[p]:
@@ -406,21 +426,23 @@ def consistent(
     consistent, inconsistent, or unknown.
 
     With `base`, the premise set is base's premises followed by
-    `premises`.  When `universe` is or equals base's and the atom budget
-    is base's, only `premises` are grounded, into a copy of base, and a
-    base built with `keep_models` keeps the copy's model if it has one;
-    any other universe or budget grounds the whole set cold.
+    `premises`, and only `premises` are grounded where `Grounding._over`
+    reuses base.
     """
     if base is None:
         return Grounding(premises, atom_budget, universe).solve()
-    if ((universe is base.universe or universe == base.universe)
-            and atom_budget == base.atom_budget):
-        g = base.extended(premises)
-        out = g.solve()
-        if out == CONSISTENT:
-            base._keep(g)
-        return out
-    return Grounding(base.premises + tuple(premises), atom_budget, universe).solve()
+    return base._over(atom_budget, universe).extended(premises).solve()
+
+
+def _has_modal(formulas) -> bool:
+    """Whether a belief, perception or withholding node occurs anywhere."""
+    todo = list(formulas)
+    while todo:
+        f = todo.pop()
+        if isinstance(f, MODAL):
+            return True
+        todo += children(f)
+    return False
 
 
 def _entailed_belief_keys(g: Grounding, depth: int, order) -> list:

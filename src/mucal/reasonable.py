@@ -22,8 +22,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .logic import (
-    MODAL, And, Falsum, Formula, FrozenRecord, Not, Record, children,
-    expand_sugar, formula_key, is_belief_at, negation_of, weight,
+    And, Falsum, Formula, FrozenRecord, Not, Record, expand_sugar, formula_key,
+    is_belief_at, negation_of, weight,
 )
 from .prover import Proof, held_axioms, prove, rho
 from . import models
@@ -97,17 +97,16 @@ class ReasonablenessVerdict(FrozenRecord):
 
 class _Frame(Record):
     """What every proof and check at one (agent, moment, removals) frame
-    shares: the projection's head and its two consistency prefixes.  The
+    shares: the projection's head and its two consistency prefixes, the
+    refutation prefix keeping the countermodels its checks find.  The
     frame keeps no universe and no moment order; each proof builds its
     order from its own premises when a rule reads it."""
 
-    __slots__ = ("head", "modal", "feasible_base", "refute_base")
+    __slots__ = ("head", "feasible_base", "refute_base")
 
-    def __init__(self, head: tuple, modal: bool,
-                 feasible_base: models.Grounding | None = None,
+    def __init__(self, head: tuple, feasible_base: models.Grounding | None = None,
                  refute_base: models.Grounding | None = None) -> None:
-        self.head = head    # the projection's axiom-derived premises
-        self.modal = modal  # whether the head has a modal node
+        self.head = head  # the projection's axiom-derived premises
         # the premise prefixes of the two per-pair consistency checks, each
         # grounded on its first use: the feasibility check's remaining
         # axioms + background, and the refutation check's head + background
@@ -120,17 +119,11 @@ class _Goal(Record):
     `kb.herbrand()` itself unless the goal names a domain term outside it,
     so a goal that names only new atoms reuses the frames' groundings."""
 
-    __slots__ = ("content", "universe", "modal")
+    __slots__ = ("content", "universe")
 
-    def __init__(self, content: Formula, universe: dict, modal: bool) -> None:
+    def __init__(self, content: Formula, universe: dict) -> None:
         self.content = content
         self.universe = universe  # kb.herbrand() widened by the goal's terms
-        self.modal = modal        # whether the goal has a modal node
-
-
-def _has_modal(formulas) -> bool:
-    """Whether a belief, perception or withholding node occurs anywhere."""
-    return any(isinstance(f, MODAL) or _has_modal(children(f)) for f in formulas)
 
 
 class ReasonEngine:
@@ -147,7 +140,7 @@ class ReasonEngine:
         self._budget_hits: set = set()  # delta keys with budget-skipped pairs
 
     def _goal(self, content: Formula) -> _Goal:
-        return _Goal(content, self.kb.universe((content,)), _has_modal((content,)))
+        return _Goal(content, self.kb.universe((content,)))
 
     # -- agent-relative derivability ------------------------------------
 
@@ -168,7 +161,7 @@ class ReasonEngine:
         frame = self._frames.get(key)
         if frame is None:
             head = held_axioms(self.kb, agent, moment, exclude=lam_labels)
-            frame = self._frames[key] = _Frame(head, _has_modal(head))
+            frame = self._frames[key] = _Frame(head)
         return frame
 
     def _prove(self, agent: str, moment: str, goal: _Goal, theta_forms: tuple = (),
@@ -204,11 +197,12 @@ class ReasonEngine:
         any proof, so the first feasible pair that derives the goal is
         the minimal witness and the search stops there.  A pair whose
         proof premises have a ground model that falsifies the goal is
-        rejected without a proof search (`_refuted`); that is exact where
-        the prover is sound for the semantics of `models` (domain closure
-        over the proof's universe, opaque modal atoms, belief closure to
-        depth 2), which holds on modal-free premises and goals, the only
-        ones it runs on.
+        rejected without a proof search (`_refuted`, through
+        `models.Grounding.refutes`); that is exact where the prover is
+        sound for the semantics of `models` (domain closure over the
+        proof's universe, opaque modal atoms, belief closure to depth 2),
+        which holds on modal-free premises and goals, the only ones the
+        check answers for.
         """
         content = self._strip_frame(goal, agent, moment)
         ckey = (agent, moment, formula_key(content))
@@ -329,8 +323,9 @@ class ReasonEngine:
     def _refuted(self, frame: _Frame, goal: _Goal, theta_forms: tuple) -> bool:
         """Whether the proof premises of the pair (the frame's head, the
         additions and the background) have a ground model, over the goal's
-        universe (the proof's own), in which the goal is false.  The head
-        and background are grounded once per frame, over `kb.herbrand()`.
+        universe (the proof's own), in which the goal is false
+        (`models.Grounding.refutes`).  The head and background are
+        grounded once per frame, over `kb.herbrand()`.
 
         Then a prover that is sound for `models`' semantics cannot derive
         the goal, so no proof search is needed.  The prover is sound for
@@ -340,34 +335,17 @@ class ReasonEngine:
         check off, because the prover's belief closure (`r_b`) reads every
         belief it holds, derived ones included, and to any depth, while
         `models` pins only what stated beliefs entail, to depth 2.
-        Only `consistent` refutes: an `unknown` check leaves the pair to
-        the prover.
-
-        Before grounding anything, the check evaluates the additions and
-        the negated goal in the models the frame's prefix kept from its
-        earlier consistent checks (`Grounding.kept_model_satisfies`); one
-        that makes them all true refutes.  Where the full check would
-        overflow to `unknown` instead, the prover would run and fail, so
-        the answer is the same.  The feasibility check never reuses a
-        model: there a reused model could answer `consistent` where the
-        full check answers `unknown`, and change which pairs are feasible.
+        Only a consistent check refutes: an `unknown` one leaves the pair
+        to the prover.  A model the prefix kept from an earlier check may
+        refute where the full check would overflow; the proof search it
+        skips would fail all the same.
         """
-        extra = tuple(expand_sugar(f) for f in theta_forms)
-        if frame.modal or goal.modal or _has_modal(extra):
-            return False
         if frame.refute_base is None:
             frame.refute_base = models.Grounding(
                 frame.head + self.kb.background(),
                 self.kb.params.consistency_depth, self.kb.herbrand(),
-                keep_models=True,
             )
-        checked = extra + (Not(goal.content),)
-        if frame.refute_base.kept_model_satisfies(checked, goal.universe):
-            return True
-        return models.consistent(
-            checked, self.kb.params.consistency_depth,
-            goal.universe, base=frame.refute_base,
-        ) == models.CONSISTENT
+        return frame.refute_base.refutes(theta_forms, goal.content, goal.universe)
 
     # -- the cascade -------------------------------------------------------
 

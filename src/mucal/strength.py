@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from .errors import OrderingError, ProofError, UnknownNameError
 from .logic import (
-    And, Believes, Const, Falsum, Formula, FrozenRecord, Not, Perceives,
+    And, Believes, Const, Falsum, Formula, FrozenRecord, Perceives,
     StrengthLevel, Withholds, constant_symbols, expand_sugar, formula_key,
     is_belief_at, negation_of,
 )
 from .prover import Proof, prove
-from .reasonable import ReasonEngine, ReasonablenessVerdict, _has_modal
+from .reasonable import ReasonEngine, ReasonablenessVerdict
 from .syntax import print_formula
 from . import models
 
@@ -304,12 +304,14 @@ class StrengthEngine:
         whose contents are jointly inconsistent only ever fire falsum,
         which the store rejects with a diagnostic.
 
-        Each window's contents are grounded once (`models.Grounding`).  Its
-        solve decides whether the union is consistent; that check never
-        reads a kept model.  A conclusion the window refutes
-        (`_window_refutes`) gets no proof search, which would fail: the
-        prover is sound for `models`' semantics on modal-free input, as in
-        `ReasonEngine._refuted`.
+        Each window's contents are grounded once (`models.Grounding`), over
+        their universe, which holds every conclusion's terms: falsum has
+        none and a candidate names only `kb.herbrand()` terms.  Its solve
+        decides whether the union is consistent.  A conclusion of a
+        consistent window that the window refutes
+        (`models.Grounding.refutes`) gets no proof search, which would
+        fail: the prover is sound for `models`' semantics on modal-free
+        input, as in `ReasonEngine._refuted`.
         """
         pool: dict = {}
         for j in self._held(agent, moment):
@@ -336,10 +338,8 @@ class StrengthEngine:
             have = set()
             for c in contents:
                 have |= constant_symbols(c)
-            window = models.Grounding(
-                contents, self.kb.params.consistency_depth, self.kb.universe(contents),
-                keep_models=True,
-            )
+            universe = self.kb.universe(contents)
+            window = models.Grounding(contents, self.kb.params.consistency_depth, universe)
             union_ok = window.solve() == models.CONSISTENT
             for conc in conclusions:
                 if isinstance(conc, Falsum):
@@ -351,7 +351,8 @@ class StrengthEngine:
                 existing = self.store.judged.get(ckey)
                 if existing is not None and int(existing.level) >= max_level:
                     continue
-                if self._window_refutes(window, contents, conc):
+                # an inconsistent or overflowed window has no countermodel
+                if union_ok and window.refutes((), conc, universe):
                     continue
                 proof = self._entail(list(contents), conc)
                 if proof is None:
@@ -363,21 +364,6 @@ class StrengthEngine:
                 if self._fire_chain(used, conc, moment):
                     added = True
         return added
-
-    def _window_refutes(self, window: models.Grounding, contents: tuple,
-                        conc: Formula) -> bool:
-        """Whether the window's contents, grounded in `window`, have a
-        ground model over the entailment's universe in which the
-        conclusion is false: a model the window kept, or else
-        `models.consistent` of its negation on the window as base.  Falsum
-        and modal input are never refuted, as in `ReasonEngine._refuted`."""
-        if isinstance(conc, Falsum) or _has_modal(contents + (conc,)):
-            return False
-        negated = (Not(conc),)
-        universe = self.kb.universe(contents + (conc,))
-        return window.kept_model_satisfies(negated, universe) or models.consistent(
-            negated, window.atom_budget, universe, base=window,
-        ) == models.CONSISTENT
 
     def _fire_chain(self, used: list, conc: Formula, moment: str) -> bool:
         """Apply the propagation rule over at most three premises at a time,

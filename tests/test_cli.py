@@ -255,7 +255,14 @@ def test_importing_the_cli_leaves_out_code_generation_and_json():
     ["strength", "--kb", "scenarios/murder.kb", "--agent", "s", "--at", "now",
      "--u", "-1", "(murderer alice)"],
     ["prove", "--kb", "scenarios/lottery5.kb", "--depth", "two", "(exists (t) (win t))"],
-], ids=["depth", "rounds", "u", "depth-not-a-number"])
+    # a budget is spelled as a KB's (param ...) value is: ASCII digits only
+    ["prove", "--kb", "scenarios/lottery5.kb", "--depth", "1_0", "(exists (t) (win t))"],
+    ["prove", "--kb", "scenarios/lottery5.kb", "--depth", "+1", "(exists (t) (win t))"],
+    ["prove", "--kb", "scenarios/lottery5.kb", "--depth", " 2", "(exists (t) (win t))"],
+    ["strength", "--kb", "scenarios/lottery5.kb", "--agent", "a", "--at", "now",
+     "--rounds", "\u0663", "(exists (t) (win t))"],
+], ids=["depth", "rounds", "u", "depth-not-a-number", "depth-underscore", "depth-sign",
+        "depth-space", "rounds-arabic-indic-digit"])
 def test_bad_budget_option_is_usage_error(argv, capsys):
     rc, out = run_cli(argv)
     assert rc == 64
@@ -263,7 +270,11 @@ def test_bad_budget_option_is_usage_error(argv, capsys):
     assert "expected a non-negative integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["-1", "deep"])
+@pytest.mark.parametrize("value", [
+    "-1", "deep",
+    pytest.param("+1", id="sign"), pytest.param("1_0", id="underscore"),
+    pytest.param(" 2", id="space"), pytest.param("\u0663", id="arabic-indic-digit"),
+])
 def test_bad_depth_env_is_usage_error(monkeypatch, capsys, value):
     monkeypatch.setenv("MUCAL_DEPTH", value)
     rc, out = run_cli(["prove", "--kb", "scenarios/lottery5.kb", "(exists (t) (win t))"])

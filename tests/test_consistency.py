@@ -5,7 +5,7 @@ import pytest
 
 from mucal.kb import parse_kb
 from mucal.logic import (
-    And, App, Atom, Const, Exists, Falsum, Forall, Iff, Implies, Not, Or, Var,
+    And, App, Atom, Believes, Const, Exists, Falsum, Forall, Iff, Implies, Not, Or, Var,
     Xor,
 )
 from mucal import models
@@ -316,8 +316,10 @@ def test_empty_sort_and_negated_connectives(text, want):
 @pytest.mark.parametrize("budget", [256, 10, 6, 3])
 def test_extending_a_grounding_matches_grounding_the_whole_set(budget):
     rng = random.Random(7070 + budget)
+    goal_rng = random.Random(9090 + budget)
     universe = ENCODING_KB.herbrand()
     seen = set()
+    refuted = 0
     for _ in range(300):
         prefix = tuple(random_premise(rng) for _ in range(rng.randrange(0, 4)))
         more = tuple(random_premise(rng) for _ in range(rng.randrange(0, 3)))
@@ -325,12 +327,20 @@ def test_extending_a_grounding_matches_grounding_the_whole_set(budget):
         before = list(base.clauses)
         got = models.consistent(more, budget, universe, base=base)
         assert got == models.consistent(prefix + more, budget, universe), (prefix, more)
+        # two goals, so that the second may be answered by the first's model
+        for goal in (random_formula(goal_rng, 0), random_formula(goal_rng, 0)):
+            cold = models.consistent(prefix + more + (Not(goal),), budget, universe)
+            out = base.refutes(more, goal, universe)
+            assert out or cold != models.CONSISTENT, (prefix, more, goal)
+            assert not out or cold != models.INCONSISTENT, (prefix, more, goal)
+            refuted += out
         assert base.solve() == models.consistent(prefix, budget, universe)
-        # neither solve appended to the prefix or changed a clause of it
+        # no solve appended to the prefix or changed a clause of it
         assert base.clauses == before
         seen.add(got)
     want = {models.CONSISTENT, models.INCONSISTENT}
     assert want <= seen if budget > 3 else models.UNKNOWN in seen
+    assert refuted
 
 
 def test_an_overflowing_prefix_stays_unknown():
@@ -368,6 +378,40 @@ def test_a_wider_universe_or_another_budget_grounds_cold():
     assert models.consistent((not_c3,), 256, universe=narrow, base=base) == models.CONSISTENT
     assert models.consistent((not_c3,), 256, universe=wide, base=base) == models.INCONSISTENT
     assert models.consistent((not_c3,), 1, narrow, base=base) == models.UNKNOWN
+
+
+def test_refutes_gates_modal_input_and_keeps_only_extension_models(monkeypatch):
+    solves = []
+    real = models._satisfiable
+    monkeypatch.setattr(models, "_satisfiable", lambda clauses: solves.append(1) or real(clauses))
+    narrow = dict(ENCODING_KB.herbrand())
+    wide = dict(narrow)
+    narrow["Few"] = narrow["Few"][:2]
+    p, q = (parse_formula(t, ENCODING_KB.sig) for t in ("(p)", "(q)"))
+    belief = Believes(Const("a", "Agent"), Const("now", "Moment"), p)
+    # a modal prefix, addition or goal is never refuted, and never solved
+    assert not models.Grounding((belief,), 256, narrow).refutes((), q, narrow)
+    every = parse_formula("(forall (y Few) (g y))", ENCODING_KB.sig)
+    base = models.Grounding((every,), 256, narrow)
+    assert not base.refutes((belief,), q, narrow)
+    assert not base.refutes((), Not(belief), narrow)
+    assert solves == []
+    # over a wider universe the whole set is grounded cold, and its model
+    # is not kept: it is not a model over the prefix's own universe
+    assert base.refutes((), p, wide)
+    assert len(solves) == 1 and not base.kept
+    assert base.refutes((), p, narrow)
+    assert len(solves) == 2 and len(base.kept) == 1
+    # the same check again is answered by the kept model
+    assert base.refutes((), p, narrow)
+    assert len(solves) == 2
+    # a kept model answers only over its own universe: with c3 the
+    # existential's negation contradicts the prefix
+    not_c3, some_not = (parse_formula(t, ENCODING_KB.sig)
+                        for t in ("(not (g c3))", "(exists (y Few) (not (g y)))"))
+    base = models.Grounding((not_c3,), 256, narrow)
+    assert base.refutes((), some_not, narrow) and len(base.kept) == 1
+    assert not base.refutes((), some_not, wide)
 
 
 def test_nested_belief_closure_reads_the_outer_order():

@@ -1,5 +1,6 @@
 """The revision search rejects a pair without a proof search when a ground
-model of the proof's premises falsifies the goal (`ReasonEngine._refuted`).
+model of the proof's premises falsifies the goal (`ReasonEngine._refuted`,
+which asks `models.Grounding.refutes`).
 
 That skip is exact only if the prover never proves what the models check
 refutes.  The agreement audit runs both on every consistent (additions,
@@ -7,9 +8,11 @@ removals) pair that the golden commands, the scenario knowledge bases and
 a generated corpus reach, and checks that no skipped pair has a proof.
 
 The same refutation gates `ReasonEngine.provable` and the propagation
-pass (`StrengthEngine._window_refutes`), a model kept from an earlier
-check can answer a refutation, and the rival test asks only for its
-verdict.  The skip audit checks each of those against the work it skips.
+pass, a model kept from an earlier check can answer a refutation, and the
+rival test asks only for its verdict.  The skip audit checks every
+refutation against the proof search it skips, every kept-model answer
+against a cold check, and every verdict-only comparison against the full
+verdict.
 """
 
 import importlib.util
@@ -26,7 +29,7 @@ from mucal.logic import (
     Not, Signature, StrengthLevel, collect_ground_terms, expand_sugar, formula_key,
 )
 from mucal.prover import prove
-from mucal.reasonable import ReasonEngine, _has_modal
+from mucal.reasonable import ReasonEngine
 from mucal.strength import StrengthEngine
 from mucal.syntax import parse_formula
 from conftest import DESK_SCENARIOS, SCENARIOS, scenario_path
@@ -70,7 +73,7 @@ class Audit:
             premises + (Not(content),), kb.params.consistency_depth,
             kb.universe(premises + (content,)),
         )
-        modal = _has_modal(premises + (content,))
+        modal = models._has_modal(premises + (content,))
         goal = f"{agent}@{moment}: {content}"
         assert not (proof is not None and skipped), goal
         assert proof is None or check_proof(proof, premises, content, sig=Signature())
@@ -288,15 +291,15 @@ def test_unknown_refutation_goes_to_the_prover(monkeypatch):
     )
     goal = parse_formula("(or (p) (forall (x Object) (q x)))", kb.sig)
     refutations = []
-    real = models.consistent
+    real = models.Grounding.solve
 
-    def consistent(premises, *args, **kwargs):
-        out = real(premises, *args, **kwargs)
-        if premises[-1:] == (Not(goal),):
+    def solve(g):
+        out = real(g)
+        if g.premises[-1:] == (Not(goal),):
             refutations.append(out)
         return out
 
-    monkeypatch.setattr(models, "consistent", consistent)
+    monkeypatch.setattr(models.Grounding, "solve", solve)
     engine = ReasonEngine(kb)
     w = engine.delta("a", "now", goal)
     # c1 ranks first and fails to prove; c2 proves
@@ -362,48 +365,49 @@ def test_addition_term_outside_the_frame_grounds_cold():
 
 class SkipAudit:
     """Wraps every gate that skips work on a countermodel or a verdict.
-    Each refutation is checked against the proof search it skips, each
-    check a kept model answers against the same check grounded cold, and
-    each verdict-only comparison against the full verdict of a second
-    engine on the same KB, so that the audit leaves the audited engine's
-    caches as they are."""
+    Each refutation (`models.Grounding.refutes`) is checked against the
+    proof search it skips, at the KB's proof depth, each check a kept model
+    answers against the same check grounded cold, and each verdict-only
+    comparison against the full verdict of a second engine on the same KB,
+    so that the audit leaves the audited engine's caches as they are."""
 
     def __init__(self, monkeypatch):
         self.provable = 0  # provable goals refuted
         self.windows = 0   # propagation conclusions refuted
         self.reused = 0    # checks a kept model answered
         self.verdicts = []  # the holds of each verdict-only comparison
+        self.kb = None     # the KB of the engine built last
         audit = self
         shadows = {}
-        refuted = ReasonEngine._refuted
-        window_refutes = StrengthEngine._window_refutes
-        kept = models.Grounding.kept_model_satisfies
+        init = ReasonEngine.__init__
+        refutes = models.Grounding.refutes
+        kept = models.Grounding._kept_model_satisfies
         more_reasonable = ReasonEngine.more_reasonable
 
-        def audited_refuted(engine, frame, goal, theta_forms):
-            out = refuted(engine, frame, goal, theta_forms)
-            if out and not theta_forms:  # the `provable` check
-                kb = engine.kb
-                res = prove(frame.head + kb.background(), goal.content,
-                            depth=kb.params.proof_depth, universe=goal.universe)
-                assert res.outcome != "proved", goal.content
-                audit.provable += 1
+        def audited_init(engine, kb):
+            init(engine, kb)
+            audit.kb = kb
+
+        def audited_refutes(g, additions, goal, universe):
+            out = refutes(g, additions, goal, universe)
+            if out:
+                premises = g.premises + tuple(expand_sugar(f) for f in additions)
+                res = prove(premises, goal, depth=audit.kb.params.proof_depth,
+                            universe=universe)
+                assert res.outcome != "proved", (premises, goal)
+                # counted by the method that asked: the propagation pass,
+                # or `_refuted` on behalf of `provable`
+                caller = sys._getframe(1)
+                if caller.f_code.co_name == "_rsb_pass":
+                    audit.windows += 1
+                elif caller.f_back.f_code.co_name == "provable":
+                    audit.provable += 1
             return out
 
-        def audited_window(engine, window, contents, conc):
-            out = window_refutes(engine, window, contents, conc)
+        def audited_kept(g, premises):
+            out = kept(g, premises)
             if out:
-                kb = engine.kb
-                res = prove(contents, conc, depth=kb.params.proof_depth,
-                            universe=kb.universe(contents + (conc,)))
-                assert res.outcome != "proved", (contents, conc)
-                audit.windows += 1
-            return out
-
-        def audited_kept(g, premises, universe):
-            out = kept(g, premises, universe)
-            if out:
-                cold = models.consistent(g.premises + tuple(premises), g.atom_budget, universe)
+                cold = models.consistent(g.premises + premises, g.atom_budget, g.universe)
                 assert cold != models.INCONSISTENT, premises
                 audit.reused += 1
             return out
@@ -418,9 +422,9 @@ class SkipAudit:
                 audit.verdicts.append(full.holds)
             return out
 
-        monkeypatch.setattr(ReasonEngine, "_refuted", audited_refuted)
-        monkeypatch.setattr(StrengthEngine, "_window_refutes", audited_window)
-        monkeypatch.setattr(models.Grounding, "kept_model_satisfies", audited_kept)
+        monkeypatch.setattr(ReasonEngine, "__init__", audited_init)
+        monkeypatch.setattr(models.Grounding, "refutes", audited_refutes)
+        monkeypatch.setattr(models.Grounding, "_kept_model_satisfies", audited_kept)
         monkeypatch.setattr(ReasonEngine, "more_reasonable", audited_more_reasonable)
 
 
