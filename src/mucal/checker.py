@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from .errors import CheckError
 from .logic import (
     And, Believes, Const, Exists, Falsum, Forall, Formula, Iff, Implies,
-    Not, Or, Perceives, Signature, collect_ground_terms, expand_sugar,
+    Not, Or, Perceives, Signature, Xor, collect_ground_terms, expand_sugar,
     formula_key, order_from_premises, substitute_unchecked,
 )
 from .prover import Proof, Step
@@ -128,6 +128,20 @@ def _check_step(i: int, step: Step, steps: tuple, gamma_keys: set,
             fail("input is not a conjunction")
         if not _eq(f, src.formula.args[k]):
             fail("output is not the selected conjunct")
+    elif rule == "xor_elim":
+        (src,) = ins
+        if not isinstance(src.formula, Xor):
+            fail("input is not an exclusive disjunction")
+        args = src.formula.args
+        if step.extra == ():
+            want = Or(args)
+        else:
+            i, j = step.extra
+            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < len(args)):
+                fail("no pair of operand positions")
+            want = Not(And((args[i], args[j])))
+        if not _eq(f, want):
+            fail("output is neither the disjunction nor the selected exclusion")
     elif rule == "and_intro":
         if not isinstance(f, And) or len(f.args) != len(ins):
             fail("arity mismatch")
@@ -177,7 +191,7 @@ def _check_step(i: int, step: Step, steps: tuple, gamma_keys: set,
             fail("right-to-left direction mismatch")
     elif rule == "neg_elim":
         pos, neg = ins
-        if not isinstance(f, Falsum):
+        if not _eq(f, Falsum()):
             fail("output must be falsum")
         if not _eq(neg.formula, Not(pos.formula)):
             fail("inputs are not complementary")
@@ -185,7 +199,7 @@ def _check_step(i: int, step: Step, steps: tuple, gamma_keys: set,
         sub, a = ins
         if a.rule != "assume":
             fail("second input must be an assumption")
-        if not isinstance(sub.formula, Falsum):
+        if not _eq(sub.formula, Falsum()):
             fail("subderivation must conclude falsum")
         if not _eq(f, Not(a.formula)):
             fail("output is not the negated assumption")
@@ -193,7 +207,7 @@ def _check_step(i: int, step: Step, steps: tuple, gamma_keys: set,
         sub, a = ins
         if a.rule != "assume":
             fail("second input must be an assumption")
-        if not isinstance(sub.formula, Falsum):
+        if not _eq(sub.formula, Falsum()):
             fail("subderivation must conclude falsum")
         if not _eq(a.formula, Not(f)):
             fail("assumption is not the negated output")
@@ -205,7 +219,7 @@ def _check_step(i: int, step: Step, steps: tuple, gamma_keys: set,
             fail("output mismatch")
     elif rule == "efq":
         (src,) = ins
-        if not isinstance(src.formula, Falsum):
+        if not _eq(src.formula, Falsum()):
             fail("input must be falsum")
     elif rule == "forall_elim":
         (src,) = ins

@@ -2,15 +2,18 @@
 
 The language is a multi-sorted first-order language over event-calculus
 function symbols, extended with three agent/moment-indexed operators:
-belief, perception and withholding.  Withholding and exclusive
-disjunction are definable sugar; :func:`expand_sugar` removes them.
+belief, perception and withholding.  Withholding is definable sugar;
+:func:`expand_sugar` removes it.  Exclusive disjunction stays whole from
+parse to proof: its identity is that of its pairwise expansion (the
+inclusive disjunction plus each pair's exclusion), computed from its
+operand keys without building the expansion.
 
 Term and formula nodes are interned: building a node equal to an existing
 one returns that node, so `==` is object identity.  `formula_key`, the one
 formula identity, is read off the sugar-free formula in one walk: and/or
 runs flattened and ordered, bound variables keyed by binder depth.  It
-stores its result on the node; the intern table is the one cache that
-lives as long as the process.
+stores its result on the node, as `has_modal` does its answer; the intern
+table is the one cache that lives as long as the process.
 """
 
 from __future__ import annotations
@@ -117,8 +120,8 @@ class Signature:
 # A node's hash is computed once, when it is created, as the hash of its
 # field tuple, so set and dict iteration orders are those of uninterned
 # nodes.  Each node also stores, the first time they are asked for, its
-# formula key, its sugar-free form and, for an and/or node, its run's
-# sorted operand keys.  The intern table is one dict per node class.
+# formula key, its sugar-free form and whether a modal node occurs in it.
+# The intern table is one dict per node class.
 
 _set = object.__setattr__
 
@@ -140,7 +143,7 @@ class _Node:
     """Base of the interned term and formula classes: read-only, equal
     only to itself, and rebuilt by pickle and copy as the interned node."""
 
-    __slots__ = ("_hash", "_fkey", "_plain")
+    __slots__ = ("_hash", "_fkey", "_plain", "_modal")
 
     def __init_subclass__(cls) -> None:
         cls._interned = {}
@@ -157,6 +160,7 @@ class _Node:
             _set(node, "_hash", hash(args))
             _set(node, "_fkey", None)
             _set(node, "_plain", None)
+            _set(node, "_modal", None)
             # publish the finished node; a thread that built an equal node
             # first wins, so equal fields still give one object
             node = cls._interned.setdefault(args, node)
@@ -302,7 +306,7 @@ class Iff(_Node):
 
 class Xor(_Node):
     __slots__ = ("args",)
-    args: tuple  # sugar: pairwise-exclusive disjunction
+    args: tuple  # exactly one operand holds
 
 
 class Forall(_Node):
@@ -511,11 +515,11 @@ def _fresh_var(v: Var, avoid: frozenset) -> Var:
 
 
 def expand_sugar(f: Formula) -> Formula:
-    """Remove withholding and exclusive-disjunction nodes.
+    """Remove withholding nodes.
 
-    Withholding unfolds to the conjunction of the two negated beliefs;
-    exclusive disjunction to the inclusive disjunction plus pairwise
-    exclusion.  Idempotent.  The result is stored on the node.
+    Withholding unfolds to the conjunction of the two negated beliefs.
+    Every other node keeps its kind, exclusive disjunction included, over
+    sugar-free operands.  Idempotent.  The result is stored on the node.
     """
     got = f._plain
     if got is not None:
@@ -526,13 +530,19 @@ def expand_sugar(f: Formula) -> Formula:
             Not(Believes(f.agent, f.moment, body)),
             Not(Believes(f.agent, f.moment, Not(body))),
         ))
-    elif isinstance(f, Xor):
-        args = tuple(expand_sugar(a) for a in f.args)
-        pairs = tuple(Not(And((a, b))) for a, b in itertools.combinations(args, 2))
-        got = And((Or(args),) + pairs)
     else:
         got = rebuild(f, tuple(expand_sugar(c) for c in children(f)))
     _set(f, "_plain", got)
+    return got
+
+
+def has_modal(f: Formula) -> bool:
+    """Whether a belief, perception or withholding node occurs in f.  The
+    answer is stored on each node the walk visits."""
+    got = f._modal
+    if got is None:
+        got = isinstance(f, MODAL) or any(has_modal(c) for c in children(f))
+        _set(f, "_modal", got)
     return got
 
 
@@ -636,7 +646,10 @@ def _check_formula(f: Formula, sig: Signature, env: dict) -> None:
 # identity (probability table, cited premises, revision pools, belief
 # store, proof replay).  It is read off the sugar-free formula in one walk.
 # A run of nested and/or nodes is flattened, a one-operand node standing
-# for its operand, and the operand keys are sorted.  A bound variable is
+# for its operand, and the operand keys are sorted.  An exclusive
+# disjunction is keyed as its pairwise expansion, the conjunction of its
+# inclusive disjunction and of `(not (and a b))` for each pair of operand
+# positions, so its conjuncts join an enclosing and-run.  A bound variable is
 # keyed by the depth of its binder (its de Bruijn level), so renaming
 # binders keeps the key; operands are keyed inside their binders, so the
 # order of a run never depends on a bound variable's name.
@@ -660,7 +673,7 @@ def _key(f: Formula, depth: dict, level: int) -> str:
         key = "false"
     elif isinstance(f, Not):
         key = "n(" + _key(f.body, depth, level) + ")"
-    elif isinstance(f, (And, Or)):
+    elif isinstance(f, NARY):
         key = _run_key(*_run(f, depth, level))
     elif isinstance(f, BINARY):
         key = _TAGS[type(f)] + "(" + _key(f.left, depth, level) + "," + _key(f.right, depth, level) + ")"
@@ -676,19 +689,25 @@ def _key(f: Formula, depth: dict, level: int) -> str:
     return key
 
 
-def _run(f: And | Or, depth: dict, level: int) -> tuple:
+def _run(f: And | Or | Xor, depth: dict, level: int) -> tuple:
     """The flattened and/or run rooted at f as (connective, sorted operand
-    keys).  A run of one operand is that operand: its own run when it is an
-    and/or node, else (None, (its key,))."""
-    kind = type(f)
+    keys); an exclusive disjunction roots the and-run of its expansion.  A
+    run of one operand is that operand: its own run when it is an and/or
+    node, else (None, (its key,))."""
+    kind = And if type(f) is Xor else type(f)
     keys: list = []
     sole = None  # the run of the last and/or operand kept as one key
-    stack = list(f.args)
+    stack = [f]
     while stack:
         a = stack.pop()
         if type(a) is kind:
             stack.extend(a.args)
-        elif isinstance(a, (And, Or)):
+        elif type(a) is Xor and kind is And:
+            if len(a.args) > 1:
+                keys.extend(_exclusion_keys(a.args, depth, level))
+                sole = None
+            stack.append(Or(a.args))
+        elif isinstance(a, NARY):
             sub = _run(a, depth, level)
             if sub[0] is kind:  # a one-operand node standing for a run of this kind
                 keys.extend(sub[1])
@@ -702,6 +721,16 @@ def _run(f: And | Or, depth: dict, level: int) -> tuple:
         return sole or (None, tuple(keys))
     keys.sort()
     return kind, tuple(keys)
+
+
+def _exclusion_keys(args: tuple, depth: dict, level: int) -> list:
+    """The keys of `(not (and a b))` for each pair of operand positions.
+    Built from the operand keys, without the exclusion nodes, unless an
+    operand is an and/or/xor node, whose run the pair's conjunction joins."""
+    if any(isinstance(a, NARY) for a in args):
+        return [_key(Not(And(pair)), depth, level) for pair in itertools.combinations(args, 2)]
+    keys = sorted(_key(a, depth, level) for a in args)
+    return ["n(and(" + a + "," + b + "))" for a, b in itertools.combinations(keys, 2)]
 
 
 def _run_key(kind: type | None, keys: tuple) -> str:

@@ -7,8 +7,9 @@ directly, and each nested subformula gets a fresh variable with only the
 implication its polarity needs (Plaisted & Greenbaum), so the clause set
 is satisfiable exactly when the premises have a ground model.  An
 iterative DPLL search with two watched literals per clause and no clause
-learning (`_satisfiable`) decides it.  The search space is finite, so a
-satisfying assignment means consistent and exhaustion means inconsistent;
+learning (`_satisfiable`) decides it, branching on the grounding's atoms
+before any fresh variable.  The search space is finite, so a satisfying
+assignment means consistent and exhaustion means inconsistent;
 "unknown" arises only when grounding would exceed the atom budget or visit
 more than `_NODE_CAP` nodes (or the instance is not finitely ground).
 
@@ -44,12 +45,12 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from collections.abc import Iterable
 from copy import copy
-from itertools import chain
+from itertools import chain, combinations
 from operator import neg
 
 from .logic import (
-    MODAL, And, Atom, Believes, Exists, Falsum, Forall, Formula, Iff, Implies,
-    Not, Or, Perceives, children, expand_sugar, formula_key, held_content,
+    And, Atom, Believes, Exists, Falsum, Forall, Formula, Iff, Implies,
+    Not, Or, Perceives, Xor, expand_sugar, formula_key, has_modal, held_content,
     order_from_premises, quote_modal, substitute_unchecked,
 )
 
@@ -78,8 +79,9 @@ class Grounding:
     negation flips the sign; an atom or a belief or perception becomes a
     literal; every other node becomes a conjunctive or a disjunctive list
     of signed operands (falsum is the empty disjunction, a quantifier's
-    operands are its instances over the universe, and an `iff` is the
-    conjunction of its two implications).  A top-level conjunction asserts
+    operands are its instances over the universe, an `iff` is the
+    conjunction of its two implications, and an `xor` has the shape of its
+    pairwise expansion).  A top-level conjunction asserts
     each conjunct and a disjunction is one clause, with nested disjunctions
     flattened into it; any other nested subformula gets a fresh variable
     and only the implication from that variable to it.  The clause set is
@@ -95,6 +97,8 @@ class Grounding:
     `kept` holds up to `_KEPT` models, newest first, each with a memo of
     the premises evaluated in it: the satisfying assignment of each solve
     that found one, and those of the extensions `refutes` found consistent.
+    `modal` says whether a belief, perception or withholding node occurs
+    in a premise.
     """
 
     def __init__(self, premises: Iterable[Formula], atom_budget: int, universe: dict):
@@ -108,12 +112,13 @@ class Grounding:
         self.top = 0  # the highest variable in use
         self.nodes = 0
         self.overflow = False
-        self.modal: bool | None = None  # a premise has a modal node; None until `refutes` asks
+        self.modal = False
         self.kept: deque = deque(maxlen=_KEPT)
         self._ground(prems)
 
     def _ground(self, prems: tuple) -> None:
         self.premises += prems
+        self.modal = self.modal or _has_modal(prems)
         if self.overflow:
             return
         try:
@@ -128,7 +133,7 @@ class Grounding:
         g.atoms = dict(self.atoms)
         g.beliefs = dict(self.beliefs)
         g.clauses = list(self.clauses)
-        g.kept, g.modal = deque(maxlen=_KEPT), None
+        g.kept = deque(maxlen=_KEPT)
         g._ground(tuple(expand_sugar(p) for p in premises))
         return g
 
@@ -140,7 +145,7 @@ class Grounding:
         if self.overflow:
             return UNKNOWN
         pins = [(self.atoms[key],) for key in _entailed_belief_keys(self, depth, order)]
-        model = _satisfiable(chain(self.clauses, pins))
+        model = _satisfiable(chain(self.clauses, pins), self.atoms.values())
         if model is None:
             return INCONSISTENT
         self.kept.appendleft((self.atoms, model, {}))
@@ -159,17 +164,14 @@ class Grounding:
         `universe` in which `goal` is false, under this atom budget.
 
         False on a belief, perception or withholding node anywhere, where
-        the prover's belief closure reads more than the model search pins
-        (the premises are walked for one on the first call only), and
-        where the full check is inconsistent or unknown.  A kept model
+        the prover's belief closure reads more than the model search pins,
+        and where the full check is inconsistent or unknown.  A kept model
         that makes the additions and the negated goal true answers first,
         over this grounding's own universe only; otherwise they are
         grounded into an extension (or, over another universe, the whole
         set cold) and solved, and the extension's model is kept.
         """
         checked = tuple(expand_sugar(f) for f in additions) + (Not(expand_sugar(goal)),)
-        if self.modal is None:
-            self.modal = _has_modal(self.premises)
         if self.modal or _has_modal(checked):
             return False
         base = self._over(self.atom_budget, universe)
@@ -235,13 +237,19 @@ class Grounding:
             return not sign, [(f.left, not sign), (f.right, sign)]
         elif isinstance(f, Iff):
             return sign, [(Implies(f.left, f.right), sign), (Implies(f.right, f.left), sign)]
+        elif isinstance(f, Xor):
+            # the inclusive disjunction, and each pair's conjunction under
+            # the flipped sign, as for a negated conjunction
+            return sign, [(Or(f.args), sign)] + [
+                (And(pair), not sign) for pair in combinations(f.args, 2)]
         elif isinstance(f, (Forall, Exists)):
             terms = self.universe.get(f.var.sort, ())
             return isinstance(f, Forall) == sign, (
                 (substitute_unchecked(f.body, f.var, t), sign) for t in terms
             )
         else:
-            raise _Overflow()  # unexpanded sugar should not reach here
+            # withholding, which `expand_sugar` removes, should not reach here
+            raise _Overflow()
         v = self.atoms.get(key)
         if v is None:
             if len(self.atoms) >= self.atom_budget:
@@ -298,6 +306,15 @@ def _holds(f: Formula, atoms: dict, model: list, universe: dict) -> bool:
         return all(_holds(a, atoms, model, universe) for a in f.args)
     if isinstance(f, Or):
         return any(_holds(a, atoms, model, universe) for a in f.args)
+    if isinstance(f, Xor):
+        # exactly one operand position is true; the walk stops at a second
+        one = False
+        for a in f.args:
+            if _holds(a, atoms, model, universe):
+                if one:
+                    return False
+                one = True
+        return one
     if isinstance(f, Implies):
         return (not _holds(f.left, atoms, model, universe)
                 or _holds(f.right, atoms, model, universe))
@@ -313,19 +330,25 @@ def _holds(f: Formula, atoms: dict, model: list, universe: dict) -> bool:
     raise _Open()  # a belief or perception node
 
 
-def _satisfiable(clauses: Iterable[tuple]) -> list | None:
+def _satisfiable(clauses: Iterable[tuple], atoms: Iterable[int] = ()) -> list | None:
     """Complete DPLL over integer-literal clauses, without clause learning:
     a satisfying assignment, or None when there is none.
 
     Two watched literals per clause (Moskewicz et al., "Chaff", DAC 2001):
     unit propagation visits only the clauses watching the literal just made
     false, and backtracking unassigns the trail, so no clause list or
-    assignment is copied.  The search branches on the lowest open
-    variable, true first.  The assignment is a list indexed by literal, as
-    the search keeps it: 1 true, -1 false, 0 open.  It covers the variables
-    up to the highest one in a clause the search must satisfy; only a
-    variable that occurs in no clause, or only in clauses holding both its
-    literals, is open or beyond it.
+    assignment is copied.  The search branches on the lowest open variable
+    of `atoms`, then on the lowest open other variable, true first.  When
+    each clause holds at most one negative literal of a variable outside
+    `atoms`, as a `Grounding`'s clauses do, no conflict arises once every
+    atom is assigned: each clause still open has an open positive literal
+    of such a variable, so setting those true satisfies every clause.  The
+    search then backtracks over at most 2^len(atoms) leaves.  The
+    assignment is a list indexed by literal, as the search keeps it: 1
+    true, -1 false, 0 open.  It covers the variables up to the highest one
+    in a clause the search must satisfy; only a variable that occurs in no
+    clause, or only in clauses holding both its literals, is open or
+    beyond it.
     """
     units: list = []
     watched: list = []
@@ -338,8 +361,10 @@ def _satisfiable(clauses: Iterable[tuple]) -> list | None:
             units.append(c[0])
         else:
             return None
-    order = sorted(set(map(abs, chain.from_iterable(watched))))
-    top = max(order[-1:] + [abs(l) for l in units], default=0)
+    occurring = set(map(abs, chain.from_iterable(watched)))
+    first = occurring.intersection(atoms)
+    order = sorted(first) + sorted(occurring - first)
+    top = max(chain(occurring, map(abs, units)), default=0)
     # value[l] is 1 when literal l is true, -1 when false, 0 when open; a
     # negative l indexes from the end, clear of every positive one
     value = [0] * (2 * top + 1)
@@ -436,13 +461,7 @@ def consistent(
 
 def _has_modal(formulas) -> bool:
     """Whether a belief, perception or withholding node occurs anywhere."""
-    todo = list(formulas)
-    while todo:
-        f = todo.pop()
-        if isinstance(f, MODAL):
-            return True
-        todo += children(f)
-    return False
+    return any(map(has_modal, formulas))
 
 
 def _entailed_belief_keys(g: Grounding, depth: int, order) -> list:

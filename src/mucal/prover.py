@@ -2,10 +2,11 @@
 language, with replayable proof objects.
 
 Search shape: premises are saturated forward with the elimination rules
-(conjunction, implication, ground universal instantiation, perception
-lifting, contradiction detection); goals are decomposed backward with the
-introduction rules; case splits over disjunctive or existential premises
-and reductio consume the depth budget.  Iterative deepening over that
+(conjunction, exclusive disjunction, implication, ground universal
+instantiation, perception lifting, contradiction detection); goals are
+decomposed backward with the introduction rules; case splits over
+disjunctive or existential premises and reductio consume the depth
+budget.  Iterative deepening over that
 budget keeps results deterministic and near-minimal.
 
 Quantifier reasoning is ground: instantiation and case analysis range
@@ -19,10 +20,11 @@ fresh sub-search.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .logic import (
     And, Atom, Believes, Const, Exists, Falsum, Forall, Formula, FrozenRecord, Iff,
-    Implies, Not, Or, Perceives, expand_sugar,
+    Implies, Not, Or, Perceives, Xor, expand_sugar,
     formula_key, held_content, negation_of, order_from_premises,
     substitute_unchecked, symbols,
 )
@@ -102,15 +104,82 @@ class _Base:
     """The saturated premise nodes of one search, shared by every
     environment of that search, with the sorted keys of its split
     candidates (`Or`, `Exists`) and of its `Believes` nodes.  Its falsum
-    index (`falsum_index`) is built on the search's first falsum query."""
+    index (`falsum_index`) is built on the search's first falsum query.
 
-    __slots__ = ("nodes", "splits", "beliefs", "_falsum")
+    An exclusive disjunction over two or more atoms that the base
+    saturation meets is kept whole, as in the set-of-support strategy
+    (Wos, Robinson & Carson, JACM 1965).  From then on each of its
+    exclusions `(not (and a b))` is in the base, but it becomes a node
+    only when a lookup asks for its key (`get`) or when a and b are both
+    present (`pair_up`): an exclusion that is not a node is blocked from
+    the falsum step (`_absent_needs`), and every other use of a present
+    node is a key lookup."""
 
-    def __init__(self, nodes: dict):
-        self.nodes = nodes
-        self.splits = _sorted_keys(nodes, (Or, Exists))
-        self.beliefs = _sorted_keys(nodes, Believes)
+    __slots__ = ("nodes", "splits", "beliefs", "_falsum", "_xors", "_operands")
+
+    def __init__(self):
+        self.nodes: dict = {}
+        self.splits: list = []
+        self.beliefs: list = []
         self._falsum: tuple | None = None
+        self._xors: dict = {}  # operand key -> [(xor node, position)], xors in the order met
+        self._operands: dict = {}  # xor node -> its operand keys
+
+    def index(self) -> None:
+        """Sort the split candidates and beliefs, once saturation ends."""
+        self.splits = _sorted_keys(self.nodes, (Or, Exists))
+        self.beliefs = _sorted_keys(self.nodes, Believes)
+
+    def get(self, key: str) -> _Node | None:
+        got = self.nodes.get(key)
+        if got is None and self._xors and key.startswith("n(and(a("):
+            pair = _exclusion_pair(key)
+            if pair is not None:
+                got = self._exclusion(key, *pair)
+        return got
+
+    def keep_whole(self, xor: _Node, present) -> None:
+        """Register an exclusive disjunction over atoms, and make a node of
+        each exclusion whose two operands `present` holds."""
+        keys = [formula_key(a) for a in xor.formula.args]
+        self._operands[xor] = keys
+        for pos, k in enumerate(keys):
+            self._xors.setdefault(k, []).append((xor, pos))
+        for k in dict.fromkeys(keys):
+            if present(k):
+                self.pair_up(k, present)
+
+    def pair_up(self, key: str, present) -> None:
+        """Make a node of each exclusion between the operand `key` and an
+        operand that `present` (a key test) holds."""
+        for xor, pos in self._xors.get(key, ()):
+            for q, other in enumerate(self._operands[xor]):
+                if q != pos and present(other):
+                    self.get(_exclusion_key(key, other))
+
+    def _exclusion(self, key: str, a: str, b: str) -> _Node | None:
+        """The exclusion of operands keyed a and b, as the first xor met
+        that has both derives it (at its first pair of positions), added to
+        the base; None when no xor has both."""
+        for xor, _ in self._xors.get(a, ()):
+            keys = self._operands[xor]
+            at_a = [i for i, k in enumerate(keys) if k == a]
+            at_b = [j for j, k in enumerate(keys) if k == b]
+            pairs = [(min(i, j), max(i, j)) for i in at_a for j in at_b if i != j]
+            if pairs:
+                i, j = min(pairs)
+                args = xor.formula.args
+                node = _Node("xor_elim", (xor,), Not(And((args[i], args[j]))),
+                             extra=(i, j), key=key)
+                self.nodes[key] = node
+                if self._falsum is not None:
+                    # made after the base saturated, it is blocked there: a
+                    # base holding both atoms, or their conjunction, made it then
+                    waiting = self._falsum[1]
+                    for need in _absent_needs(node.formula.body, self.nodes, {}):
+                        waiting.setdefault(need, []).append(node)
+                return node
+        return None
 
     def falsum_index(self) -> tuple:
         """The sorted keys of the negations that can close falsum at budget
@@ -128,6 +197,37 @@ class _Base:
             unblocked.sort()
             self._falsum = (unblocked, waiting)
         return self._falsum
+
+
+def _exclusion_key(a: str, b: str) -> str:
+    """The key of `(not (and x y))` for atoms x and y keyed a and b."""
+    return "n(and(" + min(a, b) + "," + max(a, b) + "))"
+
+
+def _exclusion_pair(key: str) -> tuple | None:
+    """The two atom keys of a key that starts like `_exclusion_key`'s
+    and has its shape, else None.  The first atom key ends at the
+    parenthesis that closes it."""
+    depth = 0
+    for end in range(7, len(key)):
+        c = key[end]
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+            if depth == 0:
+                break
+    rest = key[end + 1:]
+    if not (rest.startswith(",a(") and rest.endswith("))")):
+        return None
+    return key[6:end + 1], rest[1:-2]
+
+
+def _xor_conjuncts(f: Xor) -> tuple:
+    """The conjuncts of an exclusive disjunction's pairwise expansion: its
+    inclusive disjunction, then each pair's exclusion.  Proving an xor as a
+    goal or as an antecedent needs every one of them."""
+    return (Or(f.args),) + tuple(Not(And(p)) for p in combinations(f.args, 2))
 
 
 def _sorted_keys(nodes: dict, kinds) -> list:
@@ -158,7 +258,7 @@ class _Env:
         self.imps = imps
 
     def get(self, key: str) -> _Node | None:
-        return self.own.get(key) or self.base.nodes.get(key)
+        return self.own.get(key) or self.base.get(key)
 
     def splits(self) -> list:
         return self._merged(self.base.splits, _sorted_keys(self.own, (Or, Exists)))
@@ -226,25 +326,27 @@ class _Search:
     # -- forward saturation ------------------------------------------------
 
     def base_env(self) -> _Env:
-        nodes: dict = {}
+        base = _Base()
+        nodes = base.nodes
         new = []
         for g in self.gamma:
             n = _Node("premise", (), g)
             if n.key not in nodes:
                 nodes[n.key] = n
                 new.append(n)
-        imps = self._saturate({}, nodes, new, [])
-        return _Env(_Base(nodes), {}, imps)
+        imps = self._saturate(base, nodes, new, [])
+        base.index()
+        return _Env(base, {}, imps)
 
     def extend(self, env: _Env, formulas: tuple):
-        base = env.base.nodes
+        base = env.base
         own = dict(env.own)
         assumes = []
         new = []
         for f in formulas:
             n = _Node("assume", (), f, assumptions=frozenset())
             n.assumptions = frozenset([n])
-            if n.key not in own and n.key not in base:
+            if n.key not in own and base.get(n.key) is None:
                 # an already-derived fact needs no assumption; the fresh
                 # assume node still stands in for discharge bookkeeping
                 own[n.key] = n
@@ -253,11 +355,12 @@ class _Search:
         imps = self._saturate(base, own, new, env.imps)
         return _Env(env.base, own, imps), assumes
 
-    def _saturate(self, base: dict, own: dict, new: list, imps: list) -> list:
+    def _saturate(self, base: _Base, own: dict, new: list, imps: list) -> list:
         """Saturate `own` over `base` from the `new` nodes, adding to `own`
-        only keys that neither layer has; `imps` lists the implication
-        nodes already in the layers before `new`.  Returns the
-        implication list of the result."""
+        only keys that neither layer has; `own` is `base.nodes` itself
+        while the base is built.  `imps` lists the implication nodes
+        already in the layers before `new`.  Returns the implication list
+        of the result."""
         kept = list(imps)
         # a new implication is on the firing list from the start and again
         # once processed; the firing order decides which nodes, and so
@@ -265,12 +368,19 @@ class _Search:
         imps = imps + [n for n in new if isinstance(n.formula, Implies)]
         work = list(new)
         idx = 0
+        building = own is base.nodes
+
+        def get(key: str) -> _Node | None:
+            return own.get(key) or base.get(key)
+
+        def present(key: str) -> bool:  # for an atom key, never an exclusion's
+            return key in own or key in base.nodes
 
         def add(node: _Node) -> None:
-            if len(base) + len(own) > _SATURATION_CAP:
+            if len(own) + (0 if building else len(base.nodes)) > _SATURATION_CAP:
                 self.overflow = True
                 return
-            if node.key in own or node.key in base:
+            if get(node.key) is not None:
                 return
             own[node.key] = node
             work.append(node)
@@ -284,6 +394,20 @@ class _Search:
                     if self.overflow:
                         break
                     add(_Node("and_elim", (n,), arg, extra=(k,)))
+            elif isinstance(f, Xor):
+                add(_Node("xor_elim", (n,), Or(f.args)))
+                if building and len(f.args) > 1 and all(isinstance(a, Atom) for a in f.args):
+                    base.keep_whole(n, present)
+                    # an exclusion whose (and a b) is present is processed,
+                    # in pair order, as the expansion's conjunct would be
+                    met = [base.get("n(" + k + ")") for k in list(own) if k.startswith("and(a(")]
+                    work += sorted((e for e in met if e is not None and e.inputs[0] is n),
+                                   key=lambda e: e.extra)
+                else:
+                    for (i, a), (j, b) in combinations(enumerate(f.args), 2):
+                        if self.overflow:
+                            break
+                        add(_Node("xor_elim", (n,), Not(And((a, b))), extra=(i, j)))
             elif isinstance(f, Iff):
                 add(_Node("iff_elim", (n,), Implies(f.left, f.right), extra=("lr",)))
                 add(_Node("iff_elim", (n,), Implies(f.right, f.left), extra=("rl",)))
@@ -296,10 +420,12 @@ class _Search:
                 kept.append(n)
             elif isinstance(f, Perceives):
                 self._lift_percept(n, add)
-            # contradiction detection
-            neg_key = formula_key(negation_of(f))
-            partner = own.get(neg_key) or base.get(neg_key)
-            if partner is not None and _FALSE_KEY not in own and _FALSE_KEY not in base:
+            if n.key in base._xors:
+                base.pair_up(n.key, present)
+            # contradiction detection; a negation's key wraps its body's,
+            # so no negation node is built to look it up
+            partner = get(formula_key(f.body) if isinstance(f, Not) else "n(" + n.key + ")")
+            if partner is not None and get(_FALSE_KEY) is None:
                 pos, negn = (partner, n) if isinstance(f, Not) else (n, partner)
                 add(_Node("neg_elim", (pos, negn), Falsum()))
             # implication firing
@@ -307,12 +433,11 @@ class _Search:
             while fired:
                 fired = False
                 for imp in list(imps):
-                    if imp.key not in own and imp.key not in base:
+                    if imp.key not in own and imp.key not in base.nodes:
                         continue
-                    out_key = formula_key(imp.formula.right)
-                    if out_key in own or out_key in base:
+                    if get(formula_key(imp.formula.right)) is not None:
                         continue
-                    ante = self._antecedent_node(imp.formula.left, base, own)
+                    ante = self._antecedent_node(imp.formula.left, get, own)
                     if ante is not None:
                         add(_Node("imp_elim", (imp, ante), imp.formula.right))
                         fired = True
@@ -320,15 +445,17 @@ class _Search:
                 break
         return kept
 
-    def _antecedent_node(self, ante: Formula, base: dict, own: dict) -> _Node | None:
+    def _antecedent_node(self, ante: Formula, get, own: dict) -> _Node | None:
         key = formula_key(ante)
-        got = own.get(key) or base.get(key)
+        got = get(key)
         if got is not None:
             return got
-        if isinstance(ante, And):
-            parts = [own.get(k) or base.get(k) for k in map(formula_key, ante.args)]
+        conj = ante.args if isinstance(ante, And) else (
+            _xor_conjuncts(ante) if isinstance(ante, Xor) else None)
+        if conj is not None:
+            parts = [get(k) for k in map(formula_key, conj)]
             if all(p is not None for p in parts):
-                n = _Node("and_intro", tuple(parts), ante)
+                n = _Node("and_intro", tuple(parts), And(conj), key=key)
                 own[n.key] = n
                 return n
         return None
@@ -406,16 +533,17 @@ class _Search:
                 sub = self.prove(env, n.formula.body, 0, seen, splits)
                 if sub is not None:
                     return _Node("neg_elim", (sub, n), Falsum())
-        elif isinstance(goal, And):
+        elif isinstance(goal, (And, Xor)):
+            conj = goal.args if isinstance(goal, And) else _xor_conjuncts(goal)
             parts = []
-            for arg in goal.args:
+            for arg in conj:
                 sub = self.prove(env, arg, budget, seen, splits)
                 if sub is None:
                     parts = None
                     break
                 parts.append(sub)
             if parts is not None:
-                return _Node("and_intro", tuple(parts), goal)
+                return _Node("and_intro", tuple(parts), And(conj), key=key)
         elif isinstance(goal, Or):
             for arg in goal.args:
                 sub = self.prove(env, arg, budget, seen, splits)

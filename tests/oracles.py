@@ -12,11 +12,22 @@ from itertools import combinations, product
 
 from mucal.logic import (
     And, Atom, Believes, Exists, Falsum, Forall, Iff, Implies, Not, Or,
-    Perceives, expand_sugar, formula_key, quote_modal, substitute_unchecked,
-    weight,
+    Perceives, Xor, children, expand_sugar, formula_key, quote_modal, rebuild,
+    substitute_unchecked, weight,
 )
 from mucal.prover import projection, prove
 from mucal import models
+
+
+def ref_expand(f):
+    """f with every exclusive disjunction replaced by its pairwise
+    expansion, the conjunction of the inclusive disjunction and of
+    `(not (and a b))` for each pair of operand positions, and withholding
+    unfolded: the reference for the identity and the proofs of an xor."""
+    kids = tuple(ref_expand(c) for c in children(f))
+    if isinstance(f, Xor):
+        return And((Or(kids),) + tuple(Not(And(pair)) for pair in combinations(kids, 2)))
+    return expand_sugar(rebuild(f, kids))
 
 
 def atom_key(f) -> str:
@@ -33,7 +44,7 @@ def collect_atoms(f, universe, acc) -> None:
         acc.add(atom_key(f))
     elif isinstance(f, Not):
         collect_atoms(f.body, universe, acc)
-    elif isinstance(f, (And, Or)):
+    elif isinstance(f, (And, Or, Xor)):
         for a in f.args:
             collect_atoms(a, universe, acc)
     elif isinstance(f, (Implies, Iff)):
@@ -57,6 +68,8 @@ def holds_in(f, assignment, universe) -> bool:
         return all(holds_in(a, assignment, universe) for a in f.args)
     if isinstance(f, Or):
         return any(holds_in(a, assignment, universe) for a in f.args)
+    if isinstance(f, Xor):
+        return sum(holds_in(a, assignment, universe) for a in f.args) == 1
     if isinstance(f, Implies):
         return (not holds_in(f.left, assignment, universe)) or holds_in(
             f.right, assignment, universe

@@ -5,7 +5,8 @@ import pytest
 from mucal.checker import check_proof
 from mucal.errors import CheckError
 from mucal.logic import (
-    BUILTIN_SORTS, App, Atom, Believes, Const, Falsum, Not, Signature, collect_ground_terms,
+    BUILTIN_SORTS, And, App, Atom, Believes, Const, Falsum, Not, Or, Signature, Xor,
+    collect_ground_terms,
 )
 from mucal.prover import Proof, Step, prove, projection
 from mucal.kb import parse_kb
@@ -13,6 +14,8 @@ from mucal.syntax import parse_formula
 from conftest import builtin_universe
 
 P = Atom(App("p", (), "Boolean"))
+Q = Atom(App("q", (), "Boolean"))
+R = Atom(App("r", (), "Boolean"))
 
 
 def replace(record, **changes):
@@ -261,3 +264,42 @@ def test_checker_rejects_a_universe_that_omits_a_premise_term(
     ), depth=0, universe=tuple(universe.items()))
     with pytest.raises(CheckError, match=f"universe omits ground term of sort {sort}"):
         check_proof(forged, gamma, goal, sig=kb.sig)
+
+
+# ---------------------------------------------------------------------------
+# xor_elim: the inclusive disjunction, or one pair's exclusion
+
+PQR = Xor((P, Q, R))
+
+
+def _xor_elim_proof(src, out, extra):
+    """premise `src`, then one xor_elim step from it to `out`."""
+    return Proof(goal=out, premises_used=(src,), steps=(
+        Step("premise", (), src, (), ()),
+        Step("xor_elim", (0,), out, (), extra),
+    ), depth=0, universe=())
+
+
+@pytest.mark.parametrize("out, extra", [
+    (Or((P, Q, R)), ()),
+    (Not(And((P, R))), (0, 2)),
+    (Not(And((Q, R))), (1, 2)),
+])
+def test_checker_accepts_xor_elim(out, extra):
+    assert check_proof(_xor_elim_proof(PQR, out, extra), (PQR,), out, sig=Signature())
+
+
+@pytest.mark.parametrize("src, out, extra, why", [
+    (PQR, Not(And((P, P))), (0, 0), "no pair of operand positions"),
+    (PQR, Not(And((Q, P))), (1, 0), "no pair of operand positions"),
+    (PQR, Not(And((P, R))), (0, 3), "no pair of operand positions"),
+    (PQR, Not(And((P, R))), (-3, 2), "no pair of operand positions"),
+    (PQR, Not(And((P, R))), (0, 1), "neither the disjunction nor the selected exclusion"),
+    (Or((P, Q, R)), Or((P, Q, R)), (), "input is not an exclusive disjunction"),
+    (And((P, Q, R)), Not(And((P, Q))), (0, 1), "input is not an exclusive disjunction"),
+    (PQR, Or((P, Q)), (), "neither the disjunction nor the selected exclusion"),
+    (PQR, Or((P, Q, R, P)), (), "neither the disjunction nor the selected exclusion"),
+])
+def test_checker_rejects_a_forged_xor_elim(src, out, extra, why):
+    with pytest.raises(CheckError, match=why):
+        check_proof(_xor_elim_proof(src, out, extra), (src,), out, sig=Signature())

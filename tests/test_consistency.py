@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 
 import pytest
 
@@ -350,6 +351,66 @@ def test_an_overflowing_prefix_stays_unknown():
     assert models.consistent((Falsum(),), 3, universe, base=base) == models.UNKNOWN
 
 
+class _Deadline:
+    """Raise TimeoutError in the main thread once `seconds` pass."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def __enter__(self):
+        def expire(*_):
+            raise TimeoutError(f"past {self.seconds} s")
+        self.old = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, self.seconds)
+
+    def __exit__(self, *exc):
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, self.old)
+
+
+def test_solver_answers_an_instance_that_stalled_lowest_variable_branching():
+    # the premise sets of the extension test at budget 10, with depth-2
+    # goals: at iteration 144 the cold check with the second goal (201
+    # clauses, 159 variables, 7 atoms) ran for minutes when the solver
+    # branched on the lowest variable, usually a fresh one
+    rng, goal_rng = random.Random(7080), random.Random(9100)
+    universe = ENCODING_KB.herbrand()
+    for _ in range(145):
+        prefix = tuple(random_premise(rng) for _ in range(rng.randrange(0, 4)))
+        more = tuple(random_premise(rng) for _ in range(rng.randrange(0, 3)))
+        goals = (random_formula(goal_rng, 2), random_formula(goal_rng, 2))
+    premises = prefix + more + (Not(goals[1]),)
+    g = models.Grounding(premises, 10, universe)
+    assert (len(g.clauses), g.top, len(g.atoms)) == (201, 159, 7)
+    with _Deadline(0.1):
+        got = g.solve()
+    assert got == models.CONSISTENT
+    assert truth_table_consistent(premises, universe) is True
+
+
+def test_random_premise_sets_match_the_oracle_in_bounded_time():
+    # sets 913 and 2235 of this stream ran past 0.5 s when the solver
+    # branched on the lowest variable
+    rng = random.Random(1)
+    universe = ENCODING_KB.herbrand()
+    seen = set()
+    for _ in range(1000):
+        premises = tuple(random_premise(rng) for _ in range(rng.randrange(0, 6)))
+        premises += (Not(random_formula(rng, 2)),)
+        g = models.Grounding(premises, 10, universe)
+        # each clause holds at most one negative literal of a fresh
+        # variable, the one it defines, which bounds the search
+        atoms = set(g.atoms.values())
+        assert all(sum(l < 0 and -l not in atoms for l in c) <= 1 for c in g.clauses)
+        with _Deadline(0.5):
+            got = g.solve()
+        if got != models.UNKNOWN:
+            want = truth_table_consistent(premises, universe)
+            assert (got == models.CONSISTENT) == want, premises
+        seen.add(got)
+    assert {models.CONSISTENT, models.INCONSISTENT} <= seen
+
+
 def test_belief_closure_spans_prefix_and_extension():
     kb = parse_kb(
         "(const a Agent)(const now Moment)(func p () Boolean)(func q () Boolean)"
@@ -383,7 +444,7 @@ def test_a_wider_universe_or_another_budget_grounds_cold():
 def test_refutes_gates_modal_input_and_keeps_only_extension_models(monkeypatch):
     solves = []
     real = models._satisfiable
-    monkeypatch.setattr(models, "_satisfiable", lambda clauses: solves.append(1) or real(clauses))
+    monkeypatch.setattr(models, "_satisfiable", lambda *args: solves.append(1) or real(*args))
     narrow = dict(ENCODING_KB.herbrand())
     wide = dict(narrow)
     narrow["Few"] = narrow["Few"][:2]

@@ -138,12 +138,44 @@ def test_expand_withholding(sig):
     ))
 
 
-def test_expand_xor_two_disjuncts():
-    f = Xor((win(T1), win(T2)))
-    assert expand_sugar(f) == And((
-        Or((win(T1), win(T2))),
-        Not(And((win(T1), win(T2)))),
-    ))
+def _xor_shapes(f, rng):
+    """f with some nodes put under a one-operand xor, a xor that repeats an
+    operand, a xor nested in a one-operand and/or wrapper, or beside an
+    empty xor."""
+    kids = tuple(_xor_shapes(c, rng) for c in logic.children(f))
+    g = logic.rebuild(f, kids)
+    r = rng.random()
+    if r < 0.08:
+        return Xor((g,))
+    if r < 0.16:
+        return Xor((g, g))
+    if r < 0.22:
+        return Xor((g, kids[0] if kids else Not(g), g))
+    if r < 0.3:
+        return rng.choice([And, Or])((Xor((g, Not(g))),))
+    if r < 0.34:
+        return rng.choice([And, Or])((g, Xor(())))
+    return g
+
+
+def test_xor_key_is_its_pairwise_expansion_key(sig):
+    from oracles import ref_expand
+
+    _identity_sig(sig)
+    rng = random.Random(31)
+    xors = 0
+    for _ in range(1500):
+        f = _xor_shapes(random_formula(rng, sig, depth=4, env={}), rng)
+        assert formula_key(f) == formula_key(ref_expand(f)), f
+        assert formula_key(expand_sugar(f)) == formula_key(f)
+        xors += isinstance(f, Xor)
+    assert xors > 100
+    # a wide xor over atoms: its key is built without its exclusion nodes
+    wide = Xor(tuple(Atom(App("w" + str(i), (), "Boolean")) for i in range(40)))
+    before = len(Not._interned)
+    key = formula_key(wide)
+    assert len(Not._interned) == before
+    assert key == formula_key(ref_expand(wide))
 
 
 def test_expand_identity_without_sugar():

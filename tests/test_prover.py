@@ -1,3 +1,5 @@
+import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +10,8 @@ from mucal.checker import check_proof
 from mucal.errors import UnknownNameError
 from mucal.kb import load_kb, parse_kb
 from mucal.logic import (
-    And, App, Atom, Const, Falsum, Implies, Not, Or, formula_key, well_sorted,
+    And, App, Atom, Const, Falsum, Implies, Not, Or, Xor, formula_key, negation_of,
+    well_sorted,
 )
 from mucal.prover import prove, rho
 from mucal.reasonable import ReasonEngine
@@ -247,13 +250,20 @@ def test_rho_existential_cheaper_than_negation_route(lottery_kb):
 # ---------------------------------------------------------------------------
 # the falsum watch index and the saturation cap
 
-def _lottery_n(n):
+def _lottery_n(n, pairwise=False):
+    """The n-ticket lottery; with `pairwise`, its axiom is the xor's
+    pairwise expansion written out, which the prover saturates eagerly."""
     tickets = " ".join(f"(win ticket{i})" for i in range(1, n + 1))
     consts = "".join(f"(const ticket{i} Object)" for i in range(1, n + 1))
+    axiom = f"(xor {tickets})"
+    if pairwise:
+        exclusions = " ".join(f"(not (and (win ticket{i}) (win ticket{j})))"
+                              for i, j in itertools.combinations(range(1, n + 1), 2))
+        axiom = f"(and (or {tickets}) {exclusions})"
     return parse_kb(
         "(const a Agent)(const now Moment)" + consts
         + "(func win (Object) Boolean)"
-        + f"(axiom someone-wins :certain (xor {tickets}))"
+        + f"(axiom someone-wins :certain {axiom})"
     )
 
 
@@ -356,7 +366,7 @@ def test_saturation_stops_building_at_the_cap(monkeypatch):
         built[0] += 1
         inner(self, *args, **kwargs)
 
-    kb = _lottery_n(100)  # 4950 pairwise exclusions
+    kb = _lottery_n(100, pairwise=True)  # 4950 pairwise exclusions
     monkeypatch.setattr(prover._Node, "__init__", counting)
     res = _prove_goal(kb, "(exists (t) (win t))")
     assert res.outcome == "unknown"
@@ -408,7 +418,7 @@ def test_own_layer_joins_the_split_and_belief_indexes(goal):
 
 
 def test_eighty_ticket_lottery_branches_share_the_base(monkeypatch):
-    kb = _lottery_n(80)  # 3160 pairwise exclusions
+    kb = _lottery_n(80, pairwise=True)  # 3160 pairwise exclusions
     goal = parse_formula("(exists (t) (win t))", kb.sig)
     premises = kb.all_premises()
     universe = kb.universe(premises + (goal,))
@@ -471,3 +481,54 @@ def test_the_moment_order_is_built_only_where_a_rule_reads_it(monkeypatch,
     goal = parse_formula("(believes a 5 (q))", kb.sig)
     with pytest.raises(AssertionError, match="the moment order was built"):
         prove(gamma, goal, 3, builtin_universe(gamma + (goal,)))
+
+
+# ---------------------------------------------------------------------------
+# xor kept whole
+
+def _xor_premises(rng, atoms, random_formula):
+    """A premise set holding an xor over atoms, or over an odd operand,
+    beside premises that name its operands: an operand or its negation,
+    the conjunction of two, an implication out of an exclusion, and a
+    one-operand wrapper keyed like a conjunction of two."""
+    ops = tuple(rng.choice(atoms) if rng.random() < 0.85 else random_formula(rng, 1)
+                for _ in range(rng.randrange(1, 6)))
+    xor = Xor(ops)
+    if rng.random() < 0.15:
+        xor = rng.choice([Implies(rng.choice(atoms), xor), And((xor, rng.choice(atoms))),
+                          Or((xor, random_formula(rng, 1)))])
+    out = [xor]
+    for _ in range(rng.randrange(0, 4)):
+        a, b = rng.choice(atoms), rng.choice(atoms)
+        out.append(rng.choice([
+            a, Not(a), And((a, b)), Or((And((a, b)),)), Implies(Not(And((a, b))), b),
+            Implies(a, Not(And((a, b)))), random_formula(rng, 1),
+        ]))
+    rng.shuffle(out)
+    return tuple(out)
+
+
+def test_xor_premises_prove_as_their_pairwise_expansion():
+    from oracles import ref_expand
+    from test_consistency import ENCODING_KB, LEAF_ATOMS, random_formula
+
+    rng = random.Random(2602)
+    outcomes = set()
+    for _ in range(1500):
+        gamma = _xor_premises(rng, LEAF_ATOMS, random_formula)
+        a, b = rng.sample(LEAF_ATOMS, 2)
+        goal = rng.choice([random_formula(rng, 1), Not(And((a, b))), a, Not(a), Falsum(),
+                           Xor((a, b)), Implies(a, Not(b))])
+        universe = ENCODING_KB.universe(gamma + (goal,))
+        kept = prove(gamma, goal, depth=2, universe=universe, refute=True)
+        expanded = tuple(map(ref_expand, gamma))
+        ref = prove(expanded, ref_expand(goal), depth=2, universe=universe, refute=True)
+        assert kept.outcome == ref.outcome, (gamma, goal)
+        outcomes.add(kept.outcome)
+        if kept.proof is not None:
+            # the same proof, but for the xor_elim steps
+            assert rho(kept.proof) == rho(ref.proof), (gamma, goal)
+            for res, prems in ((kept, gamma), (ref, expanded)):
+                want = goal if res.outcome == "proved" else negation_of(goal)
+                assert check_proof(res.proof, prems, want, sig=ENCODING_KB.sig)
+    assert outcomes == {"proved", "refuted", "unknown"}
