@@ -73,14 +73,7 @@ class Params(Record):
         self.ec_flavor = ec_flavor
 
 
-_PARAM_NAMES = {
-    "u": "u",
-    "proof-depth": "proof_depth",
-    "add-max": "add_max",
-    "remove-max": "remove_max",
-    "consistency-depth": "consistency_depth",
-    "ec-flavor": "ec_flavor",
-}
+_PARAM_NAMES = {n.replace("_", "-"): n for n in Params.__slots__}
 
 
 class KbDocument:

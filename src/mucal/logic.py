@@ -6,7 +6,8 @@ belief, perception and withholding.  Withholding is definable sugar;
 :func:`expand_sugar` removes it.  Exclusive disjunction stays whole from
 parse to proof: its identity is that of its pairwise expansion (the
 inclusive disjunction plus each pair's exclusion), computed from its
-operand keys without building the expansion.
+operand keys without building the expansion.  `xor_conjuncts` and
+`xor_exclusion` spell that expansion for every layer.
 
 Term and formula nodes are interned: building a node equal to an existing
 one returns that node, so `==` is object identity.  `formula_key`, the one
@@ -536,6 +537,18 @@ def expand_sugar(f: Formula) -> Formula:
     return got
 
 
+def xor_exclusion(f: Xor, i: int, j: int) -> Not:
+    """The exclusion `(not (and a b))` of a xor's operands at i and j."""
+    return Not(And((f.args[i], f.args[j])))
+
+
+def xor_conjuncts(f: Xor) -> tuple:
+    """The conjuncts of a xor's pairwise expansion: its inclusive
+    disjunction, then each pair of positions' exclusion, in order."""
+    return (Or(f.args),) + tuple(
+        xor_exclusion(f, i, j) for i, j in itertools.combinations(range(len(f.args)), 2))
+
+
 def has_modal(f: Formula) -> bool:
     """Whether a belief, perception or withholding node occurs in f.  The
     answer is stored on each node the walk visits."""
@@ -652,7 +665,9 @@ def _check_formula(f: Formula, sig: Signature, env: dict) -> None:
 # positions, so its conjuncts join an enclosing and-run.  A bound variable is
 # keyed by the depth of its binder (its de Bruijn level), so renaming
 # binders keeps the key; operands are keyed inside their binders, so the
-# order of a run never depends on a bound variable's name.
+# order of a run never depends on a bound variable's name.  Key strings are
+# spelled only here: `negation_key`, `exclusion_key` and `exclusion_atoms`
+# let the prover look up a negation or an exclusion without its node.
 
 _TAGS = {
     And: "and", Or: "or", Implies: "imp", Iff: "iff", Forall: "all",
@@ -672,7 +687,7 @@ def _key(f: Formula, depth: dict, level: int) -> str:
     elif isinstance(f, Falsum):
         key = "false"
     elif isinstance(f, Not):
-        key = "n(" + _key(f.body, depth, level) + ")"
+        key = negation_key(_key(f.body, depth, level))
     elif isinstance(f, NARY):
         key = _run_key(*_run(f, depth, level))
     elif isinstance(f, BINARY):
@@ -704,7 +719,7 @@ def _run(f: And | Or | Xor, depth: dict, level: int) -> tuple:
             stack.extend(a.args)
         elif type(a) is Xor and kind is And:
             if len(a.args) > 1:
-                keys.extend(_exclusion_keys(a.args, depth, level))
+                keys.extend(_exclusion_keys(a, depth, level))
                 sole = None
             stack.append(Or(a.args))
         elif isinstance(a, NARY):
@@ -723,14 +738,46 @@ def _run(f: And | Or | Xor, depth: dict, level: int) -> tuple:
     return kind, tuple(keys)
 
 
-def _exclusion_keys(args: tuple, depth: dict, level: int) -> list:
-    """The keys of `(not (and a b))` for each pair of operand positions.
-    Built from the operand keys, without the exclusion nodes, unless an
-    operand is an and/or/xor node, whose run the pair's conjunction joins."""
-    if any(isinstance(a, NARY) for a in args):
-        return [_key(Not(And(pair)), depth, level) for pair in itertools.combinations(args, 2)]
-    keys = sorted(_key(a, depth, level) for a in args)
-    return ["n(and(" + a + "," + b + "))" for a, b in itertools.combinations(keys, 2)]
+def _exclusion_keys(f: Xor, depth: dict, level: int) -> list:
+    """The keys of the exclusions of an exclusive disjunction.  Built from
+    the operand keys, without the exclusion nodes, unless an operand is an
+    and/or/xor node, whose run the pair's conjunction joins."""
+    if any(isinstance(a, NARY) for a in f.args):
+        return [_key(e, depth, level) for e in xor_conjuncts(f)[1:]]
+    keys = sorted(_key(a, depth, level) for a in f.args)
+    return [exclusion_key(a, b) for a, b in itertools.combinations(keys, 2)]
+
+
+def negation_key(key: str) -> str:
+    """The key of the negation of the formula keyed `key`."""
+    return "n(" + key + ")"
+
+
+def exclusion_key(a: str, b: str) -> str:
+    """The key of `(not (and x y))` for x and y keyed a and b, neither of
+    them an and/or/xor node."""
+    return "n(and(" + min(a, b) + "," + max(a, b) + "))"
+
+
+def exclusion_atoms(key: str) -> tuple | None:
+    """The two atom keys of an `exclusion_key` over atoms; None unless the
+    key negates a conjunction whose first two operands are atoms (a longer
+    one gives a second part that is no atom's key)."""
+    if not key.startswith("n(and(a("):
+        return None
+    depth = 0
+    for end in range(7, len(key)):
+        c = key[end]
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+            if depth == 0:
+                break
+    rest = key[end + 1:]
+    if not (rest.startswith(",a(") and rest.endswith("))")):
+        return None
+    return key[6:end + 1], rest[1:-2]
 
 
 def _run_key(kind: type | None, keys: tuple) -> str:

@@ -28,9 +28,10 @@ a ground model of the prefix and the additions in which the goal is
 false, which shows that a proof search for the goal would fail (semantic
 filtering, as in SCOTT: Slaney, Lusk & McCune, CADE 1994).  It first
 tries the last `_KEPT` models found for the prefix or its consistent
-extensions, with no grounding and no SAT call.  A kept model may refute
-where the full check would overflow to `unknown`, so `consistent` never
-reads one.
+extensions, with no grounding and no SAT call, evaluated (`_holds`)
+through the shape step that the clause encoding takes (`_step`).  A kept
+model may refute where the full check would overflow to `unknown`, so
+`consistent` never reads one.
 
 Belief and perception subformulas become opaque ground atoms, named by
 their quoted form (`logic.quote_modal`).  The only coupling back to the
@@ -45,13 +46,13 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from collections.abc import Iterable
 from copy import copy
-from itertools import chain, combinations
+from itertools import chain
 from operator import neg
 
 from .logic import (
     And, Atom, Believes, Exists, Falsum, Forall, Formula, Iff, Implies,
     Not, Or, Perceives, Xor, expand_sugar, formula_key, has_modal, held_content,
-    order_from_premises, quote_modal, substitute_unchecked,
+    order_from_premises, quote_modal, substitute_unchecked, xor_conjuncts,
 )
 
 CONSISTENT = "consistent"
@@ -75,17 +76,16 @@ class Grounding:
     """A premise set grounded straight into polarity-aware clauses (Plaisted
     & Greenbaum, J. Symbolic Computation, 1986), in one pass over `universe`.
 
-    Each node visited under a sign takes one shape step (`_shape`): a
-    negation flips the sign; an atom or a belief or perception becomes a
-    literal; every other node becomes a conjunctive or a disjunctive list
-    of signed operands (falsum is the empty disjunction, a quantifier's
-    operands are its instances over the universe, an `iff` is the
-    conjunction of its two implications, and an `xor` has the shape of its
-    pairwise expansion).  A top-level conjunction asserts
-    each conjunct and a disjunction is one clause, with nested disjunctions
-    flattened into it; any other nested subformula gets a fresh variable
-    and only the implication from that variable to it.  The clause set is
-    satisfiable exactly when the premises have a ground model.
+    Each node visited under a sign is shaped once (`_shape`): a negation
+    flips the sign; an atom or a belief or perception becomes a literal;
+    every other node takes the module's shape step (`_step`) to a
+    conjunctive or a disjunctive list of signed operands.  `_holds` reads
+    a kept model through the same step, so the two cannot disagree on a
+    connective.  A top-level conjunction asserts each conjunct and a
+    disjunction is one clause, with nested disjunctions flattened into it;
+    any other nested subformula gets a fresh variable and only the
+    implication from that variable to it.  The clause set is satisfiable
+    exactly when the premises have a ground model.
 
     Atoms and fresh variables share one counter, but only atoms count
     against the atom budget.  `_NODE_CAP` bounds the nodes visited: each
@@ -199,7 +199,7 @@ class Grounding:
             for p in premises:
                 if p not in memo:
                     try:
-                        memo[p] = _holds(p, atoms, model, self.universe)
+                        memo[p] = _holds(p, True, atoms, model, self.universe)
                     except _Open:
                         memo[p] = False
                 if not memo[p]:
@@ -229,24 +229,8 @@ class Grounding:
             key = formula_key(quote_modal(f))
             if isinstance(f, Believes):
                 self.beliefs.setdefault(key, f)
-        elif isinstance(f, Falsum):
-            return not sign, ()
-        elif isinstance(f, (And, Or)):
-            return isinstance(f, And) == sign, [(a, sign) for a in f.args]
-        elif isinstance(f, Implies):
-            return not sign, [(f.left, not sign), (f.right, sign)]
-        elif isinstance(f, Iff):
-            return sign, [(Implies(f.left, f.right), sign), (Implies(f.right, f.left), sign)]
-        elif isinstance(f, Xor):
-            # the inclusive disjunction, and each pair's conjunction under
-            # the flipped sign, as for a negated conjunction
-            return sign, [(Or(f.args), sign)] + [
-                (And(pair), not sign) for pair in combinations(f.args, 2)]
-        elif isinstance(f, (Forall, Exists)):
-            terms = self.universe.get(f.var.sort, ())
-            return isinstance(f, Forall) == sign, (
-                (substitute_unchecked(f.body, f.var, t), sign) for t in terms
-            )
+        elif (step := _step(f, sign, self.universe)) is not None:
+            return step
         else:
             # withholding, which `expand_sugar` removes, should not reach here
             raise _Overflow()
@@ -289,45 +273,50 @@ class Grounding:
         return v
 
 
-def _holds(f: Formula, atoms: dict, model: list, universe: dict) -> bool:
-    """The truth of a modal-free, sugar-free formula under a model of a
-    grounding whose atom variables are `atoms`, with quantifiers ranging
-    over `universe`; raises `_Open` where the model does not decide it."""
+def _step(f: Formula, sign: bool, universe: dict):
+    """The shape step of a connective or quantifier node under the sign:
+    (conjunctive, signed operands), the signed node holding exactly when
+    all (conjunctive) or any of them hold; None for a negation, an atom or
+    a modal node.  Falsum is the empty disjunction, a quantifier's operands
+    are its instances over `universe`, an `iff` is the conjunction of its
+    two implications, and an `xor` is its pairwise expansion
+    (`logic.xor_conjuncts`), each exclusion's conjunction under the
+    flipped sign."""
+    if isinstance(f, Falsum):
+        return not sign, ()
+    if isinstance(f, (And, Or)):
+        return isinstance(f, And) == sign, [(a, sign) for a in f.args]
+    if isinstance(f, Implies):
+        return not sign, [(f.left, not sign), (f.right, sign)]
+    if isinstance(f, Iff):
+        return sign, [(Implies(f.left, f.right), sign), (Implies(f.right, f.left), sign)]
+    if isinstance(f, Xor):
+        either, *exclusions = xor_conjuncts(f)
+        return sign, [(either, sign)] + [(e.body, not sign) for e in exclusions]
+    if isinstance(f, (Forall, Exists)):
+        return isinstance(f, Forall) == sign, (
+            (substitute_unchecked(f.body, f.var, t), sign) for t in universe.get(f.var.sort, ()))
+    return None
+
+
+def _holds(f: Formula, sign: bool, atoms: dict, model: list, universe: dict) -> bool:
+    """Whether a modal-free, sugar-free formula (its negation when not
+    sign) is true under a model of a grounding whose atom variables are
+    `atoms`, read through the shape step the grounding encodes (`_step`);
+    raises `_Open` where the model does not decide it."""
+    while isinstance(f, Not):
+        f, sign = f.body, not sign
     if isinstance(f, Atom):
         v = atoms.get(formula_key(f))
         if v is None or 2 * v >= len(model) or not model[v]:
             raise _Open()
-        return model[v] > 0
-    if isinstance(f, Not):
-        return not _holds(f.body, atoms, model, universe)
-    if isinstance(f, Falsum):
-        return False
-    if isinstance(f, And):
-        return all(_holds(a, atoms, model, universe) for a in f.args)
-    if isinstance(f, Or):
-        return any(_holds(a, atoms, model, universe) for a in f.args)
-    if isinstance(f, Xor):
-        # exactly one operand position is true; the walk stops at a second
-        one = False
-        for a in f.args:
-            if _holds(a, atoms, model, universe):
-                if one:
-                    return False
-                one = True
-        return one
-    if isinstance(f, Implies):
-        return (not _holds(f.left, atoms, model, universe)
-                or _holds(f.right, atoms, model, universe))
-    if isinstance(f, Iff):
-        return (_holds(f.left, atoms, model, universe)
-                == _holds(f.right, atoms, model, universe))
-    if isinstance(f, (Forall, Exists)):
-        instances = (
-            _holds(substitute_unchecked(f.body, f.var, t), atoms, model, universe)
-            for t in universe.get(f.var.sort, ())
-        )
-        return all(instances) if isinstance(f, Forall) else any(instances)
-    raise _Open()  # a belief or perception node
+        return (model[v] > 0) == sign
+    step = _step(f, sign, universe)
+    if step is None:
+        raise _Open()  # a belief or perception node
+    conjunctive, operands = step
+    holds = (_holds(g, g_sign, atoms, model, universe) for g, g_sign in operands)
+    return all(holds) if conjunctive else any(holds)
 
 
 def _satisfiable(clauses: Iterable[tuple], atoms: Iterable[int] = ()) -> list | None:

@@ -24,9 +24,9 @@ from itertools import combinations
 
 from .logic import (
     And, Atom, Believes, Const, Exists, Falsum, Forall, Formula, FrozenRecord, Iff,
-    Implies, Not, Or, Perceives, Xor, expand_sugar,
-    formula_key, held_content, negation_of, order_from_premises,
-    substitute_unchecked, symbols,
+    Implies, Not, Or, Perceives, Xor, exclusion_atoms, exclusion_key, expand_sugar,
+    formula_key, held_content, negation_key, negation_of, order_from_premises,
+    substitute_unchecked, symbols, xor_conjuncts, xor_exclusion,
 )
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,9 @@ class _Base:
     only when a lookup asks for its key (`get`) or when a and b are both
     present (`pair_up`): an exclusion that is not a node is blocked from
     the falsum step (`_absent_needs`), and every other use of a present
-    node is a key lookup."""
+    node is a key lookup.  The exclusion is `logic.xor_exclusion`, and its
+    key is read and built by `logic.exclusion_atoms` and
+    `logic.exclusion_key`, so no key string is spelled here."""
 
     __slots__ = ("nodes", "splits", "beliefs", "_falsum", "_xors", "_operands")
 
@@ -132,8 +134,8 @@ class _Base:
 
     def get(self, key: str) -> _Node | None:
         got = self.nodes.get(key)
-        if got is None and self._xors and key.startswith("n(and(a("):
-            pair = _exclusion_pair(key)
+        if got is None and self._xors:
+            pair = exclusion_atoms(key)
             if pair is not None:
                 got = self._exclusion(key, *pair)
         return got
@@ -155,7 +157,7 @@ class _Base:
         for xor, pos in self._xors.get(key, ()):
             for q, other in enumerate(self._operands[xor]):
                 if q != pos and present(other):
-                    self.get(_exclusion_key(key, other))
+                    self.get(exclusion_key(key, other))
 
     def _exclusion(self, key: str, a: str, b: str) -> _Node | None:
         """The exclusion of operands keyed a and b, as the first xor met
@@ -168,8 +170,7 @@ class _Base:
             pairs = [(min(i, j), max(i, j)) for i in at_a for j in at_b if i != j]
             if pairs:
                 i, j = min(pairs)
-                args = xor.formula.args
-                node = _Node("xor_elim", (xor,), Not(And((args[i], args[j]))),
+                node = _Node("xor_elim", (xor,), xor_exclusion(xor.formula, i, j),
                              extra=(i, j), key=key)
                 self.nodes[key] = node
                 if self._falsum is not None:
@@ -197,37 +198,6 @@ class _Base:
             unblocked.sort()
             self._falsum = (unblocked, waiting)
         return self._falsum
-
-
-def _exclusion_key(a: str, b: str) -> str:
-    """The key of `(not (and x y))` for atoms x and y keyed a and b."""
-    return "n(and(" + min(a, b) + "," + max(a, b) + "))"
-
-
-def _exclusion_pair(key: str) -> tuple | None:
-    """The two atom keys of a key that starts like `_exclusion_key`'s
-    and has its shape, else None.  The first atom key ends at the
-    parenthesis that closes it."""
-    depth = 0
-    for end in range(7, len(key)):
-        c = key[end]
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth == 0:
-                break
-    rest = key[end + 1:]
-    if not (rest.startswith(",a(") and rest.endswith("))")):
-        return None
-    return key[6:end + 1], rest[1:-2]
-
-
-def _xor_conjuncts(f: Xor) -> tuple:
-    """The conjuncts of an exclusive disjunction's pairwise expansion: its
-    inclusive disjunction, then each pair's exclusion.  Proving an xor as a
-    goal or as an antecedent needs every one of them."""
-    return (Or(f.args),) + tuple(Not(And(p)) for p in combinations(f.args, 2))
 
 
 def _sorted_keys(nodes: dict, kinds) -> list:
@@ -400,14 +370,14 @@ class _Search:
                     base.keep_whole(n, present)
                     # an exclusion whose (and a b) is present is processed,
                     # in pair order, as the expansion's conjunct would be
-                    met = [base.get("n(" + k + ")") for k in list(own) if k.startswith("and(a(")]
-                    work += sorted((e for e in met if e is not None and e.inputs[0] is n),
+                    met = [base.get(e) for e in map(negation_key, list(own)) if exclusion_atoms(e)]
+                    work += sorted((e for e in met if e is not None and e.inputs[:1] == (n,)),
                                    key=lambda e: e.extra)
                 else:
-                    for (i, a), (j, b) in combinations(enumerate(f.args), 2):
+                    for i, j in combinations(range(len(f.args)), 2):
                         if self.overflow:
                             break
-                        add(_Node("xor_elim", (n,), Not(And((a, b))), extra=(i, j)))
+                        add(_Node("xor_elim", (n,), xor_exclusion(f, i, j), extra=(i, j)))
             elif isinstance(f, Iff):
                 add(_Node("iff_elim", (n,), Implies(f.left, f.right), extra=("lr",)))
                 add(_Node("iff_elim", (n,), Implies(f.right, f.left), extra=("rl",)))
@@ -424,7 +394,7 @@ class _Search:
                 base.pair_up(n.key, present)
             # contradiction detection; a negation's key wraps its body's,
             # so no negation node is built to look it up
-            partner = get(formula_key(f.body) if isinstance(f, Not) else "n(" + n.key + ")")
+            partner = get(formula_key(f.body) if isinstance(f, Not) else negation_key(n.key))
             if partner is not None and get(_FALSE_KEY) is None:
                 pos, negn = (partner, n) if isinstance(f, Not) else (n, partner)
                 add(_Node("neg_elim", (pos, negn), Falsum()))
@@ -433,8 +403,6 @@ class _Search:
             while fired:
                 fired = False
                 for imp in list(imps):
-                    if imp.key not in own and imp.key not in base.nodes:
-                        continue
                     if get(formula_key(imp.formula.right)) is not None:
                         continue
                     ante = self._antecedent_node(imp.formula.left, get, own)
@@ -451,7 +419,7 @@ class _Search:
         if got is not None:
             return got
         conj = ante.args if isinstance(ante, And) else (
-            _xor_conjuncts(ante) if isinstance(ante, Xor) else None)
+            xor_conjuncts(ante) if isinstance(ante, Xor) else None)
         if conj is not None:
             parts = [get(k) for k in map(formula_key, conj)]
             if all(p is not None for p in parts):
@@ -511,7 +479,8 @@ class _Search:
         node = self._prove_inner(env, goal, key, budget, seen, splits)
         if node is not None:
             env.memo[local] = node
-        else:
+        elif budget > 0 or not isinstance(goal, Atom):
+            # an atom at budget 0 is two lookups, cheaper than a record
             self.fails[fk] = True
         return node
 
@@ -534,7 +503,7 @@ class _Search:
                 if sub is not None:
                     return _Node("neg_elim", (sub, n), Falsum())
         elif isinstance(goal, (And, Xor)):
-            conj = goal.args if isinstance(goal, And) else _xor_conjuncts(goal)
+            conj = goal.args if isinstance(goal, And) else xor_conjuncts(goal)
             parts = []
             for arg in conj:
                 sub = self.prove(env, arg, budget, seen, splits)

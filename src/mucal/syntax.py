@@ -164,7 +164,7 @@ def formula_from_node(node: Node, sig: Signature, env: dict | None = None) -> Fo
         return (Implies if op == "implies" else Iff)(left, right)
     if op in ("forall", "exists"):
         _arity(node, 2)
-        var = _binder_var(node.items[1], node.items[2], sig, env)
+        var = _binder_var(node.items[1], node.items[2], sig)
         inner = dict(env)
         inner[var.name] = var
         body = formula_from_node(node.items[2], sig, inner)
@@ -228,7 +228,7 @@ def term_from_node(node: Node, sig: Signature, env: dict) -> Term:
     return App(fn, args, result)
 
 
-def _binder_var(spec_node: Node, body: Node, sig: Signature, env: dict) -> Var:
+def _binder_var(spec_node: Node, body: Node, sig: Signature) -> Var:
     if not spec_node.is_list or not spec_node.items or spec_node.items[0].is_list:
         raise ParseError("binder must be (name [sort])", spec_node.line, spec_node.col)
     name = spec_node.items[0].token.text
@@ -239,7 +239,7 @@ def _binder_var(spec_node: Node, body: Node, sig: Signature, env: dict) -> Var:
         return Var(name, sort)
     if len(spec_node.items) > 2:
         raise ParseError("binder must be (name [sort])", spec_node.line, spec_node.col)
-    sort = _infer_sort(name, body, sig, set(env))
+    sort = _infer_sort(name, body, sig)
     if sort is None:
         raise ParseError(
             f"cannot infer a sort for bound variable {name!r}", spec_node.line, spec_node.col
@@ -247,13 +247,13 @@ def _binder_var(spec_node: Node, body: Node, sig: Signature, env: dict) -> Var:
     return Var(name, sort)
 
 
-def _infer_sort(name: str, node: Node, sig: Signature, shadowed: set) -> str | None:
+def _infer_sort(name: str, node: Node, sig: Signature) -> str | None:
     """Sort of the first occurrence of `name` in an argument position."""
     if not node.is_list:
         return None
     if not node.items or node.items[0].is_list:
         for item in node.items:
-            got = _infer_sort(name, item, sig, shadowed)
+            got = _infer_sort(name, item, sig)
             if got:
                 return got
         return None
@@ -267,7 +267,7 @@ def _infer_sort(name: str, node: Node, sig: Signature, shadowed: set) -> str | N
         for slot_sort, item in zip(slots, node.items[1:]):
             if not item.is_list and item.token.text == name and slot_sort:
                 return slot_sort
-            got = _infer_sort(name, item, sig, shadowed)
+            got = _infer_sort(name, item, sig)
             if got:
                 return got
         return None
@@ -276,12 +276,12 @@ def _infer_sort(name: str, node: Node, sig: Signature, shadowed: set) -> str | N
         for want, item in zip(arg_sorts, node.items[1:]):
             if not item.is_list and item.token.text == name:
                 return want
-            got = _infer_sort(name, item, sig, shadowed)
+            got = _infer_sort(name, item, sig)
             if got:
                 return got
         return None
     for item in node.items[1:]:
-        got = _infer_sort(name, item, sig, shadowed)
+        got = _infer_sort(name, item, sig)
         if got:
             return got
     return None

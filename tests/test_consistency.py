@@ -13,7 +13,7 @@ from mucal import models
 from mucal.prover import prove
 from mucal.syntax import parse_formula
 from conftest import builtin_universe
-from oracles import truth_table_consistent
+from oracles import collect_atoms, holds_in, truth_table_consistent
 
 P = Atom(App("p", (), "Boolean"))
 Q = Atom(App("q", (), "Boolean"))
@@ -292,6 +292,26 @@ def test_random_encodings_match_oracle():
         want = truth_table_consistent(gamma, universe)
         assert (got == models.CONSISTENT) == want, gamma
     assert {"And", "Or"} <= kinds
+
+
+def test_holds_agrees_with_the_truth_oracle():
+    # the kept-model evaluator reads the clause encoding's shape step; under
+    # a total assignment, each sign must get the direct interpreter's value
+    rng = random.Random(2718)
+    universe = ENCODING_KB.herbrand()
+    keys = set()
+    for f in LEAF_ATOMS + [_FEW_ALL]:
+        collect_atoms(f, universe, keys)
+    atoms = {k: v for v, k in enumerate(sorted(keys), 1)}
+    for _ in range(3000):
+        f = random_formula(rng, 3)
+        values = {k: rng.random() < 0.5 for k in atoms}
+        model = [0] * (2 * len(atoms) + 1)
+        for k, v in atoms.items():
+            model[v], model[-v] = (1, -1) if values[k] else (-1, 1)
+        want = holds_in(f, values, universe)
+        assert models._holds(f, True, atoms, model, universe) == want, f
+        assert models._holds(f, False, atoms, model, universe) != want, f
 
 
 @pytest.mark.parametrize("text, want", [

@@ -10,8 +10,8 @@ from mucal.errors import SortError, UnknownSymbolError
 from mucal.logic import (
     BUILTIN_SORTS, And, App, Atom, Believes, Const, Exists, Falsum, Forall, Iff,
     Implies, Not, Or, Perceives, Signature, StrengthLevel, Var, Withholds, Xor,
-    expand_sugar, formula_key, free_vars, substitute,
-    substitute_unchecked, weight, well_sorted,
+    exclusion_atoms, exclusion_key, expand_sugar, formula_key, free_vars,
+    negation_key, substitute, substitute_unchecked, weight, well_sorted, xor_conjuncts,
 )
 from mucal.prover import prove
 from mucal.syntax import parse_formula
@@ -168,7 +168,9 @@ def test_xor_key_is_its_pairwise_expansion_key(sig):
         f = _xor_shapes(random_formula(rng, sig, depth=4, env={}), rng)
         assert formula_key(f) == formula_key(ref_expand(f)), f
         assert formula_key(expand_sugar(f)) == formula_key(f)
-        xors += isinstance(f, Xor)
+        if isinstance(f, Xor):
+            xors += 1
+            assert formula_key(And(xor_conjuncts(f))) == formula_key(f), f
     assert xors > 100
     # a wide xor over atoms: its key is built without its exclusion nodes
     wide = Xor(tuple(Atom(App("w" + str(i), (), "Boolean")) for i in range(40)))
@@ -176,6 +178,30 @@ def test_xor_key_is_its_pairwise_expansion_key(sig):
     key = formula_key(wide)
     assert len(Not._interned) == before
     assert key == formula_key(ref_expand(wide))
+    assert key == formula_key(And(xor_conjuncts(wide)))
+
+
+def test_exclusion_and_negation_helpers_spell_the_formula_identity(sig):
+    # constants whose names hold commas and digits, so a key's commas do
+    # not all separate operands
+    _identity_sig(sig)
+    for name in ("t,1", "2,x", "a,,b", "10"):
+        sig.declare_const(name, "Object")
+    rng = random.Random(17)
+    names = ["t,1", "2,x", "a,,b", "10", "t1"]
+    atoms = [win(Const(n, "Object")) for n in names] + [
+        Atom(App("p", (), "Boolean")), Atom(App("q", (), "Boolean"))]
+    for a, b in itertools.product(atoms, repeat=2):
+        ka, kb = formula_key(a), formula_key(b)
+        key = exclusion_key(ka, kb)
+        assert key == exclusion_key(kb, ka) == formula_key(Not(And((a, b))))
+        assert exclusion_atoms(key) == (min(ka, kb), max(ka, kb))
+    for f in atoms + [random_formula(rng, sig, depth=4, env={}) for _ in range(300)]:
+        assert negation_key(formula_key(f)) == formula_key(Not(f))
+    # a key that is not a negated conjunction of an atom and more has none
+    p, q = atoms[-2:]
+    for f in (Not(p), Not(And((p, Or((q, atoms[0]))))), Not(Or((p, q))), And((p, q))):
+        assert exclusion_atoms(formula_key(f)) is None, f
 
 
 def test_expand_identity_without_sugar():

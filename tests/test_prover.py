@@ -358,6 +358,36 @@ def test_thirty_ticket_lottery_skips_the_blocked_exclusions(monkeypatch):
     assert calls[0] <= 1000
 
 
+def test_an_atom_goal_at_budget_zero_leaves_no_failure_record():
+    # its answer is two lookups (its key and falsum), so a record saves
+    # nothing; on the lottery the records of such goals ran to the hundreds
+    # of thousands
+    kb = _lottery_n(6)
+    premises = (parse_formula("(or (win ticket1) (not (win ticket2)))", kb.sig),)
+    goal = parse_formula("(exists (t) (win t))", kb.sig)
+    universe = kb.universe(premises + (goal,))
+    search = prover._Search(premises, universe, None)
+    env = search.base_env()
+    for budget in range(3):
+        assert search.prove(env, goal, budget, frozenset(), frozenset()) is None
+    atoms = {formula_key(parse_formula(f"(win ticket{i})", kb.sig)) for i in range(1, 7)}
+    assert search.fails
+    assert not [k for k in search.fails if k[1] in atoms and k[2] == 0]
+    assert prove(premises, goal, depth=2, universe=universe).outcome == "unknown"
+
+
+def test_an_exclusion_stated_as_a_premise_beside_its_xor_and_its_conjunction():
+    # the stated exclusion has no input, so it is not the xor's derivation
+    sig = parse_kb("(func p () Boolean)(func q () Boolean)(func r () Boolean)").sig
+    for xor in ("(xor (p) (q))", "(xor (p) (q) (r))"):
+        premises = tuple(parse_formula(t, sig) for t in (
+            "(and (p) (q))", "(not (and (p) (q)))", xor))
+        res = prove(premises, parse_formula("(r)", sig), depth=1,
+                    universe=builtin_universe(premises))
+        assert res.outcome == "proved"
+        assert res.proof.steps[-1].rule == "efq"
+
+
 def test_saturation_stops_building_at_the_cap(monkeypatch):
     built = [0]
     inner = prover._Node.__init__
