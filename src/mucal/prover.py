@@ -115,9 +115,15 @@ class _Base:
     the falsum step (`_absent_needs`), and every other use of a present
     node is a key lookup.  The exclusion is `logic.xor_exclusion`, and its
     key is read and built by `logic.exclusion_atoms` and
-    `logic.exclusion_key`, so no key string is spelled here."""
+    `logic.exclusion_key`, so no key string is spelled here.
 
-    __slots__ = ("nodes", "splits", "beliefs", "_falsum", "_xors", "_operands")
+    Once the base is saturated its atoms are fixed: only exclusion nodes
+    join it, and they are negations.  So the operand positions an xor has
+    present in the base are found once (`_held`), and `pair_up` in an
+    environment with few own nodes walks only those and the own layer's,
+    not every operand."""
+
+    __slots__ = ("nodes", "splits", "beliefs", "_falsum", "_xors", "_operands", "_held")
 
     def __init__(self):
         self.nodes: dict = {}
@@ -126,6 +132,7 @@ class _Base:
         self._falsum: tuple | None = None
         self._xors: dict = {}  # operand key -> [(xor node, position)], xors in the order met
         self._operands: dict = {}  # xor node -> its operand keys
+        self._held: dict = {}  # xor node -> its positions present in the saturated base
 
     def index(self) -> None:
         """Sort the split candidates and beliefs, once saturation ends."""
@@ -140,33 +147,51 @@ class _Base:
                 got = self._exclusion(key, *pair)
         return got
 
-    def keep_whole(self, xor: _Node, present) -> None:
-        """Register an exclusive disjunction over atoms, and make a node of
-        each exclusion whose two operands `present` holds."""
+    def keep_whole(self, xor: _Node) -> None:
+        """Register an exclusive disjunction over atoms while the base is
+        built, and make a node of each exclusion whose two operands the
+        base holds."""
         keys = [formula_key(a) for a in xor.formula.args]
         self._operands[xor] = keys
         for pos, k in enumerate(keys):
             self._xors.setdefault(k, []).append((xor, pos))
         for k in dict.fromkeys(keys):
-            if present(k):
-                self.pair_up(k, present)
+            if k in self.nodes:
+                self.pair_up(k, self.nodes)
 
-    def pair_up(self, key: str, present) -> None:
+    def pair_up(self, key: str, own: dict) -> None:
         """Make a node of each exclusion between the operand `key` and an
-        operand that `present` (a key test) holds."""
+        operand present in the `own` layer or in the base, in operand
+        position order; `own` is the base's own nodes while it is built."""
         for xor, pos in self._xors.get(key, ()):
-            for q, other in enumerate(self._operands[xor]):
-                if q != pos and present(other):
-                    self.get(exclusion_key(key, other))
+            keys = self._operands[xor]
+            for q in self._present_at(xor, own):
+                if q != pos:
+                    self.get(exclusion_key(key, keys[q]))
+
+    def _present_at(self, xor: _Node, own: dict) -> list:
+        """The sorted positions of the xor's operands present in `own` or
+        in the base: the base's held positions and the own layer's, when
+        they are fewer than all the operands, else a scan of every one."""
+        keys, nodes = self._operands[xor], self.nodes
+        if own is not nodes:
+            held = self._held.get(xor)
+            if held is None:
+                held = self._held[xor] = [q for q, k in enumerate(keys) if k in nodes]
+            if len(own) + len(held) < len(keys):
+                at = set(held)
+                for k in own:
+                    at.update(q for x, q in self._xors.get(k, ()) if x is xor)
+                return sorted(at)
+        return [q for q, k in enumerate(keys) if k in own or k in nodes]
 
     def _exclusion(self, key: str, a: str, b: str) -> _Node | None:
         """The exclusion of operands keyed a and b, as the first xor met
         that has both derives it (at its first pair of positions), added to
         the base; None when no xor has both."""
         for xor, _ in self._xors.get(a, ()):
-            keys = self._operands[xor]
-            at_a = [i for i, k in enumerate(keys) if k == a]
-            at_b = [j for j, k in enumerate(keys) if k == b]
+            at_a = [i for x, i in self._xors[a] if x is xor]
+            at_b = [j for x, j in self._xors.get(b, ()) if x is xor]
             pairs = [(min(i, j), max(i, j)) for i in at_a for j in at_b if i != j]
             if pairs:
                 i, j = min(pairs)
@@ -276,13 +301,79 @@ def _absent_needs(body: Formula, base: dict, own: dict) -> tuple:
     return (key,) + atoms if atoms else ()
 
 
+class _Instances:
+    """The ground instances of one quantified formula over its sort's pool:
+    `rows` holds (term, instance, key) in pool order and `at` maps each
+    instance key to its first position."""
+
+    __slots__ = ("pool", "rows", "at", "_held")
+
+    def __init__(self, q: Formula, pool: tuple):
+        self.pool = pool
+        self.rows = []
+        self.at: dict = {}
+        for t in pool:
+            inst = substitute_unchecked(q.body, q.var, t)
+            key = formula_key(inst)
+            self.at.setdefault(key, len(self.rows))
+            self.rows.append((t, inst, key))
+        self._held: list | None = None
+
+    def present(self, env: _Env) -> list:
+        """The sorted first positions of the instances present in the
+        environment.  The base's are found once: its atoms are fixed once
+        it is saturated, and a search has one base."""
+        if self._held is None:
+            nodes = env.base.nodes
+            self._held = [p for k, p in self.at.items() if k in nodes]  # in pool order
+        return sorted([self.at[k] for k in env.own if k in self.at] + self._held)
+
+
 class _Search:
+    """One backward search over one premise set.
+
+    Every environment of the search reads one instance list per
+    quantified formula (`instances`): the `Exists` and `Forall` goals and
+    the `exists_elim_ground` split walk it instead of substituting the
+    pool again.  An `Exists` goal over an atom body at budget 0 finds its
+    witness by lookup (`_witness`), retrieving the present instances
+    instead of trying each candidate, as term indexing does (Ramakrishnan,
+    Sekar & Voronkov, Handbook of Automated Reasoning, 2001)."""
+
     def __init__(self, gamma: tuple, universe: dict, order):
         self.gamma = gamma
         self.universe = universe
         self._order = order
         self.overflow = False
         self.fails: dict = {}
+        self._instances: dict = {}  # quantified formula -> _Instances
+
+    def instances(self, q: Formula) -> _Instances:
+        """The instance list of a quantified formula, built on first read."""
+        got = self._instances.get(q)
+        if got is None:
+            got = self._instances[q] = _Instances(q, self.universe.get(q.var.sort, ()))
+        return got
+
+    def _witness(self, env: _Env, goal: Exists, seen: frozenset):
+        """An atom-bodied existential at budget 0, as the per-instance loop
+        would prove it, with no `prove` call per term.
+
+        With no falsum in the environment (the caller has checked), an atom
+        at budget 0 is proved only by its memo entry or by being present,
+        and `fails` never records one.  So the witness is the lowest pool
+        position among the present instances, the own layer's and the
+        base's, that has a `(key, 0)` memo entry or is not in `seen`; the
+        memo entry `prove` would write is written."""
+        ins = self.instances(goal)
+        for p in ins.present(env):
+            t, _, key = ins.rows[p]
+            node = env.memo.get((key, 0))
+            if node is None and (env.key, key) not in seen:
+                node = env.memo[(key, 0)] = env.get(key)
+            if node is not None:
+                return _Node("exists_intro", (node,), goal, extra=(t,))
+        return None
 
     @property
     def order(self):
@@ -343,9 +434,6 @@ class _Search:
         def get(key: str) -> _Node | None:
             return own.get(key) or base.get(key)
 
-        def present(key: str) -> bool:  # for an atom key, never an exclusion's
-            return key in own or key in base.nodes
-
         def add(node: _Node) -> None:
             if len(own) + (0 if building else len(base.nodes)) > _SATURATION_CAP:
                 self.overflow = True
@@ -367,7 +455,7 @@ class _Search:
             elif isinstance(f, Xor):
                 add(_Node("xor_elim", (n,), Or(f.args)))
                 if building and len(f.args) > 1 and all(isinstance(a, Atom) for a in f.args):
-                    base.keep_whole(n, present)
+                    base.keep_whole(n)
                     # an exclusion whose (and a b) is present is processed,
                     # in pair order, as the expansion's conjunct would be
                     met = [base.get(e) for e in map(negation_key, list(own)) if exclusion_atoms(e)]
@@ -391,7 +479,7 @@ class _Search:
             elif isinstance(f, Perceives):
                 self._lift_percept(n, add)
             if n.key in base._xors:
-                base.pair_up(n.key, present)
+                base.pair_up(n.key, own)
             # contradiction detection; a negation's key wraps its body's,
             # so no negation node is built to look it up
             partner = get(formula_key(f.body) if isinstance(f, Not) else negation_key(n.key))
@@ -541,21 +629,21 @@ class _Search:
                         return _Node("neg_intro", (sub, a), goal,
                                      assumptions=(sub.assumptions | a.assumptions) - {a})
         elif isinstance(goal, Forall):
-            pool = self.universe.get(goal.var.sort, ())
-            if pool:
+            ins = self.instances(goal)
+            if ins.rows:
                 parts = []
-                for t in pool:
-                    inst = substitute_unchecked(goal.body, goal.var, t)
+                for _, inst, _ in ins.rows:
                     sub = self.prove(env, inst, budget, seen, splits)
                     if sub is None:
                         parts = None
                         break
                     parts.append(sub)
                 if parts is not None:
-                    return _Node("forall_intro_ground", tuple(parts), goal, extra=pool)
+                    return _Node("forall_intro_ground", tuple(parts), goal, extra=ins.pool)
         elif isinstance(goal, Exists):
-            for t in self.universe.get(goal.var.sort, ()):
-                inst = substitute_unchecked(goal.body, goal.var, t)
+            if budget == 0 and isinstance(goal.body, Atom):
+                return self._witness(env, goal, seen)
+            for t, inst, _ in self.instances(goal).rows:
                 sub = self.prove(env, inst, budget, seen, splits)
                 if sub is not None:
                     return _Node("exists_intro", (sub,), goal, extra=(t,))
@@ -579,16 +667,14 @@ class _Search:
                     return _Node("or_elim", (n,) + cases, goal,
                                  assumptions=self._discharge(n, cases))
             else:
-                pool = self.universe.get(n.formula.var.sort, ())
-                if not pool:
+                ins = self.instances(n.formula)
+                if not ins.rows:
                     continue
-                insts = tuple(
-                    substitute_unchecked(n.formula.body, n.formula.var, t) for t in pool
-                )
+                insts = tuple(inst for _, inst, _ in ins.rows)
                 cases = self._split(env, goal, n, insts, budget, seen, splits | {k})
                 if cases is not None:
                     return _Node("exists_elim_ground", (n,) + cases, goal,
-                                 extra=pool,
+                                 extra=ins.pool,
                                  assumptions=self._discharge(n, cases))
         # reductio
         if isinstance(goal, (Atom, Believes, Perceives, Exists, Or)):

@@ -11,7 +11,7 @@ from mucal.errors import UnknownNameError
 from mucal.kb import load_kb, parse_kb
 from mucal.logic import (
     And, App, Atom, Const, Falsum, Implies, Not, Or, Xor, formula_key, negation_of,
-    well_sorted,
+    substitute_unchecked, well_sorted,
 )
 from mucal.prover import prove, rho
 from mucal.reasonable import ReasonEngine
@@ -342,7 +342,7 @@ def test_falsum_index_matches_a_scan(monkeypatch, scenario, goal):
                                    frozenset()) is None
 
 
-def test_thirty_ticket_lottery_skips_the_blocked_exclusions(monkeypatch):
+def _count_prove_calls(monkeypatch):
     calls = [0]
     inner = prover._Search.prove
 
@@ -351,11 +351,20 @@ def test_thirty_ticket_lottery_skips_the_blocked_exclusions(monkeypatch):
         return inner(self, *args)
 
     monkeypatch.setattr(prover._Search, "prove", counting)
-    res = _prove_goal(_lottery_n(30), "(exists (t) (win t))")
+    return calls
+
+
+@pytest.mark.parametrize("n", [30, 80, 160])
+def test_an_n_ticket_lottery_proves_someone_wins_in_linear_calls(monkeypatch, n):
+    # each of the n case branches finds its witness by lookup, and pairs
+    # its ticket only with the present operands, none
+    calls = _count_prove_calls(monkeypatch)
+    res = _prove_goal(_lottery_n(n), "(exists (t) (win t))")
     assert res.outcome == "proved"
-    assert rho(res.proof) == Fraction(7879, 125)
-    assert len(res.proof.steps) == 63
-    assert calls[0] <= 1000
+    if n == 30:
+        assert rho(res.proof) == Fraction(7879, 125)
+        assert len(res.proof.steps) == 63
+    assert calls[0] <= 4 * n + 3
 
 
 def test_an_atom_goal_at_budget_zero_leaves_no_failure_record():
@@ -562,3 +571,140 @@ def test_xor_premises_prove_as_their_pairwise_expansion():
                 want = goal if res.outcome == "proved" else negation_of(goal)
                 assert check_proof(res.proof, prems, want, sig=ENCODING_KB.sig)
     assert outcomes == {"proved", "refuted", "unknown"}
+
+
+# ---------------------------------------------------------------------------
+# existential goals by lookup, and the present-operand walk
+
+_PICK_KB = (
+    "(sort T Object)" + "".join(f"(const c{i} T)" for i in range(1, 6))
+    + "(func r (T) Boolean)(func p () Boolean)(func q () Boolean)"
+)
+
+
+def _pick_search(stated, assumed):
+    """A search over the stated premises, its base environment and an
+    environment that assumes `assumed` beyond it, with its goal
+    `(exists (x T) (r x))`."""
+    kb = parse_kb(_PICK_KB)
+    gamma = tuple(parse_formula(t, kb.sig) for t in stated)
+    goal = parse_formula("(exists (x T) (r x))", kb.sig)
+    search = prover._Search(gamma, kb.universe(gamma + (goal,)), None)
+    env = search.base_env()
+    if assumed:
+        env, _ = search.extend(env, tuple(parse_formula(t, kb.sig) for t in assumed))
+    return search, env, goal
+
+
+def _per_instance(search, env, goal, seen):
+    """The witness of the per-instance rule, (term, node) or None: `prove`
+    on each instance at budget 0, in pool order.  The memo entries it
+    writes are taken back, so the lookup is asked the same question."""
+    memo = dict(env.memo)
+    try:
+        for t in search.universe[goal.var.sort]:
+            inst = substitute_unchecked(goal.body, goal.var, t)
+            sub = search.prove(env, inst, 0, seen, frozenset())
+            if sub is not None:
+                return t, sub
+        return None
+    finally:
+        env.memo = memo
+
+
+def _lookup(monkeypatch, search, env, goal, seen):
+    """The budget-0 answer to the goal, and the number of `prove` calls it
+    made, the goal's own included."""
+    calls = _count_prove_calls(monkeypatch)
+    got = search.prove(env, goal, 0, seen, frozenset())
+    monkeypatch.undo()
+    return got, calls[0]
+
+
+def _inst(search, goal, i):
+    return substitute_unchecked(goal.body, goal.var, search.universe["T"][i])
+
+
+@pytest.mark.parametrize("stated, assumed, want", [
+    (("(r c3)",), ("(r c1)",), 0),  # the own layer's instance comes first
+    (("(r c3)",), ("(r c5)",), 2),  # the base's instance comes first
+    (("(r c2)", "(r c4)"), (), 1),
+    ((), ("(r c4)", "(p)"), 3),
+])
+def test_an_existential_at_budget_zero_takes_the_first_present_instance(
+        monkeypatch, stated, assumed, want):
+    search, env, goal = _pick_search(stated, assumed)
+    t, sub = _per_instance(search, env, goal, frozenset())
+    got, calls = _lookup(monkeypatch, search, env, goal, frozenset())
+    assert calls == 1
+    assert got.rule == "exists_intro" and got.extra == (t,) and got.inputs == (sub,)
+    assert t == search.universe["T"][want]
+    # the memo entry `prove` would have written for the witness
+    assert env.memo[(formula_key(_inst(search, goal, want)), 0)] is sub
+
+
+def test_an_existential_at_budget_zero_passes_over_a_seen_instance(monkeypatch):
+    search, env, goal = _pick_search(("(r c3)",), ("(r c1)",))
+    seen = frozenset({(env.key, formula_key(_inst(search, goal, 0)))})
+    t, sub = _per_instance(search, env, goal, seen)
+    assert t == search.universe["T"][2]
+    got, _ = _lookup(monkeypatch, search, env, goal, seen)
+    assert got.extra == (t,) and got.inputs == (sub,)
+
+
+def test_an_existential_at_budget_zero_takes_a_seen_instance_from_its_memo(monkeypatch):
+    search, env, goal = _pick_search(("(r c3)",), ("(r c1)",))
+    first = _inst(search, goal, 0)
+    kept = prover._Node("premise", (), first)
+    assert kept is not env.get(formula_key(first))
+    env.memo[(formula_key(first), 0)] = kept
+    seen = frozenset({(env.key, formula_key(first))})
+    assert _per_instance(search, env, goal, seen) == (search.universe["T"][0], kept)
+    got, _ = _lookup(monkeypatch, search, env, goal, seen)
+    assert got.extra == (search.universe["T"][0],) and got.inputs == (kept,)
+
+
+@pytest.mark.parametrize("stated, assumed", [((), ()), (("(p)",), ("(q)",))])
+def test_an_existential_at_budget_zero_without_a_present_instance_fails(
+        monkeypatch, stated, assumed):
+    search, env, goal = _pick_search(stated, assumed)
+    assert _per_instance(search, env, goal, frozenset()) is None
+    got, calls = _lookup(monkeypatch, search, env, goal, frozenset())
+    assert got is None and calls == 1
+    assert not env.memo
+
+
+def _full_scan(self, xor, own):
+    return [q for q, k in enumerate(self._operands[xor]) if k in own or k in self.nodes]
+
+
+def _exclusions_made(stated, assumed):
+    """The exclusion nodes that assuming `assumed` in a branch adds to the
+    base, in the order made: (key, positions, the xor they come from)."""
+    kb = parse_kb(_PICK_KB)
+    gamma = tuple(parse_formula(t, kb.sig) for t in stated)
+    search = prover._Search(gamma, kb.universe(gamma), None)
+    env = search.base_env()
+    before = len(env.base.nodes)
+    search.extend(env, tuple(parse_formula(t, kb.sig) for t in assumed))
+    made = list(env.base.nodes.values())[before:]
+    assert all(n.rule == "xor_elim" for n in made)
+    return [(n.key, n.extra, n.inputs[0].formula) for n in made]
+
+
+_WIDE_XOR = "(xor (r c1) (r c2) (r c3) (r c3) (r c4) (r c5) (p) (q))"
+
+
+@pytest.mark.parametrize("stated, assumed", [
+    ((_WIDE_XOR, "(r c4)"), ("(r c2)",)),
+    ((_WIDE_XOR, "(r c4)"), ("(r c5)", "(r c3)", "(p)")),
+    ((_WIDE_XOR, "(r c1)", "(q)"), ("(r c3)",)),  # a duplicate operand in the own layer
+    (("(xor (p) (p) (q))", "(q)"), ("(p)",)),
+    (("(xor (p) (p) (q))", "(p)"), ("(q)",)),
+])
+def test_pair_up_walks_the_present_operands_as_the_full_scan_would(
+        monkeypatch, stated, assumed):
+    walked = _exclusions_made(stated, assumed)
+    monkeypatch.setattr(prover._Base, "_present_at", _full_scan)
+    assert walked == _exclusions_made(stated, assumed)
+    assert walked
